@@ -5,18 +5,33 @@ Design:
 * a :class:`Job` is a picklable spec -- a ``"module:function"`` entry
   point plus keyword params -- so any module-level function can be a
   sweep point;
-* one OS process per job (experiment points run for seconds, so process
-  startup is noise), results returned over a pipe;
-* per-job **timeout**: the scheduler terminates the worker and records a
-  ``"timeout"`` result; a runner-wide ``default_timeout`` acts as a
-  watchdog for jobs that did not set their own;
+* a **worker pool per run**: :meth:`Runner.run` starts
+  ``min(max_workers, len(jobs))`` worker processes, and each serves job
+  after job -- job in over its pipe, result back -- so a job that lasts
+  tens of milliseconds does not pay for a fork and the lazy imports of a
+  fresh process.  The scheduler blocks on the result pipes and worker
+  sentinels until a result, a death, a job deadline or a retry backoff
+  is due.  Every worker is stopped and joined before ``run`` returns, so
+  nothing outlives a call;
+* **isolation contract**: a job runs in a process of its own run, never
+  in the scheduler, and is isolated from *crashes* -- a timed-out or
+  dead worker is replaced and takes only its own job down.  It is not
+  isolated from the jobs the same worker ran before it: module-level
+  caches (compiled programs, workload profiles) carry over, exactly as
+  they do in :meth:`Runner.run_serial`, which runs every job in one
+  process.  Jobs are data that rebuild their own inputs, so shared
+  caches can make a job faster but not different;
+* per-job **timeout**: the scheduler terminates the worker, records a
+  ``"timeout"`` result and starts a replacement for the remaining jobs;
+  a runner-wide ``default_timeout`` acts as a watchdog for jobs that did
+  not set their own;
 * **retry-on-crash with exponential backoff**: a worker that dies
-  without reporting (``os._exit``, segfault, OOM kill) is rescheduled up
-  to ``max_retries`` times, the respawn before attempt ``n`` delayed by
-  ``backoff_base * 2**(n-2)`` seconds, under a runner-wide
-  ``retry_budget`` (total respawns per run).  An in-worker Python
-  exception is deterministic, so it is recorded as ``"error"`` without a
-  retry;
+  without reporting (``os._exit``, segfault, OOM kill) is replaced and
+  its job rescheduled up to ``max_retries`` times, the retry of attempt
+  ``n`` delayed by ``backoff_base * 2**(n-2)`` seconds, under a
+  runner-wide ``retry_budget`` (total retries per run).  An in-worker
+  Python exception is deterministic, so it is recorded as ``"error"``
+  without a retry, and the worker goes on to its next job;
 * **deterministic merging**: results come back in submission order keyed
   by job id, regardless of completion order, so serial and parallel runs
   of the same jobs produce identical merged output;
@@ -43,10 +58,11 @@ job still produced its value.
 
 **Graceful shutdown**: the parallel scheduler installs SIGTERM/SIGINT
 handlers (main thread only) for the duration of a run.  On a signal it
-stops launching new work, lets the already-running workers finish and
-deliver, marks everything still queued ``"interrupted"``, and restores
-the previous handlers -- so a Ctrl-C'd campaign still journals every
-completed job and leaves no orphan processes or stale lockfiles behind.
+stops dispatching new work, lets the busy workers finish and deliver,
+marks everything still queued ``"interrupted"``, stops every worker, and
+restores the previous handlers -- so a Ctrl-C'd campaign still journals
+every completed job and leaves no orphan processes or stale lockfiles
+behind.
 Callers can test :attr:`Runner.interrupted` after ``run`` returns.
 """
 
@@ -56,6 +72,7 @@ import dataclasses
 import hashlib
 import importlib
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import threading
@@ -138,23 +155,21 @@ def resolve(fn_spec: str) -> Callable:
     return getattr(importlib.import_module(module_name), fn_name)
 
 
-def _worker_main(fn_spec: str, params: Dict[str, Any], conn,
-                 chaos_kill: bool,
-                 kill_after: Optional[float] = None) -> None:
-    """Worker process entry point: run the job, report over the pipe.
+def _run_job(fn_spec: str, params: Dict[str, Any], chaos_kill: bool,
+             kill_after: Optional[float]) -> tuple:
+    """Run one job in a worker: the ``(status, value, error, error_kind)``
+    reply for the pipe.
 
     ``chaos_kill`` kills the worker *after* the function started doing
     real work (module resolved, call under way is approximated by
     killing between resolve and call) -- the parent sees a silent death,
     exactly like a segfault or an OOM kill.  With ``kill_after`` set the
     kill is instead a delayed SIGKILL fired from a daemon timer while
-    the job runs, so death can land anywhere in the computation.
+    the job runs, so death can land anywhere in the computation.  The
+    timer is cancelled when the job returns: it must never fire into a
+    later job the same worker serves.
     """
-    # The fork inherits the parent's graceful-shutdown handlers, under
-    # which SIGTERM merely sets a flag -- that would make workers immune
-    # to terminate().  Shutdown is the *scheduler's* job; workers die.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    timer = None
     try:
         fn = resolve(fn_spec)
         if chaos_kill:
@@ -164,39 +179,84 @@ def _worker_main(fn_spec: str, params: Dict[str, Any], conn,
                 kill_after, os.kill, args=(os.getpid(), signal.SIGKILL))
             timer.daemon = True
             timer.start()
-        value = fn(**params)
-        conn.send(("ok", value, "", ""))
+        return ("ok", fn(**params), "", "")
     except BaseException as exc:
-        conn.send(("error", None, traceback.format_exc(),
-                   type(exc).__name__))
+        return ("error", None, traceback.format_exc(), type(exc).__name__)
     finally:
-        conn.close()
+        if timer is not None:
+            timer.cancel()
 
 
-class _Active:
-    """Bookkeeping for one in-flight worker."""
+def _worker_main(conn) -> None:
+    """Worker process entry point: serve jobs from ``conn`` until stopped.
 
-    __slots__ = ("job", "attempt", "process", "conn", "started")
+    Each message is one job, ``(fn_spec, params, chaos_kill,
+    kill_after)``, answered by one reply; ``None``, or EOF when the
+    scheduler is gone, stops the worker.
+    """
+    # The fork inherits the parent's graceful-shutdown handlers, under
+    # which SIGTERM merely sets a flag -- that would make workers immune
+    # to terminate().  Shutdown is the *scheduler's* job; workers die.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        reply = _run_job(*message)
+        try:
+            conn.send(reply)
+        except OSError:                  # the scheduler is gone
+            return
+        except Exception as exc:         # the value does not pickle
+            conn.send(("error", None, traceback.format_exc(),
+                       type(exc).__name__))
 
-    def __init__(self, job: Job, attempt: int, process, conn):
-        self.job = job
-        self.attempt = attempt
+
+class _Worker:
+    """One pool process, and the job it runs (``job`` is stale when idle)."""
+
+    __slots__ = ("process", "conn", "job", "attempt", "started")
+
+    def __init__(self, process, conn):
         self.process = process
         self.conn = conn
-        self.started = time.monotonic()
+        self.job: Optional[Job] = None
+        self.attempt = 0
+        self.started = 0.0
+
+    def stop(self) -> None:
+        """Ask an idle worker to exit, and reap it."""
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass                         # already dead
+        self.process.join()
+        self.conn.close()
+
+    def kill(self) -> None:
+        """Terminate a busy worker, and reap it."""
+        self.process.terminate()
+        self.process.join()
+        self.conn.close()
 
 
 class Runner:
-    """Schedules jobs over worker processes (or serially in-process).
+    """Schedules jobs over a pool of worker processes (or serially
+    in-process).
 
-    ``max_workers`` defaults to the machine's CPU count.  ``run`` returns
+    ``max_workers`` defaults to the machine's CPU count; a run starts no
+    more workers than it has jobs.  ``run`` returns
     one :class:`JobResult` per job **in submission order**.
 
     Resilience knobs:
 
     * ``max_retries`` -- crash retries per job (default 1: the original
       retry-once-on-crash behaviour);
-    * ``backoff_base`` -- first respawn delay in seconds, doubled per
+    * ``backoff_base`` -- first retry delay in seconds, doubled per
       further attempt (exponential backoff);
     * ``backoff_jitter`` -- deterministic seeded spread on top of the
       exponential delay: attempt ``n`` of job ``j`` waits
@@ -206,14 +266,13 @@ class Runner:
       retry *spread out* instead of thundering-herding the pool, and
       the schedule is still exactly reproducible (and pinnable in
       tests) because nothing consults a random source at run time;
-    * ``retry_budget`` -- total respawns allowed across the whole run
+    * ``retry_budget`` -- total retries allowed across the whole run
       (None = unlimited); once exhausted, crashes are final;
     * ``default_timeout`` -- watchdog for jobs with ``timeout=None``;
     * ``chaos`` -- a :class:`ChaosMonkey`, for testing the above.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
-                 poll_interval: float = 0.02,
                  max_retries: int = 1,
                  backoff_base: float = 0.05,
                  backoff_jitter: float = 0.0,
@@ -222,7 +281,6 @@ class Runner:
                  default_timeout: Optional[float] = None,
                  chaos: Optional[ChaosMonkey] = None):
         self.max_workers = max(1, max_workers or os.cpu_count() or 1)
-        self.poll_interval = poll_interval
         self.max_retries = max(0, max_retries)
         self.backoff_base = max(0.0, backoff_base)
         self.backoff_jitter = max(0.0, backoff_jitter)
@@ -275,26 +333,39 @@ class Runner:
         merged = self._run_parallel(jobs)
         return [merged[job.id] for job in jobs]   # deterministic merge
 
-    def _spawn(self, job: Job, attempt: int) -> _Active:
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        chaos_kill = self.chaos.dooms(job.id, attempt)
+    def _start_worker(self) -> _Worker:
+        conn, child_conn = self._context.Pipe()
         process = self._context.Process(
-            target=_worker_main,
-            args=(job.fn, job.params, child_conn, chaos_kill,
-                  self.chaos.kill_after),
-            daemon=True)
+            target=_worker_main, args=(child_conn,), daemon=True)
         process.start()
         child_conn.close()   # child's end lives in the child now
-        return _Active(job, attempt, process, parent_conn)
+        return _Worker(process, conn)
+
+    def _dispatch(self, worker: _Worker, job: Job,
+                  attempt: int) -> Optional[JobResult]:
+        """Send ``job`` to an idle worker; a result only if it cannot go."""
+        worker.job, worker.attempt = job, attempt
+        worker.started = time.monotonic()
+        try:
+            worker.conn.send((job.fn, job.params,
+                              self.chaos.dooms(job.id, attempt),
+                              self.chaos.kill_after))
+        except OSError:
+            pass        # the worker died idle: collected as a crash
+        except Exception as exc:         # params that do not pickle
+            return JobResult(job.id, "error", error=traceback.format_exc(),
+                             error_kind=type(exc).__name__,
+                             attempts=attempt, sweep=job.sweep)
+        return None
 
     def _backoff(self, attempt: int, job_id: str = "") -> float:
-        """Respawn delay before ``attempt`` (exponential: base * 2^(n-2)).
+        """Retry delay before ``attempt`` (exponential: base * 2^(n-2)).
 
         With ``backoff_jitter`` > 0 the delay is stretched by a
         deterministic per-(job, attempt) factor in
         ``[1, 1 + backoff_jitter)`` so simultaneous crash retries
         (coalesced service requests, a chaos-killed batch) de-correlate
-        instead of respawning in lockstep.  The draw hashes
+        instead of retrying in lockstep.  The draw hashes
         ``jitter_seed``, the job id, and the attempt with sha256 --
         never Python's salted ``hash()`` -- so the schedule is
         reproducible across processes and pinnable in tests.
@@ -335,17 +406,19 @@ class Runner:
         queue: List[tuple] = [(job, 1) for job in jobs]
         queue.reverse()                      # pop() takes submission order
         #: crash retries waiting out their backoff: (eligible_at, job,
-        #: attempt), respawned in eligibility order
+        #: attempt), redispatched in eligibility order
         waiting: List[tuple] = []
         self._retries_left = self.retry_budget
-        active: List[_Active] = []
+        size = min(self.max_workers, len(jobs))
+        idle: List[_Worker] = []
+        busy: List[_Worker] = []
         results: Dict[str, JobResult] = {}
         installed = self._install_signal_handlers()
         try:
-            while queue or active or waiting:
+            while queue or busy or waiting:
                 if self.interrupted and (queue or waiting):
-                    # graceful shutdown: nothing new is launched; the
-                    # in-flight workers drain and deliver normally
+                    # graceful shutdown: nothing new is dispatched; the
+                    # busy workers drain and deliver normally
                     for job, _attempt in queue:
                         results[job.id] = JobResult(
                             job.id, "interrupted",
@@ -367,84 +440,103 @@ class Runner:
                         for eligible_at, job, attempt in sorted(
                                 due, reverse=True):
                             queue.append((job, attempt))
-                while queue and len(active) < self.max_workers:
+                while queue and (idle or len(idle) + len(busy) < size):
+                    worker = idle.pop() if idle else self._start_worker()
                     job, attempt = queue.pop()
-                    active.append(self._spawn(job, attempt))
-                made_progress = False
-                for slot in list(active):
-                    outcome = self._poll(slot)
+                    refused = self._dispatch(worker, job, attempt)
+                    if refused is None:
+                        busy.append(worker)
+                    else:
+                        results[job.id] = refused
+                        idle.append(worker)
+                self._wait(busy, waiting)
+                for worker in list(busy):
+                    outcome = self._collect(worker)
                     if outcome is None:
                         continue
-                    made_progress = True
-                    active.remove(slot)
+                    busy.remove(worker)
+                    if not worker.conn.closed:   # served: reuse it
+                        idle.append(worker)
                     if outcome == "retry":
                         if self._retries_left is not None:
                             self._retries_left -= 1
-                        attempt = slot.attempt + 1
+                        attempt = worker.attempt + 1
                         eligible = (time.monotonic()
-                                    + self._backoff(attempt, slot.job.id))
-                        waiting.append((eligible, slot.job, attempt))
+                                    + self._backoff(attempt, worker.job.id))
+                        waiting.append((eligible, worker.job, attempt))
                     else:
-                        results[slot.job.id] = outcome
-                if not made_progress and (active or waiting):
-                    time.sleep(self.poll_interval)
+                        results[worker.job.id] = outcome
         finally:
             for signum, previous in installed:
                 signal.signal(signum, previous)
-            for slot in active:              # interrupted: no orphans
-                slot.process.terminate()
-                slot.process.join()
+            for worker in busy:
+                worker.kill()
+            for worker in idle:
+                worker.stop()
         return results
 
     def _effective_timeout(self, job: Job) -> Optional[float]:
         return job.timeout if job.timeout is not None else self.default_timeout
 
-    def _poll(self, slot: _Active):
-        """One scheduling decision for one worker; None = still running."""
-        job = slot.job
-        elapsed = time.monotonic() - slot.started
-        if slot.conn.poll():
+    def _wait(self, busy: List[_Worker], waiting: List[tuple]) -> None:
+        """Block until a busy worker replies or dies, or until the next
+        job deadline or retry backoff falls due."""
+        deadlines = [eligible for eligible, _job, _attempt in waiting]
+        for worker in busy:
+            limit = self._effective_timeout(worker.job)
+            if limit is not None:
+                deadlines.append(worker.started + limit)
+        timeout = (max(0.0, min(deadlines) - time.monotonic())
+                   if deadlines else None)
+        if busy:
+            multiprocessing.connection.wait(
+                [worker.conn for worker in busy]
+                + [worker.process.sentinel for worker in busy], timeout)
+        elif timeout:
+            time.sleep(timeout)
+
+    def _collect(self, worker: _Worker):
+        """One scheduling decision for one busy worker; None = running."""
+        job = worker.job
+        elapsed = time.monotonic() - worker.started
+        if worker.conn.poll():
             try:
-                status, value, error, error_kind = slot.conn.recv()
+                status, value, error, error_kind = worker.conn.recv()
             except (EOFError, OSError):
-                return self._crash_outcome(slot, elapsed)
-            slot.process.join()
-            slot.conn.close()
-            if status == "ok" and slot.attempt > 1:
+                return self._crash_outcome(worker, elapsed)
+            if status == "ok" and worker.attempt > 1:
                 status = "retried-ok"
             return JobResult(job.id, status, value=value, error=error,
                              error_kind=error_kind,
-                             duration=elapsed, attempts=slot.attempt,
+                             duration=elapsed, attempts=worker.attempt,
                              sweep=job.sweep)
         timeout = self._effective_timeout(job)
         if timeout is not None and elapsed > timeout:
-            slot.process.terminate()
-            slot.process.join()
-            slot.conn.close()
+            worker.kill()
             return JobResult(job.id, "timeout",
                              error=f"exceeded {timeout:.1f}s",
                              error_kind="timeout",
-                             duration=elapsed, attempts=slot.attempt,
+                             duration=elapsed, attempts=worker.attempt,
                              sweep=job.sweep)
-        if not slot.process.is_alive():
-            return self._crash_outcome(slot, elapsed)
+        if not worker.process.is_alive():
+            return self._crash_outcome(worker, elapsed)
         return None
 
-    def _crash_outcome(self, slot: _Active, elapsed: float):
+    def _crash_outcome(self, worker: _Worker, elapsed: float):
         """The worker died without delivering a result."""
-        slot.process.join()
-        slot.conn.close()
+        worker.process.join()
+        worker.conn.close()
         remaining = getattr(self, "_retries_left", self.retry_budget)
         budget_open = remaining is None or remaining > 0
-        if slot.attempt <= self.max_retries and budget_open:
+        if worker.attempt <= self.max_retries and budget_open:
             return "retry"
-        job = slot.job
+        job = worker.job
         return JobResult(
             job.id, "crashed",
-            error=f"worker died {slot.attempt} time(s) "
-                  f"(exitcode {slot.process.exitcode})",
+            error=f"worker died {worker.attempt} time(s) "
+                  f"(exitcode {worker.process.exitcode})",
             error_kind="worker-died",
-            duration=elapsed, attempts=slot.attempt, sweep=job.sweep)
+            duration=elapsed, attempts=worker.attempt, sweep=job.sweep)
 
 
 def merge_values(results: Sequence[JobResult]) -> Dict[str, Any]:

@@ -21,7 +21,10 @@ With ``--bench-file PATH`` the script additionally validates the named
 sections of a ``BENCH_pipeline.json`` telemetry file and reports each
 missing or malformed section by name -- a partial file (crashed bench
 run, hand-edited payload) fails with a readable message instead of a
-``KeyError`` traceback.  ``--fuzz-file PATH`` does the same for a
+``KeyError`` traceback -- and, on a host that ran the sweep on two or
+more workers, fails when the parallel sweep was slower than the serial
+one (``sweep.speedup`` below :data:`SWEEP_SPEEDUP_FLOOR`).
+``--fuzz-file PATH`` does the same for a
 ``FUZZ_campaign.json`` fuzzing report, additionally failing when the
 campaign itself recorded unexplained divergences or harness failures
 (so CI can gate on the artifact alone).  ``--metrics-file PATH`` audits
@@ -85,13 +88,18 @@ BENCH_SECTIONS = {
     "experiments": (),
 }
 
+#: the parallel sweep must not be slower than the serial one on a host
+#: that gave it two or more workers
+SWEEP_SPEEDUP_FLOOR = 1.0
+
 
 def check_bench_file(path: pathlib.Path) -> List[str]:
     """Validate the named sections of a bench telemetry file.
 
     Every problem is reported against the *section name* so a partial
     write or schema drift reads as "section 'sweep' is missing", never as
-    a bare ``KeyError: 'sweep'``.
+    a bare ``KeyError: 'sweep'``.  With ``host.workers >= 2`` a
+    ``sweep.speedup`` below :data:`SWEEP_SPEEDUP_FLOOR` fails too.
     """
     path = pathlib.Path(path)
     if not path.exists():
@@ -128,6 +136,15 @@ def check_bench_file(path: pathlib.Path) -> List[str]:
                 failures.append(
                     f"bench file: section 'experiments' row '{job_id}' "
                     "has no 'status' field")
+    sweep, host = payload.get("sweep"), payload.get("host")
+    if isinstance(sweep, dict) and isinstance(host, dict):
+        speedup, workers = sweep.get("speedup"), host.get("workers")
+        if (isinstance(speedup, (int, float)) and isinstance(workers, int)
+                and workers >= 2 and speedup < SWEEP_SPEEDUP_FLOOR):
+            failures.append(
+                f"bench file: section 'sweep' speedup {speedup} on "
+                f"{workers} workers is below {SWEEP_SPEEDUP_FLOOR} "
+                "(the parallel sweep is slower than the serial one)")
     return failures
 
 
@@ -949,7 +966,8 @@ def main(argv=None) -> int:
     parser.add_argument("--bench-file", type=pathlib.Path, default=None,
                         metavar="PATH",
                         help="also validate the named sections of a bench "
-                             "telemetry file (BENCH_pipeline.json)")
+                             "telemetry file (BENCH_pipeline.json) and its "
+                             "sweep speedup floor")
     parser.add_argument("--fuzz-file", type=pathlib.Path, default=None,
                         metavar="PATH",
                         help="also validate a fuzz campaign report "

@@ -13,13 +13,18 @@ Covers the :class:`repro.harness.runner.Runner` contract:
 * chaos mode: :class:`ChaosMonkey` kills a seeded subset of first-attempt
   workers mid-job, and the retry/merge path delivers results identical to
   a serial run;
+* worker reuse: a run's jobs share at most ``max_workers`` processes, a
+  timed-out or dead worker is replaced for the remaining jobs, and no
+  worker outlives ``run`` on any path;
 * the sweep grids are well-formed (unique ids, resolvable entry points).
 
 The job helpers below must be module-level so the ``"module:function"``
 specs resolve inside worker processes.
 """
 
+import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -57,6 +62,14 @@ def _crash_once(marker):
 
 def _always_crash():
     os._exit(23)
+
+
+def _pid():
+    return os.getpid()
+
+
+def _unpicklable():
+    return threading.Lock()
 
 
 def _squares(count):
@@ -386,6 +399,92 @@ class TestChaosKillAfter:
         (result,) = Runner(max_workers=1, chaos=chaos).run(jobs)
         assert result.status == "crashed"
         assert str(CHAOS_EXIT_CODE) in result.error
+
+
+# ---------------------------------------------------------- worker reuse
+def _pid_job(name):
+    return Job(id=f"pid/{name}", fn=f"{HERE}:_pid")
+
+
+class TestWorkerReuse:
+    def test_jobs_share_at_most_max_workers_processes(self):
+        jobs = [_pid_job(i) for i in range(12)]
+        results = Runner(max_workers=2).run(jobs)
+        assert [r.status for r in results] == ["ok"] * len(jobs)
+        pids = {r.value for r in results}
+        assert 1 <= len(pids) <= 2
+        assert os.getpid() not in pids
+        assert multiprocessing.active_children() == []
+
+    def test_timeout_replaces_the_worker(self):
+        stuck = Job(id="stuck", fn=f"{HERE}:_sleep_then_return",
+                    params={"seconds": 30.0, "value": None}, timeout=0.4)
+        jobs = [_pid_job("before"), stuck] + _squares(4) + [
+            _pid_job("after")]
+        results = Runner(max_workers=1).run(jobs)
+        by_id = {r.job_id: r for r in results}
+        assert by_id["stuck"].status == "timeout"
+        assert by_id["pid/before"].value != by_id["pid/after"].value
+        squares = [r for r in results if r.job_id.startswith("sq/")]
+        assert [r.status for r in squares] == ["ok"] * 4
+        assert merge_values(squares) == merge_values(
+            Runner().run_serial(_squares(4)))
+        assert multiprocessing.active_children() == []
+
+    def test_crash_replaces_the_worker(self, tmp_path):
+        flaky = Job(id="flaky", fn=f"{HERE}:_crash_once",
+                    params={"marker": str(tmp_path / "crashed-once")})
+        jobs = [_pid_job("before"), flaky] + _squares(4) + [
+            _pid_job("after")]
+        results = Runner(max_workers=1).run(jobs)
+        by_id = {r.job_id: r for r in results}
+        assert by_id["flaky"].status == "retried-ok"
+        assert by_id["pid/before"].value != by_id["pid/after"].value
+        # the marker now exists, so the serial reference does not crash
+        reference = [j for j in jobs if not j.id.startswith("pid/")]
+        merged = [r for r in results if not r.job_id.startswith("pid/")]
+        assert merge_values(merged) == merge_values(
+            Runner().run_serial(reference))
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_value_or_params_is_error_and_worker_goes_on(self):
+        jobs = [_pid_job("before"),
+                Job(id="lock", fn=f"{HERE}:_unpicklable"),
+                Job(id="lambda", fn=f"{HERE}:_square",
+                    params={"x": lambda: 1}),
+                _pid_job("after")]
+        results = Runner(max_workers=1).run(jobs)
+        by_id = {r.job_id: r for r in results}
+        assert by_id["lock"].status == "error"
+        assert by_id["lock"].error_kind == "TypeError"
+        assert "pickle" in by_id["lock"].error
+        assert by_id["lambda"].status == "error"
+        assert "pickle" in by_id["lambda"].error
+        assert by_id["pid/before"].status == by_id["pid/after"].status == "ok"
+        assert by_id["pid/before"].value == by_id["pid/after"].value
+
+    def test_no_worker_outlives_an_interrupted_run(self):
+        jobs = [Job(id="active", fn=f"{HERE}:_signal_parent_then_return",
+                    params={"pid": os.getpid(), "value": 1})]
+        jobs += _squares(6)
+        runner = Runner(max_workers=2)
+        results = runner.run(jobs)
+        assert runner.interrupted
+        assert results[0].status == "ok"
+        assert multiprocessing.active_children() == []
+
+    def test_kill_after_timer_dies_with_its_job(self):
+        # Every job is doomed, but each returns long before its timer
+        # would fire: the cancelled timer must not kill a later job that
+        # the same worker serves.
+        chaos = ChaosMonkey(rate=1.0, seed=0, kill_after=0.5)
+        jobs = [Job(id=f"short/{i}", fn=f"{HERE}:_sleep_then_return",
+                    params={"seconds": 0.05, "value": i})
+                for i in range(20)]
+        results = Runner(max_workers=1, chaos=chaos).run(jobs)
+        assert [r.status for r in results] == ["ok"] * 20
+        assert [r.attempts for r in results] == [1] * 20
+        assert [r.value for r in results] == list(range(20))
 
 
 # --------------------------------------------------- durable atomic JSON

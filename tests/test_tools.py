@@ -198,6 +198,26 @@ class TestCheckBenchFile:
         failures = check_bench_file(tmp_path / "nope.json")
         assert failures and "does not exist" in failures[0]
 
+    def test_slow_parallel_sweep_fails_on_two_workers(self, tmp_path):
+        from repro.tools.check_results import check_bench_file
+
+        payload = self._complete()
+        payload["host"] = {"cpu_count": 2, "workers": 2}
+        payload["sweep"]["speedup"] = 1.31
+        assert check_bench_file(self._write(tmp_path, payload)) == []
+        payload["sweep"]["speedup"] = 0.39          # tampered
+        failures = check_bench_file(self._write(tmp_path, payload))
+        assert any("section 'sweep' speedup 0.39 on 2 workers" in f
+                   for f in failures)
+
+    def test_one_worker_sweep_has_no_speedup_floor(self, tmp_path):
+        from repro.tools.check_results import check_bench_file
+
+        payload = self._complete()
+        payload["host"] = {"cpu_count": 1, "workers": 1}
+        payload["sweep"]["speedup"] = 0.39
+        assert check_bench_file(self._write(tmp_path, payload)) == []
+
 
 class TestCheckFuzzFile:
     def _write(self, tmp_path, payload):
