@@ -41,12 +41,19 @@ pipeline latches at every entry/exit boundary.  Anything the closure
 cannot reproduce exactly is either *refused at compile time* (control
 transfers other than the backward branch, coprocessor ops, special-PC
 reads, unbypassable load-use hazards), *guarded at entry* (wrong mode,
-pending interrupts, trace/fault hooks, squash FSM not quiescent, Icache
-lines not resident) or *bailed out mid-block at a cycle boundary* (MMIO
-access, store into a translated region, branch falling through, cycle
-budget).  On every bail the closure materializes the exact latch,
-chain, PC and statistics state the interpreter would have had, so the
-interpretive pipeline resumes seamlessly.
+pending interrupts, trace/fault hooks, squash FSM not quiescent, trap
+on overflow set under an add/sub/mstep, entry-segment Icache lines not
+resident) or *bailed out mid-block at a cycle boundary* (MMIO access,
+store into a translated region, fetch into a cold segment).
+
+**Exit sites are data.**  Every activation leaves through one exit
+site (bail, side, iexit, exit, ltaken or canonical; see ``emit_site``
+in :func:`_generate`), which the generated code reaches as one call,
+``EX(k, it, pen, ws, vals)``.  The constants of site ``k`` -- counter
+deltas, latches, register commits, PC chain, fetch PC, squash pulse --
+are computed once at compile time into an :class:`_ExitSite`, and the
+shared :func:`_exit` applies it: the machine is left in exactly the
+state the interpreter would have reached, so it resumes seamlessly.
 
 Store invalidation rides the same ``memory.write_listeners`` path that
 already invalidates decode memos: the pipeline's store listener feeds
@@ -59,10 +66,11 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.config import MachineConfig
 from repro.core.control import SquashState
+from repro.core.pipeline import Flight
 from repro.isa.opcodes import Funct, Opcode, SpecialReg
 
 _NORMAL = SquashState.NORMAL
@@ -108,7 +116,7 @@ class TranslateStats:
     entry_rejected: int = 0  #: lookups that hit a block but failed a guard
     cycles: int = 0          #: machine cycles executed by closures
     instructions: int = 0    #: instructions retired by closures
-    bails: int = 0           #: mid-block exits (MMIO touch / dirty store)
+    bails: int = 0           #: mid-block exits (MMIO / dirty / cold segment)
     side_exits: int = 0      #: mid-block exits via a taken side branch
     invalidations: int = 0   #: blocks killed by stores into their words
     evictions: int = 0       #: blocks evicted by the admission bound
@@ -560,10 +568,10 @@ class Translator:
         else:
             lines = self._icache_lines(pcs, mode)
             line_segs = _segment_lines(lines, n, sides)
-        source_text, needs_no_ovf, max_pass = _generate(
+        source_text, needs_no_ovf, max_pass, sites = _generate(
             self, head, mode, instrs, n, sources, lines, sq_owner,
             pcs, inv_sides, linear, entry_taken)
-        namespace = _exec_namespace(self, mode, pcs)
+        namespace = _exec_namespace(self, mode, sites)
         code = compile(source_text, f"<translated block {head:#x}>", "exec")
         exec(code, namespace)  # noqa: S102 - self-generated source
         entry_fsm_squash = (linear and instrs[1].opcode in _BRANCH_EXPR
@@ -873,33 +881,108 @@ def _operand_slots(instr):
     return (("a", instr.src1), ("b", instr.src2))
 
 
-def _exec_namespace(translator: Translator, mode: bool,
-                    pcs: tuple) -> dict:
+def _exec_namespace(translator: Translator, mode: bool, sites: tuple) -> dict:
     """Globals for one block's generated function: everything stable
     over the pipeline's lifetime is pre-bound here, so the closure does
-    no attribute walks on its hot path.  ``I`` holds the predecoded
-    records the block's materialized flights carry."""
+    no attribute walks on its hot path.  ``EX(k, ...)`` applies exit
+    site ``k``."""
     pipe = translator.pipeline
-    from repro.core.pipeline import Flight  # local: avoid import cycle
+
+    def exit_site(k, it, pen, ws, vals):
+        return _exit(sites[k], it, pen, ws, vals)
+
     return {
         "__builtins__": {},
         "P": pipe,
-        "F": Flight,
-        "I": tuple(pipe._decode_at(pc, mode) for pc in pcs),
         "ST": pipe.stats,
-        "IST": pipe.icache.stats,
-        "TS": translator.stats,
         "TR": translator,
         "ECR": pipe.ecache.read,
         "ECW": pipe.ecache.write,
         "MW": pipe.memory.write,
         "SP": pipe.memory.space(mode),
         "MD": pipe.md,
-        "CH": pipe.pc_unit.chain.shift,
         "SFS": pipe.squash_fsm.step,
         "REGS": pipe.regs,
-        "TCH": pipe.icache.bulk_touch,
+        "EX": exit_site,
     }
+
+
+class _ExitSite(NamedTuple):
+    """One exit site's end-of-cycle machine state, computed at compile
+    time."""
+
+    pipe: object
+    kind: str            #: bail, side, iexit, exit, ltaken or canonical
+    #: (cycles, retired, squashed, noops, branches, taken, loads, stores)
+    #: per complete pass, and over this site's partial pass
+    per_pass: tuple
+    partial: tuple
+    accesses: bool       #: Icache enabled: count its accesses
+    touch_passes: int    #: LRU lines to touch if any pass completed
+    touch: int           #: LRU lines to touch in any case
+    #: the five latches: (pc, record, ((field, constant), ...),
+    #: ((field, vals slot), ...))
+    flights: tuple
+    commits: tuple       #: (register, vals slot) register-file commits
+    chain: tuple         #: PC chain (mem, alu, rf)
+    fetch_pc: int
+    wrong_way: bool      #: a squashing branch went the wrong way
+
+
+def _exit(site: _ExitSite, it: int, pen: int, ws: list, vals: tuple) -> None:
+    """Leave a block through ``site``: apply ``it`` complete passes and
+    the site's partial pass (``pen`` Ecache stall cycles among them) to
+    every counter, and materialize the latches, register commits, PC
+    chain, fetch PC and squash FSM the interpreter would have reached.
+    ``vals`` holds the live block locals the site's slots index."""
+    pipe = site.pipe
+    stats = pipe.stats
+    cycles, retired, squashed, noops, branches, taken, loads, stores = (
+        [it * p + q for p, q in zip(site.per_pass, site.partial)]
+        if it else site.partial)
+    stats.cycles += cycles + pen
+    stats.fetched += cycles
+    stats.retired += retired
+    stats.squashed += squashed
+    stats.noops += noops
+    stats.branches += branches
+    stats.branches_taken += taken
+    stats.loads += loads
+    stats.stores += stores
+    stats.data_stall_cycles += pen
+    if pen:
+        # the last stall was a late data miss, as after interpretation
+        pipe._stall_is_icache = False
+    tstats = pipe._translator.stats
+    tstats.cycles += cycles + pen
+    tstats.instructions += retired
+    tstats.bails += site.kind == "bail"
+    tstats.side_exits += site.kind == "side"
+    icache = pipe.icache
+    if site.accesses:
+        icache.stats.accesses += cycles
+    # deferred Icache LRU reordering
+    if it and site.touch_passes:
+        icache.bulk_touch(ws, site.touch_passes)
+    if site.touch:
+        icache.bulk_touch(ws, site.touch)
+    latches = []
+    for pc, record, constants, slots in site.flights:
+        flight = Flight(pc, record)
+        for field, value in constants:
+            setattr(flight, field, value)
+        for field, slot in slots:
+            setattr(flight, field, vals[slot])
+        latches.append(flight)
+    pipe.s = latches
+    regs = pipe.regs._regs
+    for reg, slot in site.commits:
+        regs[reg] = vals[slot]
+    pipe.pc_unit.chain.shift(*site.chain)
+    pipe.pc_unit.fetch_pc = site.fetch_pc
+    if site.wrong_way:
+        stats.branch_squashes += 1
+        pipe.squash_fsm.step(False, True)
 
 
 # ---------------------------------------------------------------- codegen
@@ -993,8 +1076,6 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
     mode_lit = "True" if mode else "False"
     mmio_base = config.mmio_base
     sq_set = frozenset(sq_owner)
-    n_sq = len(sq_set)
-    n_retired = n - n_sq
 
     writers = {}           # idx -> dest register
     for idx, instr in enumerate(instrs):
@@ -1009,8 +1090,10 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
                and idx not in sq_set}
     noop_idx = {idx for idx, instr in enumerate(instrs)
                 if instr.is_nop and idx not in sq_set}
-    ld_count = sum(1 for idx in mem_ops if instrs[idx].opcode == Opcode.LD)
-    st_count = len(mem_ops) - ld_count
+    loads = {idx for idx in mem_ops if instrs[idx].opcode == Opcode.LD}
+    stores = mem_ops - loads
+    #: the predecoded records the materialized flights carry
+    records = tuple(pipe._decode_at(pc, mode) for pc in pcs)
     # linear prologue indices 0..1 ran their ALU before entry: any
     # overflow trap already happened (or not) under interpretation
     needs_no_ovf = any(
@@ -1060,17 +1143,11 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         # NORMAL at the end of the first in-block cycle
         sfs_clear_cycles.add(4)
     branches_per_pass = 1 + len(all_sides)
-    #: taken branches per completed pass: the loop branch plus every
-    #: inverted side (which is taken on the continuing path).
-    taken_per_pass = 1 + len(inv_sides)
-
-    def sides_resolved_by(cycle: int) -> int:
-        """Side branches whose ALU resolution is at or before ``cycle``."""
-        return sum(1 for i in all_sides if i + 2 <= cycle)
-
-    def taken_resolved_by(cycle: int) -> int:
-        """Inverted sides resolved (taken) at or before ``cycle``."""
-        return sum(1 for i in inv_sides if i + 2 <= cycle)
+    #: ``_ExitSite.per_pass``; the loop branch and every inverted side
+    #: are taken on the continuing path
+    per_pass = (n, n - len(sq_set), len(sq_set), len(noop_idx),
+                branches_per_pass, 1 + len(inv_sides), len(loads),
+                len(stores))
 
     out = _Emitter()
     emit = out.emit
@@ -1139,75 +1216,39 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         emit("while True:")
         out.depth += 1
 
-    def emit_flight(var: str, idx: int, age: int,
-                    side_taken: bool = False,
-                    squashed: bool = False) -> None:
-        """Materialize the idx-instance at stage-age ``age`` (stages
-        completed) exactly as the interpreter would have left it."""
-        instr = instrs[idx]
-        emit(f"{var} = F({pcs[idx]}, I[{idx}])")
+    sites: List[_ExitSite] = []
+
+    def flight(idx: int, age: int, taken: bool, squashed: bool,
+               slot) -> tuple:
+        """The idx-instance at stage-age ``age`` (stages completed) as
+        the interpreter would have left it (see ``_ExitSite.flights``)."""
+        op = instrs[idx].opcode
+        constants: List[tuple] = []
+        slots: List[tuple] = []
         if squashed:
             # annulled in IF/RF: no stage ever computed a field
-            emit(f"{var}.squashed = True")
-            return
-        if age < 2:
-            return
-        op = instr.opcode
-        if op in _BRANCH_EXPR:
-            # The loop branch and inverted sides are taken at every
-            # resolution a pass sees (their not-taken is the "exit" /
-            # "iexit" site, which overwrites f2); a normal side resolved
-            # in-pass was *not* taken -- except at its own taken-exit
-            # site, flagged by the caller.  A linear prologue branch
-            # resolved before entry keeps its observed outcome.
-            if (idx == n - 3 or idx in inv_sides or side_taken
-                    or (linear and idx < 2 and entry_taken[idx])):
-                emit(f"{var}.taken = True")
-            return
-        if op == Opcode.LD:
-            emit(f"{var}.mem_address = a{idx}")
+            constants.append(("squashed", True))
+        elif age >= 2 and op in _BRANCH_EXPR:
+            if taken:
+                constants.append(("taken", True))
+        elif age >= 2:
             if writers.get(idx) is not None:
-                emit(f"{var}.dest = {writers[idx]}")
-            if age >= 3:
-                emit(f"{var}.result = v{idx}")
-                emit(f"{var}.mem_resolved = True")
-            return
-        if op == Opcode.ST:
-            emit(f"{var}.mem_address = a{idx}")
-            emit(f"{var}.store_value = sv{idx}")
-            if age >= 3:
-                emit(f"{var}.mem_resolved = True")
-            return
-        if op == Opcode.ADDI:
-            emit(f"{var}.mem_address = v{idx}")
-        if idx in carries_result:
-            if writers.get(idx) is not None:
-                emit(f"{var}.dest = {writers[idx]}")
-            emit(f"{var}.result = v{idx}")
-
-    def emit_commits(cycle: int) -> None:
-        """Register-file commits at an end-of-cycle ``cycle`` site: for
-        each written register, the writer with the most recent WB.
-        Linear passes only commit writers whose WB cycle has been
-        reached; earlier registers still hold their entry values."""
-        by_reg: Dict[int, int] = {}
-        for idx, reg in writers.items():
-            if linear:
-                if idx + 4 > cycle:
-                    continue
-                best = by_reg.get(reg)
-                if best is None or idx > best:
-                    by_reg[reg] = idx
-            else:
-                age = (cycle - (idx + 4)) % n
-                best = by_reg.get(reg)
-                if best is None or age < (cycle - (best + 4)) % n:
-                    by_reg[reg] = idx
-        for reg in sorted(by_reg):
-            emit(f"R[{reg}] = w{by_reg[reg]}")
+                constants.append(("dest", writers[idx]))
+            if op in (Opcode.LD, Opcode.ST):
+                slots.append(("mem_address", slot(f"a{idx}")))
+                if op == Opcode.ST:
+                    slots.append(("store_value", slot(f"sv{idx}")))
+                if age >= 3:
+                    constants.append(("mem_resolved", True))
+            if op != Opcode.ST and (op != Opcode.LD or age >= 3):
+                slots.append(("result", slot(f"v{idx}")))
+            if op == Opcode.ADDI:
+                slots.append(("mem_address", slot(f"v{idx}")))
+        return pcs[idx], records[idx], tuple(constants), tuple(slots)
 
     def emit_site(cycle: int, kind: str, side_idx: int = -1) -> None:
-        """One exit site at the end of emitted-pass cycle ``cycle``.
+        """Emit one exit site at the end of emitted-pass cycle ``cycle``
+        as a call of the shared :func:`_exit` on its :class:`_ExitSite`.
 
         ``kind``: "bail" (MMIO/dirty/cold-segment mid-pass), "side"
         (the normal side branch at ``side_idx`` resolved taken; exit to
@@ -1221,111 +1262,44 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         mid_pass = kind in ("bail", "side", "iexit")
         if linear:
             # exactly one partial pass over cycles 4..cycle (it == 0);
-            # WBs retire combined indices 0..cycle-4
-            cycles_c = cycle - 3
-            sq_c = sum(1 for j in range(4, cycle + 1) if j - 4 in sq_set)
-            retired_c = cycles_c - sq_c
+            # WBs retire combined indices 0..cycle-4, MEM stages indices
+            # 1..cycle-3 (index 0's completed before entry)
+            wb = [j - 4 for j in range(4, cycle + 1)]
+            mem = [j - 3 for j in range(4, cycle + 1)]
         elif mid_pass:
-            cycles_c = cycle + 1
-            sq_c = sum(1 for j in range(cycle + 1)
-                       if (j - 4) % n in sq_set)
-            retired_c = cycles_c - sq_c
+            wb = [(j - 4) % n for j in range(cycle + 1)]
+            mem = [(j - 3) % n for j in range(cycle + 1)]
         else:
-            cycles_c = 0 if kind == "canonical" else n
-            sq_c = n_sq if kind == "exit" else 0
-            retired_c = n_retired if kind == "exit" else 0
-        # pipeline statistics: it complete taken passes + this partial
-        emit(f"ST.cycles += it * {n} + {cycles_c} + pen")
-        emit(f"ST.fetched += it * {n} + {cycles_c}")
-        emit(f"ST.retired += it * {n_retired} + {retired_c}")
-        if n_sq:
-            emit(f"ST.squashed += it * {n_sq} + {sq_c}")
-        if noop_idx:
-            if linear:
-                partial_noops = sum(
-                    1 for j in range(4, cycle + 1) if j - 4 in noop_idx)
-            elif mid_pass:
-                partial_noops = sum(
-                    1 for j in range(cycle + 1) if (j - 4) % n in noop_idx)
-            else:
-                partial_noops = len(noop_idx) if kind == "exit" else 0
-            emit(f"ST.noops += it * {len(noop_idx)} + {partial_noops}")
-        if kind == "exit":
+            # a completed pass ("exit") or none yet ("canonical")
+            wb = mem = list(range(n)) if kind == "exit" else []
+        if kind in ("exit", "ltaken"):
             branch_c = branches_per_pass
-            taken_c = len(inv_sides)
-        elif kind == "ltaken":
-            branch_c = branches_per_pass
-            taken_c = 1
+            taken_c = 1 if kind == "ltaken" else len(inv_sides)
         elif kind == "canonical":
-            branch_c = 0
-            taken_c = 0
+            branch_c = taken_c = 0
         else:
-            branch_c = sides_resolved_by(cycle)
-            taken_c = taken_resolved_by(cycle)
-            if kind == "side":
-                taken_c += 1   # this normal side resolved taken
-            elif kind == "iexit":
-                taken_c -= 1   # this inverted side resolved not taken
-        it_branches = (f"it * {branches_per_pass}"
-                       if branches_per_pass != 1 else "it")
-        it_taken = (f"it * {taken_per_pass}"
-                    if taken_per_pass != 1 else "it")
-        emit(f"ST.branches += {it_branches} + {branch_c}")
-        emit(f"ST.branches_taken += {it_taken} + {taken_c}")
-        if ld_count or st_count:
-            if linear:
-                # MEM cycles 4..cycle retire combined indices 1..cycle-3
-                # (index 0's MEM stage completed before entry and was
-                # counted under interpretation)
-                part_ld = sum(1 for j in range(4, cycle + 1)
-                              if j - 3 in mem_ops
-                              and instrs[j - 3].opcode == Opcode.LD)
-                part_st = sum(1 for j in range(4, cycle + 1)
-                              if j - 3 in mem_ops
-                              and instrs[j - 3].opcode == Opcode.ST)
-            elif mid_pass:
-                part_ld = sum(1 for j in range(cycle + 1)
-                              if (j - 3) % n in mem_ops
-                              and instrs[(j - 3) % n].opcode == Opcode.LD)
-                part_st = sum(1 for j in range(cycle + 1)
-                              if (j - 3) % n in mem_ops
-                              and instrs[(j - 3) % n].opcode == Opcode.ST)
-            else:
-                part_ld = ld_count if kind == "exit" else 0
-                part_st = st_count if kind == "exit" else 0
-            if ld_count or part_ld:
-                emit(f"ST.loads += it * {ld_count} + {part_ld}")
-            if st_count or part_st:
-                emit(f"ST.stores += it * {st_count} + {part_st}")
-        emit("ST.data_stall_cycles += pen")
-        if icache_on:
-            emit(f"IST.accesses += it * {n} + {cycles_c}")
-        emit(f"TS.cycles += it * {n} + {cycles_c} + pen")
-        emit(f"TS.instructions += it * {n_retired} + {retired_c}")
-        if kind == "bail":
-            emit("TS.bails += 1")
-        elif kind == "side":
-            emit("TS.side_exits += 1")
-        # deferred Icache LRU reordering
-        if lru and total_lines:
-            if not mid_pass:
-                emit(f"TCH(ws, {total_lines})")
-            else:
-                emit("if it:")
-                out.depth += 1
-                emit(f"TCH(ws, {total_lines})")
-                out.depth -= 1
-                prefix = line_prefix[cycle]
-                if prefix:
-                    emit(f"TCH(ws, {prefix})")
+            branch_c = sum(1 for i in all_sides if i + 2 <= cycle)
+            # this normal side resolved taken / inverted side not taken
+            taken_c = (sum(1 for i in inv_sides if i + 2 <= cycle)
+                       + (kind == "side") - (kind == "iexit"))
+        names: List[str] = []
+
+        def slot(name: str) -> int:
+            if name not in names:
+                names.append(name)
+            return names.index(name)
+
         # latches: end of ``cycle``, s[k] holds idx (cycle-k) mod n at
-        # stage-age k
+        # stage-age k; the wrong way annuls the two youngest
         wrong_way = (kind == "exit" and branch.squash) or (
             kind == "iexit" and instrs[side_idx].squash)
+        flights = []
         for k in range(5):
             idx = (cycle - k) % n
             owner = sq_owner.get(idx)
-            if owner is None:
+            if k < 2 and wrong_way:
+                sq = True
+            elif owner is None:
                 sq = False
             elif k > cycle:
                 sq = True   # previous-pass instance: that pass continued
@@ -1334,31 +1308,50 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
                 sq = (cycle > owner + 2
                       or (cycle == owner + 2
                           and not (kind == "side" and side_idx == owner)))
-            emit_flight(f"f{k}", idx, k, kind == "side" and k == 2, sq)
-        if wrong_way:
-            emit("f0.squashed = True")
-            emit("f1.squashed = True")
-        if kind in ("exit", "iexit"):
-            emit("f2.taken = False")  # overwrite the age>=2 default
-        emit("P.s = [f0, f1, f2, f3, f4]")
-        emit_commits(cycle)
-        emit(f"CH({pcs[(cycle - 3) % n]}, {pcs[(cycle - 2) % n]}, "
-             f"{pcs[(cycle - 1) % n]})")
+            # the loop branch and inverted sides are taken at every
+            # resolution a pass sees except their own "exit"/"iexit"
+            # site; a normal side only at its own taken-exit site; a
+            # linear prologue branch keeps its observed outcome
+            taken = (k == 2 and kind == "side") or (
+                (idx == n - 3 or idx in inv_sides
+                 or (linear and idx < 2 and entry_taken[idx]))
+                and not (k == 2 and kind in ("exit", "iexit")))
+            flights.append(flight(idx, k, taken, sq, slot))
+        # register commits: for each written register, the writer with
+        # the most recent WB (linear passes only commit writers whose WB
+        # cycle has been reached)
+        by_reg: Dict[int, int] = {}
+        for idx, reg in writers.items():
+            age = cycle - (idx + 4) if linear else (cycle - (idx + 4)) % n
+            if age >= 0 and (reg not in by_reg or age < by_reg[reg][0]):
+                by_reg[reg] = (age, idx)
+        commits = tuple((reg, slot(f"w{idx}"))
+                        for reg, (_, idx) in sorted(by_reg.items()))
         if kind == "bail":
-            emit(f"P.pc_unit.fetch_pc = {pcs[cycle + 1]}")
+            fetch_pc = pcs[cycle + 1]
         elif kind in ("side", "ltaken"):
-            target = (pcs[side_idx] + instrs[side_idx].imm) & _MASK
-            emit(f"P.pc_unit.fetch_pc = {target}")
+            fetch_pc = (pcs[side_idx] + instrs[side_idx].imm) & _MASK
         elif kind == "iexit":
-            emit(f"P.pc_unit.fetch_pc = {pcs[side_idx] + 3}")
-        elif kind == "exit":
-            emit(f"P.pc_unit.fetch_pc = {pcs[n - 1] + 1}")
+            fetch_pc = pcs[side_idx] + 3
         else:
-            emit(f"P.pc_unit.fetch_pc = {pcs[0]}")
-        if wrong_way:
-            emit("ST.branch_squashes += 1")
-            emit("SFS(False, True)")
-        emit("return")
+            fetch_pc = pcs[n - 1] + 1 if kind == "exit" else pcs[0]
+        sq_c = sum(1 for i in wb if i in sq_set)
+        sites.append(_ExitSite(
+            pipe=pipe, kind=kind, per_pass=per_pass,
+            partial=(len(wb), len(wb) - sq_c, sq_c,
+                     sum(1 for i in wb if i in noop_idx), branch_c, taken_c,
+                     sum(1 for i in mem if i in loads),
+                     sum(1 for i in mem if i in stores)),
+            accesses=icache_on,
+            touch_passes=total_lines if lru and mid_pass else 0,
+            touch=(line_prefix[cycle] if mid_pass else total_lines)
+            if lru else 0,
+            flights=tuple(flights), commits=commits,
+            chain=(pcs[(cycle - 3) % n], pcs[(cycle - 2) % n],
+                   pcs[(cycle - 1) % n]),
+            fetch_pc=fetch_pc, wrong_way=wrong_way))
+        vals = ", ".join(names) + ("," if len(names) == 1 else "")
+        emit(f"return EX({len(sites) - 1}, it, pen, ws, ({vals}))")
 
     def emit_branch_cond(idx: int) -> str:
         """Emit operand prep for the branch at ``idx`` and return its
@@ -1498,4 +1491,4 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         emit_site(n - 1, "exit")
         out.depth -= 1
 
-    return out.source(), needs_no_ovf, max_pass
+    return out.source(), needs_no_ovf, max_pass, tuple(sites)

@@ -44,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.asm.assembler import parse as parse_asm
 from repro.asm.unit import Program
+from repro.checkpoint.state import _node_state
 from repro.core import Machine, MachineConfig
 from repro.core.golden import GoldenError, GoldenSimulator
 from repro.core.pipeline import HazardViolation
@@ -282,7 +283,10 @@ def _machine_signature(machine: Machine) -> Dict[str, object]:
 
     Cycle-exactness is part of the contract, so the *full* pipeline
     stat struct is included -- a fast path that reaches the right
-    registers in the wrong number of cycles is a finding.
+    registers in the wrong number of cycles is a finding.  ``node`` is
+    the checkpoint capture of everything but memory: latches, PC chain,
+    both FSMs and the stall state, Icache sets with LRU order, Ecache
+    tags and the coprocessors.
     """
     pipe = machine.pipeline
     return {
@@ -299,6 +303,7 @@ def _machine_signature(machine: Machine) -> Dict[str, object]:
         # (and deterministically idle for isa/lang ones)
         "uart_tx": pipe.memory.uart.tx_text,
         "devices": dict(pipe.memory.device_metrics()),
+        "node": _node_state(machine),
     }
 
 

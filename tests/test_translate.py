@@ -333,3 +333,93 @@ class TestFuzzAgreement:
             reports = check_all(generate_program(seed))
             failures.extend(f"seed {seed}: {r.summary()}" for r in reports)
         assert not failures, failures
+
+
+# ------------------------------------------------------- lockstep exits
+def _lang_generated(seed: int):
+    from repro.fuzz.gen import GenConfig
+
+    return generate_program(seed, GenConfig(mode="lang", quick=True))
+
+
+def _memory(machine):
+    space = machine.pipeline.memory.space
+    return dict(space(True)._words), dict(space(False)._words)
+
+
+def lockstep_exits(program, monkeypatch, chunk=None):
+    """Run ``program`` translated; after each block activation step an
+    interpreter to the same cycle and compare node state and both
+    memory spaces.  ``chunk`` runs the translated machine
+    in budgets of that many cycles, so blocks also stop at pass
+    boundaries.  Returns the exit-kind tally."""
+    from collections import Counter
+
+    from repro.checkpoint.state import _node_state
+    from repro.core import translate
+
+    jit = Machine(MachineConfig(jit=True, jit_threshold=2))
+    jit.load_program(program)
+    reference = Machine(MachineConfig())
+    reference.load_program(program)
+    tally = Counter()
+    real_exit = translate._exit
+
+    def checked_exit(site, it, pen, ws, vals):
+        real_exit(site, it, pen, ws, vals)
+        cycle = jit.stats.cycles
+        reference.pipeline.run(cycle)
+        where = (sum(tally.values()), site.kind, cycle)
+        assert reference.stats.cycles == cycle, where
+        assert _node_state(reference) == _node_state(jit), where
+        assert _memory(reference) == _memory(jit), where
+        tally[site.kind] += 1
+
+    monkeypatch.setattr(translate, "_exit", checked_exit)
+    while not jit.halted:
+        before = jit.stats.cycles
+        jit.pipeline.run(before + chunk if chunk else 10_000_000)
+        assert jit.stats.cycles > before
+    monkeypatch.undo()
+    return tally
+
+
+class TestLockstepExits:
+    """Every exit site leaves the machine exactly where the interpreter
+    is at the same cycle: latches, PC chain, FSMs, stall state, caches,
+    counters and memory."""
+
+    def test_every_site_kind_matches_the_interpreter(self, monkeypatch):
+        from repro.workloads import cached_program
+
+        tally = lockstep_exits(cached_program("sieve"), monkeypatch,
+                               chunk=1009)
+        # a lang program's console loop bails on its MMIO store, after
+        # late Ecache misses inside translated passes
+        tally += lockstep_exits(_programs_for(_lang_generated(3))[1],
+                                monkeypatch)
+        assert tally == {"exit": 584, "side": 524, "ltaken": 477,
+                         "canonical": 71, "bail": 7, "iexit": 1}
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", ["sieve", "bubble", "quick", "assoc",
+                                      "queens", "intmm"])
+    def test_workload_exits_match_the_interpreter(self, name, monkeypatch):
+        from repro.workloads import cached_program
+
+        tally = lockstep_exits(cached_program(name), monkeypatch,
+                               chunk=1009)
+        assert tally["canonical"] > 0 and tally["exit"] > 0, tally
+
+
+class TestStallFlagAtExit:
+    def test_translated_late_miss_leaves_a_data_stall_flag(self):
+        # lang seed 3 takes late Ecache misses inside translated passes;
+        # the interpreter's last stall was a data stall, so the halted
+        # machines' node states (and checkpoint bytes) must agree on it
+        generated = _lang_generated(3)
+        _, reorganized = _programs_for(generated)
+        reference = run_pipeline(reorganized, generated)
+        report = check_jit_equivalence(reorganized, generated, reference)
+        assert report is None, report.summary()
+        assert "node" in _machine_signature(reference)
