@@ -26,34 +26,39 @@ fetch-discontinuity target gets hot:
 * a *linear one-pass block*: a straight-line run entered at any hot
   fetch discontinuity.  The four in-flight predecessors observed in
   the stage latches at compile time -- their PCs, squash pattern, and
-  branch outcomes -- become the entry contract; the body extends to
-  the first backward branch plus its two delay slots, and the periodic
-  emission machinery degenerates to the non-wrapping case.  Linear
-  blocks let translated regions *chain*: a loop's fall-through exit
-  re-dispatches into a linear block whose bottom branch enters the
-  next loop.
+  branch or jump outcomes -- become the entry contract; the body
+  extends to the first backward branch or ``jspci`` plus its two delay
+  slots, and the periodic emission machinery degenerates to the
+  non-wrapping case.  Linear blocks let translated regions *chain*: a
+  loop's fall-through exit re-dispatches into a linear block whose
+  bottom branch enters the next loop, and a call or return leaves one
+  linear block for the next at the jump's target, so recursive code
+  stays translated too.
 
 **Exactness contract.**  Translated execution is cycle-exact and
 bit-identical to the interpretive pipeline: identical
 :class:`~repro.core.pipeline.PipelineStats`, register file, memory,
 MD/PSW, Icache and Ecache statistics and LRU state, and identical
 pipeline latches at every entry/exit boundary.  Anything the closure
-cannot reproduce exactly is either *refused at compile time* (control
-transfers other than the backward branch, coprocessor ops, special-PC
-reads, unbypassable load-use hazards), *guarded at entry* (wrong mode,
+cannot reproduce exactly is either *refused at compile time* (``jpc``,
+``jpcrs``, ``trap``, ``halt`` and ``movtos``; a ``jspci`` inside a
+loop; a branch or jump in a terminator's delay slots or still
+unresolved in a linear prologue; coprocessor ops, special-PC reads,
+unbypassable load-use hazards), *guarded at entry* (wrong mode,
 pending interrupts, trace/fault hooks, squash FSM not quiescent, trap
 on overflow set under an add/sub/mstep, entry-segment Icache lines not
 resident) or *bailed out mid-block at a cycle boundary* (MMIO access,
 store into a translated region, fetch into a cold segment).
 
 **Exit sites are data.**  Every activation leaves through one exit
-site (bail, side, iexit, exit, ltaken or canonical; see ``emit_site``
-in :func:`_generate`), which the generated code reaches as one call,
-``EX(k, it, pen, ws, vals)``.  The constants of site ``k`` -- counter
-deltas, latches, register commits, PC chain, fetch PC, squash pulse --
-are computed once at compile time into an :class:`_ExitSite`, and the
-shared :func:`_exit` applies it: the machine is left in exactly the
-state the interpreter would have reached, so it resumes seamlessly.
+site (bail, side, iexit, exit, ltaken, jump or canonical; see
+``emit_site`` in :func:`_generate`), which the generated code reaches
+as one call, ``EX(k, it, pen, ws, vals)``.  The constants of site
+``k`` -- counter deltas, latches, register commits, PC chain, fetch
+PC, squash pulse -- are computed once at compile time into an
+:class:`_ExitSite`, and the shared :func:`_exit` applies it: the
+machine is left in exactly the state the interpreter would have
+reached, so it resumes seamlessly.
 
 Store invalidation rides the same ``memory.write_listeners`` path that
 already invalidates decode memos: the pipeline's store listener feeds
@@ -105,6 +110,10 @@ _BRANCH_EXPR = {
 _MASK = 0xFFFFFFFF
 _SIGN = 0x80000000
 
+#: Block shapes, in the order the compiler tries them.  Linear blocks
+#: are split by terminator: a backward branch or a ``jspci``.
+SHAPES = ("straight", "rotated", "linear/branch", "linear/jspci")
+
 
 @dataclasses.dataclass
 class TranslateStats:
@@ -120,6 +129,11 @@ class TranslateStats:
     side_exits: int = 0      #: mid-block exits via a taken side branch
     invalidations: int = 0   #: blocks killed by stores into their words
     evictions: int = 0       #: blocks evicted by the admission bound
+    #: per :data:`SHAPES` entry: [blocks compiled, entries, cycles].
+    #: Not telemetry: every snapshot carries the same catalog names, so
+    #: these stay out of :meth:`as_metrics`.
+    shapes: Dict[str, List[int]] = dataclasses.field(
+        default_factory=lambda: {shape: [0, 0, 0] for shape in SHAPES})
 
     def as_metrics(self) -> Dict[str, int]:
         """Counter values under canonical telemetry catalog names."""
@@ -138,93 +152,99 @@ class TranslateStats:
 
 
 class TranslatedBlock:
-    """One compiled loop: metadata plus the specialized closure."""
+    """One compiled block: its closure plus the entry contract
+    :meth:`Translator.try_enter` checks before running it."""
 
     __slots__ = ("head", "mode", "n", "instrs", "fn", "needs_no_ovf",
-                 "max_pass", "lines", "line_segs", "n_segs", "last_used",
-                 "passes", "slot3_squashed", "pcs", "linear", "entry_sq",
-                 "entry_taken", "entry_fsm_squash")
+                 "max_pass", "pcs", "linear", "shape", "contract",
+                 "taken_checks", "mem_checks", "fsm_state", "probes",
+                 "n_segs", "counts", "last_used")
 
-    def __init__(self, head: int, mode: bool, instrs: tuple, fn,
-                 needs_no_ovf: bool, max_pass: int, lines: tuple,
-                 line_segs: tuple = (), n_segs: int = 0,
-                 slot3_squashed: bool = False, pcs: tuple = (),
-                 linear: bool = False, entry_sq: tuple = (),
-                 entry_taken: tuple = (), entry_fsm_squash: bool = False):
+    def __init__(self, head: int, mode: bool, instrs: tuple, pcs: tuple,
+                 fn, needs_no_ovf: bool, max_pass: int, shape: str,
+                 contract: tuple, taken_checks: tuple, mem_checks: tuple,
+                 fsm_squash: bool, probes: tuple, n_segs: int,
+                 counts: list):
         self.head = head
         self.mode = mode
         self.n = len(instrs)
         self.instrs = instrs
         #: absolute fetch PC per index.  Straight blocks are contiguous
         #: (``head .. head+n-1``); rotated blocks have one seam where
-        #: the original loop branch redirects back over the entry.
-        self.pcs = pcs if pcs else tuple(range(head, head + self.n))
+        #: the original loop branch redirects back over the entry; a
+        #: linear block's indices 0..3 are its prologue.
+        self.pcs = pcs
         self.fn = fn
         self.needs_no_ovf = needs_no_ovf
         self.max_pass = max_pass
-        #: ((set_index, tag, (word_offsets...)), ...) in fetch order --
-        #: the Icache lines the block spans, probed once per entry.
-        self.lines = lines
-        #: aligned with ``lines``: each line's word offsets grouped by
-        #: fetch segment (-1 = entry segment, k >= 0 = fetched only
-        #: after side branch k falls through).  See ``_segment_lines``.
-        self.line_segs = line_segs
-        self.n_segs = n_segs
-        self.last_used = 0
-        self.passes = 0
-        #: the instruction at n-4 is an annulled delay slot, so at a
-        #: canonical entry the s[3] latch must hold a *squashed* flight.
-        self.slot3_squashed = slot3_squashed
+        #: one of :data:`SHAPES`
+        self.shape = shape
         #: one-pass straight-line block: indices 0..3 are the four
         #: *prologue* instructions preceding the entry PC (in the
         #: latches at entry), indices 4.. are the fetched body, and the
-        #: body ends at a backward branch plus its two delay slots.
-        self.linear = linear
-        #: linear only: which of the four prologue flights must be
-        #: squashed at entry (annulled slots of a prologue squash
-        #: branch that resolved not taken).
-        self.entry_sq = entry_sq
-        #: linear only: the observed taken outcome of each resolved
-        #: prologue branch (indices 0..1; always False elsewhere) --
-        #: part of the entry contract, baked into flight
-        #: materialization at exit sites.
-        self.entry_taken = entry_taken
-        #: linear only: the prologue instruction at index 1 is an active
-        #: squashing branch that resolved not taken one cycle before
-        #: entry, so the squash FSM must be in BRANCH_SQUASH (the
-        #: closure emits the clear on its first cycle).
-        self.entry_fsm_squash = entry_fsm_squash
+        #: body ends at a backward branch or a ``jspci`` plus its two
+        #: delay slots.
+        self.linear = shape.startswith("linear")
+        #: ((latch, pc, squashed, record), ...): the four flights the
+        #: latches must hold at entry -- a loop's last four
+        #: instructions, a linear block's observed prologue -- latch 2,
+        #: the branch or jump that redirected here, first
+        self.contract = contract
+        #: ((latch, taken), ...): resolved branch outcomes baked into
+        #: the exit sites' flights (a loop branch was taken; a linear
+        #: prologue branch went the observed way)
+        self.taken_checks = taken_checks
+        #: ((latch, resolved), ...): a memory op at MEM whose access
+        #: must already have run (True), or that the first in-block
+        #: cycle runs against backing storage, below MMIO (False)
+        self.mem_checks = mem_checks
+        #: squash FSM state at entry: BRANCH_SQUASH when the linear
+        #: prologue's index 1 is an active squashing branch that
+        #: resolved not taken one cycle before entry (the closure
+        #: emits the clear on its first cycle)
+        self.fsm_state = _BRANCH_SQUASH if fsm_squash else _NORMAL
+        #: ((set_index, tag, entry_words, ((segment, words), ...)), ...)
+        #: per Icache line the block fetches, in fetch order; see
+        #: :func:`_probes`
+        self.probes = probes
+        self.n_segs = n_segs
+        #: this shape's [compiled, entries, cycles] in TranslateStats
+        self.counts = counts
+        self.last_used = 0
 
 
-def _segment_lines(lines: tuple, n: int, sides: tuple) -> tuple:
-    """Group each Icache line's word offsets by fetch segment.
+def _probes(lines: tuple, n: int, sides: tuple) -> tuple:
+    """Split each Icache line's word offsets by fetch segment.
 
-    Segment -1 holds the words fetched unconditionally from a canonical
-    entry (up to and including the first side branch's second delay
-    slot); segment ``k >= 0`` holds the words only fetched once side
-    branch ``k`` has resolved not taken.  ``try_enter`` must prove
-    segment -1 resident, while later segments degrade to per-side
-    ``seg_ok`` flags the closure checks at that side's fall-through --
-    a word in a never-taken path may simply never have been fetched,
-    and must not block entry.
+    ``lines`` holds ``(set_index, tag, word_offsets)`` per line in
+    fetch order.  The entry segment holds the words fetched
+    unconditionally from a canonical entry (up to and including the
+    first side branch's second delay slot); segment ``k >= 0`` holds
+    the words only fetched once side branch ``k`` has resolved not
+    taken.  ``try_enter`` must prove the entry segment resident, while
+    later segments degrade to per-side ``seg_ok`` flags the closure
+    checks at that side's fall-through -- a word in a never-taken path
+    may simply never have been fetched, and must not block entry.
     """
-    if not lines:
-        return ()
     seg_of = [-1] * n
     for ordinal, i in enumerate(sides):
         for w in range(i + 3, n):
             seg_of[w] = ordinal
     out = []
     pos = 0
-    for _, _, words in lines:
-        groups: List[Tuple[int, List[int]]] = []
+    for index, tag, words in lines:
+        entry: List[int] = []
+        later: List[Tuple[int, List[int]]] = []
         for offset, word in enumerate(words):
             seg_id = seg_of[pos + offset]
-            if groups and groups[-1][0] == seg_id:
-                groups[-1][1].append(word)
+            if seg_id < 0:
+                entry.append(word)
+            elif later and later[-1][0] == seg_id:
+                later[-1][1].append(word)
             else:
-                groups.append((seg_id, [word]))
-        out.append(tuple((seg_id, tuple(ws)) for seg_id, ws in groups))
+                later.append((seg_id, [word]))
+        out.append((index, tag, tuple(entry),
+                    tuple((seg_id, tuple(ws)) for seg_id, ws in later)))
         pos += len(words)
     return tuple(out)
 
@@ -339,6 +359,7 @@ class Translator:
             return
         self._admit(block)
         self.stats.compiled += 1
+        block.counts[0] += 1
 
     def _admit(self, block: TranslatedBlock) -> None:
         if len(self.blocks) >= self.max_blocks:
@@ -360,15 +381,25 @@ class Translator:
         The canonical entry point is the cycle boundary at which the
         loop branch has just been resolved taken: the latches hold the
         block's last four instructions at known stage ages and the fetch
-        PC is back at ``head``.  Everything the closure assumes constant
-        is (re)checked here; the Icache ways backing the block are
-        gathered for the deferred LRU touches.
+        PC is back at ``head``.  A linear block's latches must reproduce
+        the prologue observed at compile time instead.  Everything the
+        closure assumes constant is (re)checked here; the Icache ways
+        backing the block are gathered for the deferred LRU touches.
         """
         pipe = self.pipeline
         stats = self.stats
+        # Latches first: a head reached along another path (a callee's
+        # other call sites) fails here, at the cheapest point.
+        s = pipe.s
+        for latch, pc, squashed, record in block.contract:
+            flight = s[latch]
+            if (flight is None or flight.pc != pc
+                    or flight.squashed != squashed
+                    or (flight.op is not record
+                        and flight.op.instr != record.instr)):
+                stats.entry_rejected += 1
+                return False
         psw = pipe.psw
-        n = block.n
-        head = block.head
         # The dispatcher caps max_cycles at the device alarm minus one,
         # so the alarm cycle is always interpreted; the explicit check
         # keeps direct callers honest about the same window.
@@ -385,69 +416,22 @@ class Translator:
                 or pipe._irq_hold != 0
                 or pipe._irq_pending or pipe._nmi_pending
                 or pipe.pc_unit._redirect != -1
-                or pipe.squash_fsm.state is not (
-                    _BRANCH_SQUASH if block.entry_fsm_squash else _NORMAL)
+                or pipe.squash_fsm.state is not block.fsm_state
                 or pipe.memory.mmu.enabled):
             stats.entry_rejected += 1
             return False
-        s = pipe.s
-        instrs = block.instrs
-        pcs = block.pcs
-        if block.linear:
-            # One-pass entry: the latches must reproduce the prologue
-            # observed at compile time -- the four in-flight
-            # predecessors (indices 0..3) with the same PCs, squash
-            # pattern and branch outcomes.
-            entry_sq = block.entry_sq
-            entry_taken = block.entry_taken
-            for latch, idx in ((0, 3), (1, 2), (2, 1), (3, 0)):
-                flight = s[latch]
-                if (flight is None
-                        or flight.squashed != entry_sq[idx]
-                        or flight.pc != pcs[idx]
-                        or not (flight.instr is instrs[idx]
-                                or flight.instr == instrs[idx])):
-                    stats.entry_rejected += 1
-                    return False
-            # Prologue branches at 0..1 resolved before entry: their
-            # observed outcome is baked into the closure's exit-site
-            # flights.  Index 0's memory access already ran its MEM
-            # stage; index 1's runs on the first in-block cycle, so it
-            # must still be pending and must not touch MMIO space
-            # (the closure accesses backing storage directly).
-            for latch, idx in ((2, 1), (3, 0)):
-                if (not entry_sq[idx]
-                        and instrs[idx].opcode in _BRANCH_EXPR
-                        and bool(s[latch].taken) != entry_taken[idx]):
-                    stats.entry_rejected += 1
-                    return False
-            if (not entry_sq[0] and instrs[0].is_memory_access
-                    and not s[3].mem_resolved):
+        for latch, taken in block.taken_checks:
+            if s[latch].taken != taken:
                 stats.entry_rejected += 1
                 return False
-            if (not entry_sq[1] and instrs[1].is_memory_access
-                    and (s[2].mem_resolved
-                         or s[2].mem_address >= pipe.config.mmio_base)):
-                stats.entry_rejected += 1
-                return False
-        else:
-            for latch, idx in ((0, n - 1), (1, n - 2), (2, n - 3),
-                               (3, n - 4)):
-                flight = s[latch]
-                if (flight is None
-                        or flight.squashed != (latch == 3
-                                               and block.slot3_squashed)
-                        or flight.pc != pcs[idx]
-                        or not (flight.instr is instrs[idx]
-                                or flight.instr == instrs[idx])):
-                    stats.entry_rejected += 1
-                    return False
-            if not s[2].taken:
-                stats.entry_rejected += 1
-                return False
-            if (not block.slot3_squashed
-                    and instrs[n - 4].is_memory_access
-                    and not s[3].mem_resolved):
+        # A memory op at index 1 of a linear prologue runs its MEM stage
+        # on the first in-block cycle, against backing storage, so it
+        # must still be pending and must not touch MMIO space.
+        for latch, resolved in block.mem_checks:
+            flight = s[latch]
+            if flight.mem_resolved != resolved or (
+                    not resolved
+                    and flight.mem_address >= pipe.config.mmio_base):
                 stats.entry_rejected += 1
                 return False
         # Residency: the entry segment (words fetched before the first
@@ -458,31 +442,33 @@ class Translator:
         # interpreter takes the miss with its exact stall timing.
         ways: List[Tuple[int, int]] = []
         seg_ok: List[bool] = [True] * block.n_segs
-        if block.lines:
+        if block.probes:
             residency = pipe.icache.residency
-            for (index, tag, _), segs in zip(block.lines, block.line_segs):
+            for index, tag, entry_words, later in block.probes:
                 hit = residency(index, tag)
                 if hit is None:
-                    for seg_id, _words in segs:
-                        if seg_id < 0:
-                            stats.entry_rejected += 1
-                            return False
+                    if entry_words:
+                        stats.entry_rejected += 1
+                        return False
+                    for seg_id, _words in later:
                         seg_ok[seg_id] = False
                     # cold line: never touched (the pass bails before
                     # its first word's fetch cycle)
                     ways.append((index, 0))
                     continue
                 way, valid = hit
-                for seg_id, seg_words in segs:
-                    for word in seg_words:
+                for word in entry_words:
+                    if not valid[word]:
+                        stats.entry_rejected += 1
+                        return False
+                for seg_id, words in later:
+                    for word in words:
                         if not valid[word]:
-                            if seg_id < 0:
-                                stats.entry_rejected += 1
-                                return False
                             seg_ok[seg_id] = False
                             break
                 ways.append((index, way))
         stats.entries += 1
+        block.counts[1] += 1
         self._clock += 1
         block.last_used = self._clock
         self.dirty = False
@@ -492,7 +478,7 @@ class Translator:
             block.fn(budget, ways, seg_ok)
             if len(self.spans) < 65536:
                 self.spans.append({
-                    "head": head, "n": n, "start_cycle": start,
+                    "head": block.head, "n": block.n, "start_cycle": start,
                     "end_cycle": pipe.stats.cycles,
                     "cycles": stats.cycles - before,
                 })
@@ -513,16 +499,18 @@ class Translator:
         linear = False
         entry_sq: tuple = ()
         entry_taken: tuple = ()
-        shape = self._scan(head, mode)
-        if shape is not None:
-            instrs, n = shape
+        straight = self._scan(head, mode)
+        if straight is not None:
+            instrs, n = straight
             pcs = tuple(range(head, head + n))
             inv_sides: frozenset = frozenset()
+            shape = "straight"
         else:
             rotated = self._scan_rotated(head, mode)
             if rotated is not None:
                 instrs, pcs, inv_sides = rotated
                 n = len(instrs)
+                shape = "rotated"
             else:
                 lshape = self._scan_linear(head, mode)
                 if lshape is None:
@@ -531,6 +519,8 @@ class Translator:
                 n = len(instrs)
                 inv_sides = frozenset()
                 linear = True
+                shape = ("linear/jspci" if instrs[n - 3].opcode == Opcode.JSPCI
+                         else "linear/branch")
         # Squashing side branches annul their two delay slots on every
         # continuing pass (continuing means not taken, the wrong way for
         # a squash-filled branch).  ``sq_owner`` maps each annulled slot
@@ -560,28 +550,48 @@ class Translator:
         sides = tuple(i for i in range(4 if linear else 0, n - 3)
                       if instrs[i].opcode in _BRANCH_EXPR
                       and i not in sq_owner)
+        records = tuple(pipe._decode_at(pc, mode) for pc in pcs)
         if linear:
             # only the body (indices 4..) is fetched during the pass
             lines = self._icache_lines(pcs[4:], mode)
-            line_segs = _segment_lines(lines, n - 4,
-                                       tuple(i - 4 for i in sides))
+            probes = _probes(lines, n - 4, tuple(i - 4 for i in sides))
+            # the prologue as observed; index 0's memory access ran
+            # before entry, index 1's runs on the first in-block cycle
+            contract = tuple((latch, pcs[3 - latch], entry_sq[3 - latch],
+                              records[3 - latch]) for latch in (2, 3, 1, 0))
+            taken_checks = tuple(
+                (3 - idx, entry_taken[idx]) for idx in (0, 1)
+                if not entry_sq[idx] and instrs[idx].opcode in _BRANCH_EXPR)
+            mem_checks = tuple(
+                (3 - idx, idx == 0) for idx in (0, 1)
+                if not entry_sq[idx] and instrs[idx].is_memory_access)
+            fsm_squash = (instrs[1].opcode in _BRANCH_EXPR
+                          and instrs[1].squash and not entry_sq[1]
+                          and not entry_taken[1])
         else:
             lines = self._icache_lines(pcs, mode)
-            line_segs = _segment_lines(lines, n, sides)
+            probes = _probes(lines, n, sides)
+            # the loop branch just resolved taken; an annulled slot at
+            # n-4 must sit squashed in s[3], else its access has run
+            slot3_squashed = (n - 4) in sq_owner
+            contract = tuple((latch, pcs[n - 1 - latch],
+                              latch == 3 and slot3_squashed,
+                              records[n - 1 - latch])
+                             for latch in (2, 3, 1, 0))
+            taken_checks = ((2, True),)
+            mem_checks = (((3, True),) if not slot3_squashed
+                          and instrs[n - 4].is_memory_access else ())
+            fsm_squash = False
         source_text, needs_no_ovf, max_pass, sites = _generate(
             self, head, mode, instrs, n, sources, lines, sq_owner,
-            pcs, inv_sides, linear, entry_taken)
+            pcs, records, inv_sides, shape, entry_taken)
         namespace = _exec_namespace(self, mode, sites)
         code = compile(source_text, f"<translated block {head:#x}>", "exec")
         exec(code, namespace)  # noqa: S102 - self-generated source
-        entry_fsm_squash = (linear and instrs[1].opcode in _BRANCH_EXPR
-                            and instrs[1].squash and not entry_sq[1]
-                            and not entry_taken[1])
-        return TranslatedBlock(head, mode, instrs, namespace["_block"],
-                               needs_no_ovf, max_pass, lines, line_segs,
-                               len(sides), (n - 4) in sq_owner, pcs,
-                               linear, entry_sq, entry_taken,
-                               entry_fsm_squash)
+        return TranslatedBlock(head, mode, instrs, pcs, namespace["_block"],
+                               needs_no_ovf, max_pass, shape, contract,
+                               taken_checks, mem_checks, fsm_squash,
+                               probes, len(sides), self.stats.shapes[shape])
 
     def _instr_at(self, pc: int, mode: bool):
         """The architectural instruction the interpreter would fetch."""
@@ -710,11 +720,13 @@ class Translator:
 
     def _scan_linear(self, entry: int, mode: bool):
         """Recognize a hot *straight-line run*: ``entry`` is a fetch
-        discontinuity target (a block's fall-through exit or a taken
-        branch's landing) whose body runs forward to the first backward
-        branch plus its two delay slots.  The block executes exactly one
-        pass per entry and then redirects wherever the bottom branch
-        decides -- chaining into the loop blocks on either side.
+        discontinuity target (a block's fall-through exit, a taken
+        branch's landing, a callee's head or a return landing) whose
+        body runs forward to the first backward branch or ``jspci``
+        plus its two delay slots.  The block executes exactly one pass
+        per entry and then redirects wherever the bottom branch decides,
+        or to the jump's target -- chaining into the blocks on either
+        side, through calls and returns.
 
         The four in-flight predecessors observed in the latches *right
         now* (``note_target`` compiles at a live arrival) become the
@@ -725,7 +737,10 @@ class Translator:
         latches.  Arrivals that do not reproduce the observed pattern
         are rejected at entry and stay interpreted; hot targets have a
         dominant arrival path, so the observed instance is the one that
-        pays.
+        pays.  A ``jspci`` resolved before entry (index 0 or 1: a
+        callee's head or a return landing) is static like a resolved
+        branch: its link value is its PC plus three and its target the
+        PC fetched after its delay slots.
 
         Returns ``(instrs, pcs, entry_sq, entry_taken)`` over the
         combined prologue+body sequence, or ``None``.
@@ -746,7 +761,7 @@ class Translator:
                 return None
             instr = decode_at(pc, mode)
             squashed = flight.squashed
-            if instr.opcode in _BRANCH_EXPR:
+            if instr.opcode in _BRANCH_EXPR or instr.opcode == Opcode.JSPCI:
                 # indices 2..3 resolve mid-pass: only annulled ones are
                 # static; indices 0..1 resolved pre-entry either way
                 if len(instrs) >= 2 and not squashed:
@@ -770,6 +785,11 @@ class Translator:
                 instrs.append(instr)  # forward side exit
                 pcs.append(entry + k)
                 continue
+            if instr.opcode == Opcode.JSPCI:   # a call or return
+                bottom_at = k
+                instrs.append(instr)
+                pcs.append(entry + k)
+                break
             if not _translatable(instr):
                 return None
             instrs.append(instr)
@@ -873,7 +893,7 @@ def _operand_slots(instr):
         if funct == Funct.MOVFRS:
             return ()
         return (("a", instr.src1), ("b", instr.src2))
-    if op in (Opcode.LD, Opcode.ADDI):
+    if op in (Opcode.LD, Opcode.ADDI, Opcode.JSPCI):
         return (("a", instr.src1),)
     if op == Opcode.ST:
         return (("a", instr.src1), ("b", instr.src2))
@@ -912,9 +932,10 @@ class _ExitSite(NamedTuple):
     time."""
 
     pipe: object
-    kind: str            #: bail, side, iexit, exit, ltaken or canonical
-    #: (cycles, retired, squashed, noops, branches, taken, loads, stores)
-    #: per complete pass, and over this site's partial pass
+    kind: str            #: bail, side, iexit, exit, ltaken, jump, canonical
+    counts: list         #: the block shape's TranslateStats.shapes row
+    #: (cycles, retired, squashed, noops, branches, taken, jumps, loads,
+    #: stores) per complete pass, and over this site's partial pass
     per_pass: tuple
     partial: tuple
     accesses: bool       #: Icache enabled: count its accesses
@@ -926,6 +947,7 @@ class _ExitSite(NamedTuple):
     commits: tuple       #: (register, vals slot) register-file commits
     chain: tuple         #: PC chain (mem, alu, rf)
     fetch_pc: int
+    fetch_slot: int      #: vals slot of a computed fetch PC, else -1
     wrong_way: bool      #: a squashing branch went the wrong way
 
 
@@ -937,9 +959,9 @@ def _exit(site: _ExitSite, it: int, pen: int, ws: list, vals: tuple) -> None:
     ``vals`` holds the live block locals the site's slots index."""
     pipe = site.pipe
     stats = pipe.stats
-    cycles, retired, squashed, noops, branches, taken, loads, stores = (
-        [it * p + q for p, q in zip(site.per_pass, site.partial)]
-        if it else site.partial)
+    (cycles, retired, squashed, noops, branches, taken, jumps, loads,
+     stores) = ([it * p + q for p, q in zip(site.per_pass, site.partial)]
+                if it else site.partial)
     stats.cycles += cycles + pen
     stats.fetched += cycles
     stats.retired += retired
@@ -947,6 +969,7 @@ def _exit(site: _ExitSite, it: int, pen: int, ws: list, vals: tuple) -> None:
     stats.noops += noops
     stats.branches += branches
     stats.branches_taken += taken
+    stats.jumps += jumps
     stats.loads += loads
     stats.stores += stores
     stats.data_stall_cycles += pen
@@ -958,6 +981,7 @@ def _exit(site: _ExitSite, it: int, pen: int, ws: list, vals: tuple) -> None:
     tstats.instructions += retired
     tstats.bails += site.kind == "bail"
     tstats.side_exits += site.kind == "side"
+    site.counts[2] += cycles + pen
     icache = pipe.icache
     if site.accesses:
         icache.stats.accesses += cycles
@@ -979,7 +1003,8 @@ def _exit(site: _ExitSite, it: int, pen: int, ws: list, vals: tuple) -> None:
     for reg, slot in site.commits:
         regs[reg] = vals[slot]
     pipe.pc_unit.chain.shift(*site.chain)
-    pipe.pc_unit.fetch_pc = site.fetch_pc
+    pipe.pc_unit.fetch_pc = (site.fetch_pc if site.fetch_slot < 0
+                             else vals[site.fetch_slot])
     if site.wrong_way:
         stats.branch_squashes += 1
         pipe.squash_fsm.step(False, True)
@@ -1006,6 +1031,12 @@ def _alu_expr(instr, src: dict) -> Optional[str]:
     funct = instr.funct
     a = src.get("a")
     b = src.get("b")
+    # r0 operands: operands are 32-bit already, so x+0, x-0, x|0, x^0
+    # are x
+    if funct in (Funct.ADD, Funct.SUB, Funct.OR, Funct.XOR) and b == "0":
+        return a
+    if funct in (Funct.ADD, Funct.OR, Funct.XOR) and a == "0":
+        return b
     if funct == Funct.ADD:
         return f"({a} + {b}) & {_MASK}"
     if funct == Funct.SUB:
@@ -1042,9 +1073,15 @@ def _alu_expr(instr, src: dict) -> Optional[str]:
     return None
 
 
+def _negate(cond: str) -> str:
+    """``not cond``, decided here when ``cond`` is a known truth value."""
+    return {"True": "False", "False": "True"}.get(cond, f"not ({cond})")
+
+
 def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
               n: int, sources, lines: tuple, sq_owner: Dict[int, int],
-              pcs: tuple, inv_sides: frozenset, linear: bool = False,
+              pcs: tuple, records: tuple, inv_sides: frozenset,
+              shape: str = "straight",
               entry_taken: tuple = ()):  # noqa: C901
     """Emit the block's specialized function source.
 
@@ -1056,20 +1093,30 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
     ``sq_owner`` slots are annulled on every continuing pass: they are
     fetched and occupy latch slots but do no work and retire nothing.
     ``pcs`` maps index to absolute fetch PC (rotated blocks have one
-    seam); ``inv_sides`` are polarity-inverted sides (the original loop
-    branch of a rotated block): the pass continues when they are taken.
+    seam) and ``records`` to the predecoded word the materialized
+    flights carry; ``inv_sides`` are polarity-inverted sides (the
+    original loop branch of a rotated block): the pass continues when
+    they are taken.
 
-    ``linear`` blocks run the same schedule for exactly one pass over a
+    Linear shapes run the same schedule for exactly one pass over a
     combined prologue+body sequence: indices 0..3 are already in flight
     at entry (their latched results seed the locals; ``entry_taken``
     records prologue branch outcomes), the per-cycle emission covers
     cycles ``4..n-1`` -- over which every ``(cycle - k) % n`` formula
-    degenerates to its non-wrapping form -- and the bottom backward
-    branch redirects out at cycle ``n-1`` instead of looping.
+    degenerates to its non-wrapping form -- and the terminator at
+    ``n-3`` redirects out at cycle ``n-1`` instead of looping: a bottom
+    backward branch either way, a ``jspci`` to its target.
+
+    Operands known at generation time -- r0, and results computed
+    earlier in the same pass from known operands -- are folded: their
+    arithmetic, memory addresses, MMIO bail tests and branch conditions
+    are decided here.  An exit that is always taken ends the emission.
     """
     pipe = translator.pipeline
     config = pipe.config
     per_site, invariants = sources
+    linear = shape.startswith("linear")
+    jump = shape == "linear/jspci"
     ecache_on = config.ecache.enabled
     icache_on = config.icache.enabled
     lru = icache_on and config.icache.replacement == "lru"
@@ -1084,7 +1131,8 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
             writers[idx] = dest
     carries_result = {idx for idx, instr in enumerate(instrs)
                       if instr.opcode in (Opcode.COMPUTE, Opcode.ADDI,
-                                          Opcode.LD) and idx not in sq_set}
+                                          Opcode.LD, Opcode.JSPCI)
+                      and idx not in sq_set}
     mem_ops = {idx for idx, instr in enumerate(instrs)
                if instr.opcode in (Opcode.LD, Opcode.ST)
                and idx not in sq_set}
@@ -1092,8 +1140,6 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
                 if instr.is_nop and idx not in sq_set}
     loads = {idx for idx in mem_ops if instrs[idx].opcode == Opcode.LD}
     stores = mem_ops - loads
-    #: the predecoded records the materialized flights carry
-    records = tuple(pipe._decode_at(pc, mode) for pc in pcs)
     # linear prologue indices 0..1 ran their ALU before entry: any
     # overflow trap already happened (or not) under interpretation
     needs_no_ovf = any(
@@ -1142,12 +1188,35 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         # way: the FSM is in BRANCH_SQUASH at entry and falls back to
         # NORMAL at the end of the first in-block cycle
         sfs_clear_cycles.add(4)
-    branches_per_pass = 1 + len(all_sides)
+    #: the terminator counts as a branch unless it is a jump
+    branches_per_pass = (not jump) + len(all_sides)
     #: ``_ExitSite.per_pass``; the loop branch and every inverted side
-    #: are taken on the continuing path
+    #: are taken on the continuing path (only loops complete passes)
     per_pass = (n, n - len(sq_set), len(sq_set), len(noop_idx),
-                branches_per_pass, 1 + len(inv_sides), len(loads),
+                branches_per_pass, 1 + len(inv_sides), 0, len(loads),
                 len(stores))
+    #: a call's literal jump target; ``None`` while unknown, and for a
+    #: return, whose target the local ``jt`` holds
+    jump_target: Optional[int] = None
+    #: local -> what later reads in this pass read instead: a literal,
+    #: or (linear blocks) the name it copies
+    known: Dict[str, str] = {}
+
+    def operand(expr: str) -> str:
+        """``expr``, or its literal value or source when known."""
+        return known.get(expr, expr)
+
+    def assign(local: str, expr: str) -> None:
+        """Emit ``local = expr``, unless later reads can read ``expr``
+        itself.  A literal always can.  A linear block assigns every
+        local once, before any read, so a copy of another name can go
+        too; a loop's next pass reads some locals before reassigning
+        them, so loops keep every assignment."""
+        if expr.isdigit() or (linear and expr.isidentifier()):
+            known[local] = expr
+            if linear:
+                return
+        emit(f"{local} = {expr}")
 
     out = _Emitter()
     emit = out.emit
@@ -1185,13 +1254,15 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         # results need seeding (an in-flight load's value arrives via
         # its in-pass MEM stage instead)
         if 0 in carries_result:
-            emit("v0 = P.s[3].result")
+            assign("v0", str(pcs[0] + 3) if instrs[0].opcode == Opcode.JSPCI
+                   else "P.s[3].result")
         if 0 in mem_ops:
             emit("a0 = P.s[3].mem_address")
             if instrs[0].opcode == Opcode.ST:
                 emit("sv0 = P.s[3].store_value")
         if 1 in carries_result and instrs[1].opcode != Opcode.LD:
-            emit("v1 = P.s[2].result")
+            assign("v1", str(pcs[1] + 3) if instrs[1].opcode == Opcode.JSPCI
+                   else "P.s[2].result")
         if 1 in mem_ops:
             emit("a1 = P.s[2].mem_address")
             if instrs[1].opcode == Opcode.ST:
@@ -1234,13 +1305,24 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         elif age >= 2:
             if writers.get(idx) is not None:
                 constants.append(("dest", writers[idx]))
-            if op in (Opcode.LD, Opcode.ST):
+            if op == Opcode.JSPCI:
+                # the link value, and the target: the PC fetched after
+                # the delay slots (a prologue jump) or the block's exit
+                constants.append(("result", (pcs[idx] + 3) & _MASK))
+                if idx < 4:
+                    constants.append(("mem_address", pcs[idx + 3]))
+                elif jump_target is not None:
+                    constants.append(("mem_address", jump_target))
+                else:
+                    slots.append(("mem_address", slot("jt")))
+            elif op in (Opcode.LD, Opcode.ST):
                 slots.append(("mem_address", slot(f"a{idx}")))
                 if op == Opcode.ST:
                     slots.append(("store_value", slot(f"sv{idx}")))
                 if age >= 3:
                     constants.append(("mem_resolved", True))
-            if op != Opcode.ST and (op != Opcode.LD or age >= 3):
+            if op in (Opcode.COMPUTE, Opcode.ADDI) or (
+                    op == Opcode.LD and age >= 3):
                 slots.append(("result", slot(f"v{idx}")))
             if op == Opcode.ADDI:
                 slots.append(("mem_address", slot(f"v{idx}")))
@@ -1256,8 +1338,10 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         through; exit past its delay slots, wrong-way squash applied
         when it has the squash bit), "exit" (loop branch not taken;
         likewise wrong-way), "ltaken" (a linear block's bottom branch
-        taken: redirect to its target), "canonical" (pass boundary:
-        budget exhausted or dirty store in the final MEM slot).
+        taken: redirect to its target), "jump" (a linear block's
+        ``jspci``: redirect to the jump target), "canonical" (pass
+        boundary: budget exhausted or dirty store in the final MEM
+        slot).
         """
         mid_pass = kind in ("bail", "side", "iexit")
         if linear:
@@ -1272,7 +1356,7 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         else:
             # a completed pass ("exit") or none yet ("canonical")
             wb = mem = list(range(n)) if kind == "exit" else []
-        if kind in ("exit", "ltaken"):
+        if kind in ("exit", "ltaken", "jump"):
             branch_c = branches_per_pass
             taken_c = 1 if kind == "ltaken" else len(inv_sides)
         elif kind == "canonical":
@@ -1313,7 +1397,7 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
             # site; a normal side only at its own taken-exit site; a
             # linear prologue branch keeps its observed outcome
             taken = (k == 2 and kind == "side") or (
-                (idx == n - 3 or idx in inv_sides
+                ((idx == n - 3 and not jump) or idx in inv_sides
                  or (linear and idx < 2 and entry_taken[idx]))
                 and not (k == 2 and kind in ("exit", "iexit")))
             flights.append(flight(idx, k, taken, sq, slot))
@@ -1327,19 +1411,26 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
                 by_reg[reg] = (age, idx)
         commits = tuple((reg, slot(f"w{idx}"))
                         for reg, (_, idx) in sorted(by_reg.items()))
+        fetch_slot = -1
         if kind == "bail":
             fetch_pc = pcs[cycle + 1]
         elif kind in ("side", "ltaken"):
             fetch_pc = (pcs[side_idx] + instrs[side_idx].imm) & _MASK
         elif kind == "iexit":
             fetch_pc = pcs[side_idx] + 3
+        elif kind == "jump":
+            fetch_pc = -1 if jump_target is None else jump_target
+            if jump_target is None:
+                fetch_slot = slot("jt")
         else:
             fetch_pc = pcs[n - 1] + 1 if kind == "exit" else pcs[0]
         sq_c = sum(1 for i in wb if i in sq_set)
         sites.append(_ExitSite(
-            pipe=pipe, kind=kind, per_pass=per_pass,
+            pipe=pipe, kind=kind, counts=translator.stats.shapes[shape],
+            per_pass=per_pass,
             partial=(len(wb), len(wb) - sq_c, sq_c,
                      sum(1 for i in wb if i in noop_idx), branch_c, taken_c,
+                     int(kind == "jump"),
                      sum(1 for i in mem if i in loads),
                      sum(1 for i in mem if i in stores)),
             accesses=icache_on,
@@ -1349,26 +1440,51 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
             flights=tuple(flights), commits=commits,
             chain=(pcs[(cycle - 3) % n], pcs[(cycle - 2) % n],
                    pcs[(cycle - 1) % n]),
-            fetch_pc=fetch_pc, wrong_way=wrong_way))
-        vals = ", ".join(names) + ("," if len(names) == 1 else "")
+            fetch_pc=fetch_pc, fetch_slot=fetch_slot, wrong_way=wrong_way))
+        vals = ", ".join(map(operand, names)) + (
+            "," if len(names) == 1 else "")
         emit(f"return EX({len(sites) - 1}, it, pen, ws, ({vals}))")
 
-    def emit_branch_cond(idx: int) -> str:
+    def emit_exit_if(cond: str, cycle: int, kind: str,
+                     side_idx: int = -1) -> bool:
+        """Emit ``if cond:`` and the exit site under it; True when the
+        condition is always true, so nothing after the site runs."""
+        if cond == "False":
+            return False
+        if cond == "True":
+            emit_site(cycle, kind, side_idx)
+            return True
+        emit(f"if {cond}:")
+        out.depth += 1
+        emit_site(cycle, kind, side_idx)
+        out.depth -= 1
+        return False
+
+    def branch_cond(idx: int) -> str:
         """Emit operand prep for the branch at ``idx`` and return its
-        taken-condition expression."""
+        taken-condition expression (``True``/``False`` when known)."""
         cmp_op, signed = _BRANCH_EXPR[instrs[idx].opcode]
         src = per_site[idx]
-        a_expr, b_expr = src["a"], src["b"]
-        if not signed:
-            return f"{a_expr} {cmp_op} {b_expr}"
-        emit(f"_ba = {a_expr}")
-        emit(f"_bb = {b_expr}")
-        emit(f"_ba = _ba - {1 << 32} if _ba & {_SIGN} else _ba")
-        emit(f"_bb = _bb - {1 << 32} if _bb & {_SIGN} else _bb")
-        return f"_ba {cmp_op} _bb"
+        exprs = [operand(src["a"]), operand(src["b"])]
+        literal = all(expr.isdigit() for expr in exprs)
+        if signed:
+            for k, name in enumerate(("_ba", "_bb")):
+                if exprs[k].isdigit():
+                    value = int(exprs[k])
+                    exprs[k] = str(value - (1 << 32) if value & _SIGN
+                                   else value)
+                else:
+                    emit(f"{name} = {exprs[k]}")
+                    emit(f"{name} = {name} - {1 << 32} "
+                         f"if {name} & {_SIGN} else {name}")
+                    exprs[k] = name
+        cond = f"{exprs[0]} {cmp_op} {exprs[1]}"
+        if literal:
+            return str(eval(cond, {"__builtins__": {}}))
+        return cond
 
-    # ------------------------------------------------- per-cycle emission
-    for cycle in range(4 if linear else 0, n):
+    def emit_cycle(cycle: int) -> bool:
+        """Emit one cycle of the pass; True when it always exits."""
         probe_idx = (cycle - 3) % n
         wb_idx = (cycle - 4) % n
         alu_idx = (cycle - 2) % n
@@ -1376,23 +1492,26 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
              f"| mem i{probe_idx} | alu i{alu_idx}")
         bail_conditions = []
         # MEM-entry Ecache probe (late-miss protocol timing)
+        address = operand(f"a{probe_idx}")
         if probe_idx in mem_ops and ecache_on:
             fn = "ECR" if instrs[probe_idx].opcode == Opcode.LD else "ECW"
-            emit(f"pen += {fn}(a{probe_idx}, {mode_lit})")
+            emit(f"pen += {fn}({address}, {mode_lit})")
         # WB: commit the writer's value into its w local
         if wb_idx in writers:
-            emit(f"w{wb_idx} = v{wb_idx}")
+            assign(f"w{wb_idx}", operand(f"v{wb_idx}"))
         # MEM work
         if probe_idx in mem_ops:
             if instrs[probe_idx].opcode == Opcode.LD:
-                emit(f"v{probe_idx} = MG(a{probe_idx}, 0)")
+                emit(f"v{probe_idx} = MG({address}, 0)")
             else:
-                emit(f"MW(a{probe_idx}, sv{probe_idx}, {mode_lit})")
+                emit(f"MW({address}, {operand(f'sv{probe_idx}')}, "
+                     f"{mode_lit})")
                 if cycle != n - 1:
                     bail_conditions.append("TR.dirty")
         # ALU work
         if alu_idx == n - 3:
-            # loop branch: resolved below, after any store-dirty check
+            # loop branch / terminator: resolved after the last cycle,
+            # after any store-dirty check
             pass
         elif alu_idx in sq_set:
             pass  # annulled delay slot: fetched, no work, no effects
@@ -1403,11 +1522,9 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
             # execute.  Not-taken exits at the original fall-through;
             # for a squash-filled branch that is the wrong way, so the
             # iexit site annuls the two seam slots and pulses the FSM.
-            cond = emit_branch_cond(alu_idx)
-            emit(f"if not ({cond}):")
-            out.depth += 1
-            emit_site(cycle, "iexit", alu_idx)
-            out.depth -= 1
+            if emit_exit_if(_negate(branch_cond(alu_idx)), cycle, "iexit",
+                            alu_idx):
+                return True
             if icache_on and total_lines:
                 # continuing crosses the seam into this side's segment
                 bail_conditions.append(
@@ -1417,11 +1534,8 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
             # redirect out-prioritizes a dirty store committed this same
             # cycle (both happened; only the exit PC differs), so the
             # taken site is emitted before the dirty bail below.
-            cond = emit_branch_cond(alu_idx)
-            emit(f"if {cond}:")
-            out.depth += 1
-            emit_site(cycle, "side", alu_idx)
-            out.depth -= 1
+            if emit_exit_if(branch_cond(alu_idx), cycle, "side", alu_idx):
+                return True
             if instrs[alu_idx].squash:
                 # continuing = not taken = the wrong way for a
                 # squash-filled branch: its delay slots (annulled, see
@@ -1436,59 +1550,71 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
                     f"not sk{all_sides.index(alu_idx)}")
         else:
             instr = instrs[alu_idx]
-            src = per_site[alu_idx]
+            src = {k: operand(v) for k, v in per_site[alu_idx].items()}
             op = instr.opcode
+            local = f"v{alu_idx}"
             if op in (Opcode.LD, Opcode.ST, Opcode.ADDI):
                 imm = instr.imm
                 base = src["a"]
-                addr = f"({base} + {imm}) & {_MASK}" if imm else f"{base}"
-                if op == Opcode.ADDI:
-                    emit(f"v{alu_idx} = {addr}")
+                if base.isdigit():
+                    addr = str((int(base) + imm) & _MASK)
                 else:
-                    emit(f"a{alu_idx} = {addr}")
+                    addr = f"({base} + {imm}) & {_MASK}" if imm else base
+                if op == Opcode.ADDI:
+                    assign(local, addr)
+                else:
+                    assign(f"a{alu_idx}", addr)
                     if op == Opcode.ST:
-                        emit(f"sv{alu_idx} = {src['b']}")
-                    bail_conditions.append(f"a{alu_idx} >= {mmio_base}")
+                        assign(f"sv{alu_idx}", src["b"])
+                    if not addr.isdigit():
+                        bail_conditions.append(
+                            f"{operand(f'a{alu_idx}')} >= {mmio_base}")
+                    elif int(addr) >= mmio_base:
+                        bail_conditions.append("True")
             elif instr.funct in (Funct.MSTEP, Funct.DSTEP):
                 call = "mstep" if instr.funct == Funct.MSTEP else "dstep"
                 emit(f"_t = MD.{call}({src['a']}, {src['b']})")
-                emit(f"v{alu_idx} = _t.value")
+                emit(f"{local} = _t.value")
             else:
-                emit(f"v{alu_idx} = {_alu_expr(instr, src)}")
+                expr = _alu_expr(instr, src)
+                if src and all(value.isdigit() for value in src.values()):
+                    # known operands: run the expression now, not per pass
+                    expr = str(eval(expr, {"__builtins__": {}}))
+                assign(local, expr)
         if cycle in sfs_clear_cycles:
             emit("SFS(False, False)")  # FSM falls back to NORMAL
         if bail_conditions:
-            emit(f"if {' or '.join(bail_conditions)}:")
-            out.depth += 1
-            emit_site(cycle, "bail")
-            out.depth -= 1
+            cond = ("True" if "True" in bail_conditions
+                    else " or ".join(bail_conditions))
+            return emit_exit_if(cond, cycle, "bail")
+        return False
 
-    # --------------------------------------------- loop branch resolution
-    cond = emit_branch_cond(n - 3)
-    if linear:
-        # one pass: the bottom backward branch redirects out either way
-        emit(f"if {cond}:")
-        out.depth += 1
-        emit_site(n - 1, "ltaken", n - 3)
-        out.depth -= 1
-        emit("else:")
-        out.depth += 1
-        emit_site(n - 1, "exit")
-        out.depth -= 1
+    # ------------------------------------------------- per-cycle emission
+    for cycle in range(4 if linear else 0, n):
+        if emit_cycle(cycle):
+            break
     else:
-        emit(f"if {cond}:")
-        out.depth += 1
-        emit("it += 1")
-        exit_conditions = [f"bud - it * {n} - pen < {max_pass}"]
-        if (n - 4) in mem_ops and instrs[n - 4].opcode == Opcode.ST:
-            exit_conditions.insert(0, "TR.dirty")
-        emit(f"if {' or '.join(exit_conditions)}:")
-        out.depth += 1
-        emit_site(n - 1, "canonical")
-        out.depth -= 2
-        emit("else:")
-        out.depth += 1
-        emit_site(n - 1, "exit")
-        out.depth -= 1
+        # ---------------------------------------- terminator resolution
+        if jump:
+            # call or return: always out, to its target
+            base = operand(per_site[n - 3]["a"])
+            imm = branch.imm
+            if base.isdigit():
+                jump_target = (int(base) + imm) & _MASK
+            else:
+                assign("jt", f"({base} + {imm}) & {_MASK}" if imm else base)
+            emit_site(n - 1, "jump")
+        elif linear:
+            # one pass: the bottom backward branch redirects out either
+            # way
+            if not emit_exit_if(branch_cond(n - 3), n - 1, "ltaken", n - 3):
+                emit_site(n - 1, "exit")
+        elif not emit_exit_if(_negate(branch_cond(n - 3)), n - 1, "exit"):
+            # a loop: the pass continues while the loop branch is taken
+            emit("it += 1")
+            exit_conditions = [f"bud - it * {n} - pen < {max_pass}"]
+            if (n - 4) in mem_ops and instrs[n - 4].opcode == Opcode.ST:
+                exit_conditions.insert(0, "TR.dirty")
+            emit_exit_if(" or ".join(exit_conditions), n - 1, "canonical")
 
     return out.source(), needs_no_ovf, max_pass, tuple(sites)

@@ -120,6 +120,8 @@ def measure_jit_throughput(names: Sequence[str] = THROUGHPUT_WORKLOADS,
     broken), ``compile_s`` is the wall time the block compiler spent,
     and ``entry_hit_rate`` is taken entries over dispatch hits -- a low
     rate means guards keep bouncing blocks back to the interpreter.
+    ``shapes`` splits blocks compiled, entries and translated cycles by
+    block shape (:data:`repro.core.translate.SHAPES`).
     """
     import dataclasses as _dc
 
@@ -166,6 +168,10 @@ def measure_jit_throughput(names: Sequence[str] = THROUGHPUT_WORKLOADS,
                 row["cycle_coverage"] = (
                     round(stats.cycles / run_cycles, 4) if run_cycles
                     else 0.0)
+                row["shapes"] = {
+                    shape: dict(zip(("compiled", "entries", "cycles"),
+                                    counts))
+                    for shape, counts in stats.shapes.items()}
         row["speedup"] = (round(row["nojit_wall_s"] / row["jit_wall_s"], 2)
                           if row["jit_wall_s"] else 0.0)
         per_workload[name] = row
@@ -509,6 +515,12 @@ def format_summary(payload: Dict[str, Any]) -> str:
                 f"{row.get('nojit_cycles_per_sec', 0):,} cyc/s, "
                 f"{row.get('cycle_coverage', 0.0):.1%} coverage, "
                 f"compile {row.get('compile_s', 0.0)}s)")
+            for shape, counts in row.get("shapes", {}).items():
+                if counts["compiled"]:
+                    lines.append(
+                        f"    {shape:<14} {counts['compiled']} blocks, "
+                        f"{counts['entries']:,} entries, "
+                        f"{counts['cycles']:,} cycles")
     metrics = payload.get("metrics")
     if metrics:
         derived = metrics.get("derived", {})

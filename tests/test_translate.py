@@ -24,6 +24,7 @@ from repro.fuzz.gen import generate_program
 from repro.fuzz.oracle import (_machine_signature, _programs_for, check_all,
                                check_jit_equivalence, run_pipeline)
 from repro.isa import encode
+from repro.workloads import LISP_SUITE, PASCAL_SUITE
 from tests.test_decode_memo import random_loop_program
 
 
@@ -33,6 +34,10 @@ def run(program, **config_overrides) -> Machine:
     machine.run()
     assert machine.halted
     return machine
+
+
+#: the twelve Pascal and Lisp suite programs
+SUITE = list(PASCAL_SUITE) + list(LISP_SUITE)
 
 
 def assert_bit_identical(program, **jit_overrides):
@@ -55,8 +60,7 @@ class TestWorkloadEquivalence:
         assert stats.cycles / reference.stats.cycles > 0.9
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("name", ["bubble", "intmm", "quick", "perm",
-                                      "towers"])
+    @pytest.mark.parametrize("name", SUITE)
     def test_workload_bit_identical(self, name):
         from repro.workloads import cached_program
 
@@ -67,6 +71,27 @@ class TestWorkloadEquivalence:
         program = assemble(random_loop_program(seed, iterations=12))
         _, jit = assert_bit_identical(program, jit_threshold=2)
         assert jit.pipeline._translator.stats.entries > 0
+
+
+class TestCoverageFloor:
+    """Recursive programs run translated through calls and returns.
+
+    Each floor is about half the coverage measured at the default
+    threshold (towers 0.869, treefold 0.763, fib 0.679, ackermann
+    0.653), so a translator change that starts refusing ``jspci``
+    blocks again fails here rather than only in the benchmark.
+    """
+
+    @pytest.mark.parametrize("name, floor", [
+        ("towers", 0.43), ("treefold", 0.38), ("fib", 0.34),
+        ("ackermann", 0.32)])
+    def test_recursive_program_runs_translated(self, name, floor):
+        from repro.workloads import cached_program
+
+        machine = run(cached_program(name), jit=True)
+        coverage = (machine.pipeline._translator.stats.cycles
+                    / machine.stats.cycles)
+        assert coverage >= floor, f"{name}: coverage {coverage:.3f}"
 
 
 # ----------------------------------------------------- self-modifying code
@@ -276,6 +301,22 @@ class TestTranslateTelemetry:
         assert snap["core.translate.entries.taken"] > 0
         assert 0 < snap["core.translate.cycles"] <= snap["pipeline.cycles"]
 
+    def test_shape_counters_partition_the_totals(self):
+        from repro.core.translate import SHAPES
+        from repro.workloads import cached_program
+
+        machine = run(cached_program("queens"), jit=True)
+        stats = machine.pipeline._translator.stats
+        compiled, entries, cycles = (sum(column) for column in
+                                     zip(*stats.shapes.values()))
+        assert (compiled, entries, cycles) == (
+            stats.compiled, stats.entries, stats.cycles)
+        assert all(stats.shapes[shape][1] > 0 for shape in SHAPES)
+        # not telemetry: jit snapshots keep the interpreter's names
+        interpreted = run(assemble(random_loop_program(0)))
+        assert (set(machine.metrics().snapshot())
+                == set(interpreted.metrics().snapshot()))
+
     def test_interpretive_run_reports_zeros(self):
         program = assemble(random_loop_program(0))
         snap = run(program).metrics().snapshot()
@@ -347,18 +388,20 @@ def _memory(machine):
     return dict(space(True)._words), dict(space(False)._words)
 
 
-def lockstep_exits(program, monkeypatch, chunk=None):
+def lockstep_exits(program, monkeypatch, chunk=None, jit=None):
     """Run ``program`` translated; after each block activation step an
     interpreter to the same cycle and compare node state and both
     memory spaces.  ``chunk`` runs the translated machine
     in budgets of that many cycles, so blocks also stop at pass
-    boundaries.  Returns the exit-kind tally."""
+    boundaries.  ``jit`` is the translated machine (default: a fresh
+    one at threshold 2).  Returns the exit-kind tally."""
     from collections import Counter
 
     from repro.checkpoint.state import _node_state
     from repro.core import translate
 
-    jit = Machine(MachineConfig(jit=True, jit_threshold=2))
+    if jit is None:
+        jit = Machine(MachineConfig(jit=True, jit_threshold=2))
     jit.load_program(program)
     reference = Machine(MachineConfig())
     reference.load_program(program)
@@ -384,6 +427,10 @@ def lockstep_exits(program, monkeypatch, chunk=None):
     return tally
 
 
+#: programs whose lockstep run must stop loops at pass boundaries
+LOOP_PROGRAMS = ("sieve", "bubble", "quick", "assoc", "queens", "intmm")
+
+
 class TestLockstepExits:
     """Every exit site leaves the machine exactly where the interpreter
     is at the same cycle: latches, PC chain, FSMs, stall state, caches,
@@ -398,18 +445,42 @@ class TestLockstepExits:
         # late Ecache misses inside translated passes
         tally += lockstep_exits(_programs_for(_lang_generated(3))[1],
                                 monkeypatch)
-        assert tally == {"exit": 584, "side": 524, "ltaken": 477,
-                         "canonical": 71, "bail": 7, "iexit": 1}
+        # fib's linear blocks end at calls and returns; at the default
+        # threshold its callee's head compiles on a recursive call, so
+        # the body stores a link value from the prologue's jspci
+        tally += lockstep_exits(cached_program("fib"), monkeypatch,
+                                jit=Machine(MachineConfig(jit=True)))
+        assert tally == {"exit": 584, "side": 2484, "ltaken": 477,
+                         "canonical": 71, "bail": 8, "iexit": 1,
+                         "jump": 2940}
+
+    def test_calls_and_returns_match_the_interpreter(self, monkeypatch):
+        from repro.isa.opcodes import Opcode
+        from repro.workloads import cached_program
+
+        jit = Machine(MachineConfig(jit=True, jit_threshold=2))
+        tally = lockstep_exits(cached_program("ackermann"), monkeypatch,
+                               jit=jit)
+        assert tally["jump"] > 0, tally
+        translator = jit.pipeline._translator
+        assert translator.stats.shapes["linear/jspci"][1] > 0
+        # callee heads and return landings: a resolved jspci in the
+        # entry contract's prologue
+        assert any(block.instrs[1].opcode == Opcode.JSPCI
+                   for block in translator.blocks.values() if block.linear)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("name", ["sieve", "bubble", "quick", "assoc",
-                                      "queens", "intmm"])
+    @pytest.mark.parametrize("name", SUITE)
     def test_workload_exits_match_the_interpreter(self, name, monkeypatch):
         from repro.workloads import cached_program
 
         tally = lockstep_exits(cached_program(name), monkeypatch,
                                chunk=1009)
-        assert tally["canonical"] > 0 and tally["exit"] > 0, tally
+        # loop programs stop at pass boundaries; every other program
+        # leaves blocks through calls and returns
+        wanted = (("canonical", "exit") if name in LOOP_PROGRAMS
+                  else ("jump",))
+        assert all(tally[kind] > 0 for kind in wanted), tally
 
 
 class TestStallFlagAtExit:
