@@ -115,18 +115,27 @@ def measure_jit_throughput(names: Sequence[str] = THROUGHPUT_WORKLOADS,
     Each workload runs ``repeats`` times per configuration (programs
     compiled once, outside the timed region).  Alongside the wall-clock
     ratio, the section records what the timing means: ``equivalent``
-    asserts the jit run's cycle and retired-instruction counts match the
-    interpretive run's exactly (the fast path is cycle-exact or it is
-    broken), ``compile_s`` is the wall time the block compiler spent,
-    and ``entry_hit_rate`` is taken entries over dispatch hits -- a low
-    rate means guards keep bouncing blocks back to the interpreter.
-    ``shapes`` splits blocks compiled, entries and translated cycles by
-    block shape (:data:`repro.core.translate.SHAPES`).
+    asserts the jit run halts in exactly the interpretive run's state --
+    the checkpoint node state (latches, PC chain, FSMs, caches and every
+    pipeline counter) and both memory spaces -- so the fast path is
+    exact or it is broken; ``compile_s`` is the wall time the block
+    compiler spent, ``entry_hit_rate`` is taken entries over dispatch
+    hits -- a low rate means guards keep bouncing blocks back to the
+    interpreter -- and ``links`` counts the entries made straight from
+    a linked exit.  ``shapes`` splits blocks compiled, entries and
+    translated cycles by block shape
+    (:data:`repro.core.translate.SHAPES`).
     """
     import dataclasses as _dc
 
+    from repro.checkpoint.state import _node_state
     from repro.core import Machine, MachineConfig
     from repro.workloads import cached_program
+
+    def halt_state(machine):
+        space = machine.pipeline.memory.space
+        return (_node_state(machine), space(True)._words,
+                space(False)._words)
 
     per_workload: Dict[str, Any] = {}
     total_nojit = 0.0
@@ -150,11 +159,10 @@ def measure_jit_throughput(names: Sequence[str] = THROUGHPUT_WORKLOADS,
             row[f"{key}_wall_s"] = round(wall, 4)
             row[f"{key}_cycles_per_sec"] = round(cycles / wall) if wall else 0
             if not jit:
-                baseline = (cycles, machine.pipeline.stats.retired)
+                baseline = halt_state(machine)
                 total_nojit += wall
             else:
-                row["equivalent"] = (
-                    (cycles, machine.pipeline.stats.retired) == baseline)
+                row["equivalent"] = halt_state(machine) == baseline
                 all_equivalent &= row["equivalent"]
                 total_jit += wall
                 translator = machine.pipeline._translator
@@ -164,6 +172,7 @@ def measure_jit_throughput(names: Sequence[str] = THROUGHPUT_WORKLOADS,
                 row["blocks_compiled"] = stats.compiled
                 row["entry_hit_rate"] = (round(stats.entries / hits, 4)
                                          if hits else 0.0)
+                row["links"] = stats.links
                 run_cycles = machine.pipeline.stats.cycles
                 row["cycle_coverage"] = (
                     round(stats.cycles / run_cycles, 4) if run_cycles
@@ -514,6 +523,7 @@ def format_summary(payload: Dict[str, Any]) -> str:
                 f"({row.get('jit_cycles_per_sec', 0):,} vs "
                 f"{row.get('nojit_cycles_per_sec', 0):,} cyc/s, "
                 f"{row.get('cycle_coverage', 0.0):.1%} coverage, "
+                f"{row.get('links', 0):,} links, "
                 f"compile {row.get('compile_s', 0.0)}s)")
             for shape, counts in row.get("shapes", {}).items():
                 if counts["compiled"]:
