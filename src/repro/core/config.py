@@ -99,7 +99,9 @@ class MachineConfig:
     jit: bool = False
     #: Taken-branch count at a loop head before translation is attempted.
     jit_threshold: int = 8
-    #: Admission bound on the translation cache (LRU-evicted beyond this).
+    #: Admission bound on the translation cache, in heads (LRU-evicted
+    #: beyond this); each head holds up to ``translate.ENTRY_VARIANTS``
+    #: compiled blocks.
     jit_max_blocks: int = 64
 
     @property
