@@ -61,14 +61,21 @@ bit-identical to the interpretive pipeline: identical
 MD/PSW, Icache and Ecache statistics and LRU state, and identical
 pipeline latches at every entry/exit boundary.  Anything the closure
 cannot reproduce exactly is either *refused at compile time* (``jpc``,
-``jpcrs``, ``trap``, ``halt`` and ``movtos``; a ``jspci`` inside a
-loop; a branch or jump in a terminator's delay slots or still
+``jpcrs``, ``trap`` and ``halt``; ``movtos`` to any special register
+but MD, and any ``movtos`` in user mode, where it traps; a ``jspci``
+inside a loop; a branch or jump in a terminator's delay slots or still
 unresolved in a linear prologue; coprocessor ops, special-PC reads,
 unbypassable load-use hazards), *guarded at entry* (wrong mode,
 pending interrupts, trace/fault hooks, squash FSM not quiescent, trap
-on overflow set under an add/sub/mstep, entry-segment Icache lines not
-resident) or *bailed out mid-block at a cycle boundary* (MMIO access,
-store into a translated region, fetch into a cold segment).
+on overflow set under an add/sub/mstep, an Ecache forced-miss storm
+armed, entry-segment Icache lines not resident) or *bailed out
+mid-block at a cycle boundary* (MMIO access, store into a translated
+region, fetch into a cold segment).
+
+Loads and stores probe the Ecache inline, in statements
+:meth:`repro.ecache.Ecache.probe_code` writes for the block: the cache
+owns its mapping, tag format and allocate policy, and the block only
+splices them in.
 
 **Exit sites are data.**  Every activation leaves through one exit
 site (bail, side, iexit, exit, ltaken, jump or canonical; see
@@ -118,11 +125,11 @@ _BLANK = Flight(0, None)
 
 #: Compute functs the translator can inline (everything here is a pure
 #: register-to-register operation with no control or special-state side
-#: effects besides MD, which is modelled).
+#: effects besides MD, which is modelled; ``movtos`` only to MD).
 _INLINE_FUNCTS = frozenset({
     Funct.ADD, Funct.SUB, Funct.AND, Funct.OR, Funct.XOR, Funct.NOT,
     Funct.SLL, Funct.SRL, Funct.SRA, Funct.ROTL,
-    Funct.MSTEP, Funct.DSTEP, Funct.MOVFRS,
+    Funct.MSTEP, Funct.DSTEP, Funct.MOVFRS, Funct.MOVTOS,
 })
 
 #: Special registers a ``movfrs`` may read inside a block.  PC1..PC3
@@ -534,7 +541,8 @@ class Translator:
                 or pipe._irq_pending or pipe._nmi_pending
                 or pipe.pc_unit._redirect != -1
                 or pipe.squash_fsm.state is not block.fsm_state
-                or pipe.memory.mmu.enabled):
+                or pipe.memory.mmu.enabled
+                or pipe.ecache.fault_forced_misses):
             stats.entry_rejected += 1
             return False
         for latch, taken in block.taken_checks:
@@ -811,14 +819,14 @@ class Translator:
                     break
                 instrs.append(instr)  # side exit
                 continue
-            if not _translatable(instr):
+            if not _translatable(instr, mode):
                 return None
             instrs.append(instr)
         else:
             return None
         for k in (branch_at + 1, branch_at + 2):  # the two delay slots
             instr = decode_at(head + k, mode)
-            if not _translatable(instr):
+            if not _translatable(instr, mode):
                 return None
             instrs.append(instr)
         return tuple(instrs), branch_at + 3
@@ -858,7 +866,7 @@ class Translator:
                 instrs.append(instr)  # side exit (any other target)
                 pcs.append(entry + k)
                 continue
-            if not _translatable(instr):
+            if not _translatable(instr, mode):
                 return None
             instrs.append(instr)
             pcs.append(entry + k)
@@ -866,7 +874,7 @@ class Translator:
             return None
         for k in (loop_at + 1, loop_at + 2):  # its two delay slots
             instr = decode_at(entry + k, mode)
-            if not _translatable(instr):
+            if not _translatable(instr, mode):
                 return None
             instrs.append(instr)
             pcs.append(entry + k)
@@ -885,7 +893,7 @@ class Translator:
                     pcs.append(pc)
                     for spc in (pc + 1, pc + 2):
                         slot = decode_at(spc, mode)
-                        if not _translatable(slot):
+                        if not _translatable(slot, mode):
                             return None
                         instrs.append(slot)
                         pcs.append(spc)
@@ -898,7 +906,7 @@ class Translator:
                 pcs.append(pc)
                 k2 += 1
                 continue
-            if not _translatable(instr):
+            if not _translatable(instr, mode):
                 return None
             instrs.append(instr)
             pcs.append(pc)
@@ -953,7 +961,7 @@ class Translator:
                 # static; indices 0..1 resolved pre-entry either way
                 if len(instrs) >= 2 and not squashed:
                     return None
-            elif not _translatable(instr):
+            elif not _translatable(instr, mode):
                 return None
             instrs.append(instr)
             pcs.append(pc)
@@ -977,7 +985,7 @@ class Translator:
                 instrs.append(instr)
                 pcs.append(entry + k)
                 break
-            if not _translatable(instr):
+            if not _translatable(instr, mode):
                 return None
             instrs.append(instr)
             pcs.append(entry + k)
@@ -985,7 +993,7 @@ class Translator:
             return None
         for k in (bottom_at + 1, bottom_at + 2):  # its two delay slots
             instr = decode_at(entry + k, mode)
-            if not _translatable(instr):
+            if not _translatable(instr, mode):
                 return None
             instrs.append(instr)
             pcs.append(entry + k)
@@ -1051,8 +1059,10 @@ class Translator:
                      for index, tag, words in lines)
 
 
-def _translatable(instr) -> bool:
-    """Inlineable straight-line instruction (no control, no coproc)."""
+def _translatable(instr, system_mode: bool) -> bool:
+    """Inlineable straight-line instruction (no control, no coproc) in
+    ``system_mode``: a ``movtos`` writes MD, and only in system mode --
+    in user mode it takes the privileged-instruction trap."""
     op = instr.opcode
     if op in (Opcode.LD, Opcode.ST, Opcode.ADDI):
         return True
@@ -1066,6 +1076,8 @@ def _translatable(instr) -> bool:
             return SpecialReg(instr.shamt) in _INLINE_SPECIALS
         except ValueError:
             return False
+    if funct == Funct.MOVTOS:
+        return system_mode and instr.shamt == SpecialReg.MD
     return True
 
 
@@ -1075,7 +1087,7 @@ def _operand_slots(instr):
     if op == Opcode.COMPUTE:
         funct = instr.funct
         if funct in (Funct.SLL, Funct.SRL, Funct.SRA, Funct.ROTL,
-                     Funct.NOT):
+                     Funct.NOT, Funct.MOVTOS):
             return (("a", instr.src1),)
         if funct == Funct.MOVFRS:
             return ()
@@ -1101,8 +1113,7 @@ def _exec_namespace(translator: Translator, mode: bool, sites: tuple) -> dict:
         "P": pipe,
         "ST": pipe.stats,
         "TR": translator,
-        "ECR": pipe.ecache.read,
-        "ECW": pipe.ecache.write,
+        "EC": pipe.ecache,
         "MW": pipe.memory.write,
         "SP": pipe.memory.space(mode),
         "MD": pipe.md,
@@ -1378,7 +1389,7 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
     per_site, invariants = sources
     linear = shape.startswith("linear")
     jump = shape == "linear/jspci"
-    ecache_on = config.ecache.enabled
+    ecache = pipe.ecache
     icache_on = config.icache.enabled
     lru = icache_on and config.icache.replacement == "lru"
     mode_lit = "True" if mode else "False"
@@ -1390,9 +1401,12 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         dest = instr.writes_register()
         if dest is not None and idx not in sq_set:
             writers[idx] = dest
+    #: a movtos latches no result: the interpreter's control path sets
+    #: none
     carries_result = {idx for idx, instr in enumerate(instrs)
                       if instr.opcode in (Opcode.COMPUTE, Opcode.ADDI,
                                           Opcode.LD, Opcode.JSPCI)
+                      and instr.funct != Funct.MOVTOS
                       and idx not in sq_set}
     mem_ops = {idx for idx, instr in enumerate(instrs)
                if instr.opcode in (Opcode.LD, Opcode.ST)
@@ -1407,8 +1421,7 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         instrs[idx].opcode == Opcode.COMPUTE
         and instrs[idx].funct in (Funct.ADD, Funct.SUB, Funct.MSTEP)
         for idx in range((2 if linear else 0), n) if idx not in sq_set)
-    max_pass = (n - 4 if linear else n) + (
-        len(mem_ops) * config.ecache.miss_penalty if ecache_on else 0)
+    max_pass = (n - 4 if linear else n) + len(mem_ops) * ecache.miss_stall
 
     # distinct-line prefix counts for the deferred LRU touches
     line_prefix = [0] * n
@@ -1485,6 +1498,9 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
     out.depth += 1
     emit("R = REGS._regs")
     emit("MG = SP._words.get")
+    if mem_ops:
+        for line in ecache.PROBE_SETUP:
+            emit(line)
     # Per-side segment-residency flags: a False flag means the words
     # past that side's fall-through were not all Icache-resident at
     # entry, so the pass must bail there (the interpreter then takes
@@ -1589,8 +1605,8 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
                     slots.append(("store_value", slot(f"sv{idx}")))
                 if age >= 3:
                     constants.append(("mem_resolved", True))
-            if op in (Opcode.COMPUTE, Opcode.ADDI) or (
-                    op == Opcode.LD and age >= 3):
+            if (op == Opcode.ADDI or (op == Opcode.LD and age >= 3)
+                    or (op == Opcode.COMPUTE and idx in carries_result)):
                 slots.append(("result", slot(f"v{idx}")))
             if op == Opcode.ADDI:
                 slots.append(("mem_address", slot(f"v{idx}")))
@@ -1763,9 +1779,10 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
         bail_conditions = []
         # MEM-entry Ecache probe (late-miss protocol timing)
         address = operand(f"a{probe_idx}")
-        if probe_idx in mem_ops and ecache_on:
-            fn = "ECR" if instrs[probe_idx].opcode == Opcode.LD else "ECW"
-            emit(f"pen += {fn}({address}, {mode_lit})")
+        if probe_idx in mem_ops:
+            for line in ecache.probe_code(
+                    instrs[probe_idx].opcode == Opcode.ST, address, mode):
+                emit(line)
         # WB: commit the writer's value into its w local
         if wb_idx in writers:
             assign(f"w{wb_idx}", operand(f"v{wb_idx}"))
@@ -1845,6 +1862,9 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
                 call = "mstep" if instr.funct == Funct.MSTEP else "dstep"
                 emit(f"_t = MD.{call}({src['a']}, {src['b']})")
                 emit(f"{local} = _t.value")
+            elif instr.funct == Funct.MOVTOS:
+                # ``movtos md``: operands are 32-bit already
+                emit(f"MD.value = {src['a']}")
             else:
                 expr = _alu_expr(instr, src)
                 if src and all(value.isdigit() for value in src.values()):

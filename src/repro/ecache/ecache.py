@@ -14,7 +14,7 @@ This model is timing-only: real data lives in :class:`repro.ecache.memory.Memory
 from __future__ import annotations
 
 import dataclasses
-from typing import List
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.config import EcacheConfig
 
@@ -60,6 +60,51 @@ class EcacheStats:
         }
 
 
+def _placement(line_words: int, lines: int, address: str,
+               system_mode: str) -> Tuple[str, str]:
+    """The direct mapping, as source: expressions for the set index and
+    the tag of word ``address`` in ``system_mode`` (a bool or 0/1).
+
+    The tag is the line number above the index, with the mode bit below
+    it, so the two address spaces never share a line.  This is the one
+    definition of the mapping: :meth:`Ecache.locate`, the interpreter's
+    probe and :meth:`Ecache.probe_code` are all generated from it.
+    """
+    if not address.isidentifier() and not address.isdigit():
+        address = f"({address})"
+    return (f"{address} // {line_words} % {lines}",
+            f"{address} // {line_words * lines} * 2 + {system_mode}")
+
+
+#: (line_words, lines) -> (locate, probe), compiled once per geometry
+_COMPILED: Dict[Tuple[int, int], Tuple[Callable, Callable]] = {}
+
+
+def _compiled(line_words: int, lines: int) -> Tuple[Callable, Callable]:
+    """``locate(address, system_mode) -> (index, tag)`` and
+    ``probe(tags, address, system_mode, allocate) -> hit`` for one
+    geometry, generated from :func:`_placement`."""
+    key = (line_words, lines)
+    if key not in _COMPILED:
+        index, tag = _placement(line_words, lines, "address", "system_mode")
+        source = (
+            "def locate(address, system_mode):\n"
+            f"    return {index}, {tag}\n"
+            "def probe(tags, address, system_mode, allocate):\n"
+            f"    index = {index}\n"
+            f"    tag = {tag}\n"
+            "    if tags[index] == tag:\n"
+            "        return True\n"
+            "    if allocate:\n"
+            "        tags[index] = tag\n"
+            "    return False\n")
+        namespace: dict = {"__builtins__": {}}
+        exec(compile(source, f"<ecache {line_words}x{lines}>", "exec"),  # noqa: S102
+             namespace)
+        _COMPILED[key] = namespace["locate"], namespace["probe"]
+    return _COMPILED[key]
+
+
 class Ecache:
     """Direct-mapped external cache with per-mode tagging.
 
@@ -79,6 +124,10 @@ class Ecache:
         self.lines = config.size_words // config.line_words
         self._tags: List[int] = [self.INVALID] * self.lines
         self.stats = EcacheStats()
+        #: ``locate(address, system_mode) -> (index, tag)``: where a word
+        #: lives in this cache; ``_probe(tags, address, system_mode,
+        #: allocate)`` compares (and allocates) its line and returns hit
+        self.locate, self._probe = _compiled(config.line_words, self.lines)
         #: fault injection (repro.faults): while > 0, each read/ifetch
         #: probe is forced to miss and pays the full late-miss penalty --
         #: a board-level retry storm.  Zero when disarmed: the happy path
@@ -104,23 +153,13 @@ class Ecache:
         self.fault_forced_events += 1
         return True
 
-    # ------------------------------------------------------------- helpers
-    def _probe(self, address: int, system_mode: bool, allocate: bool) -> bool:
-        line_addr = address // self.config.line_words
-        index = line_addr % self.lines
-        tag = (line_addr // self.lines) * 2 + (1 if system_mode else 0)
-        hit = self._tags[index] == tag
-        if not hit and allocate:
-            self._tags[index] = tag
-        return hit
-
     # -------------------------------------------------------------- access
     def read(self, address: int, system_mode: bool) -> int:
         """Data read; returns the stall penalty in cycles (0 on a hit)."""
         if not self.config.enabled:
             return 0
         self.stats.reads += 1
-        hit = self._probe(address, system_mode, allocate=True)
+        hit = self._probe(self._tags, address, system_mode, True)
         if self.fault_forced_misses and self._consume_forced_miss():
             hit = False
         if hit:
@@ -134,8 +173,8 @@ class Ecache:
         if not self.config.enabled:
             return 0
         self.stats.writes += 1
-        hit = self._probe(address, system_mode,
-                          allocate=not self.config.write_through)
+        hit = self._probe(self._tags, address, system_mode,
+                          not self.config.write_through)
         if not hit:
             self.stats.write_misses += 1
             if not self.config.write_through:
@@ -148,13 +187,66 @@ class Ecache:
         if not self.config.enabled:
             return 0
         self.stats.ifetches += 1
-        hit = self._probe(address, system_mode, allocate=True)
+        hit = self._probe(self._tags, address, system_mode, True)
         if self.fault_forced_misses and self._consume_forced_miss():
             hit = False
         if hit:
             return 0
         self.stats.ifetch_misses += 1
         return self.config.miss_penalty
+
+    # ---------------------------------------------------- translated code
+    #: Statements that bind the locals :meth:`probe_code` reads, for code
+    #: that holds this cache as ``EC``.  Run them once per call of that
+    #: code: :meth:`flush` and a checkpoint restore replace the tag list.
+    PROBE_SETUP = ("ET = EC._tags", "ECS = EC.stats")
+
+    @property
+    def miss_stall(self) -> int:
+        """The most cycles one data access can stall: the miss penalty,
+        0 when the cache is disabled."""
+        return self.config.miss_penalty if self.config.enabled else 0
+
+    def probe_code(self, store: bool, address: str,
+                   system_mode: bool) -> List[str]:
+        """Source statements that do what ``pen += self.write(...)``
+        (``store``) or ``pen += self.read(...)`` does for the word at
+        ``address``, without a call: count the access, compare the
+        line's tag, allocate under this cache's policy, and count a
+        miss and add its stall to the local ``pen``.
+
+        ``address`` is a source expression or a literal word address,
+        whose line is placed here.  The statements read the locals
+        :data:`PROBE_SETUP` binds.  They do not model a forced-miss
+        storm: code that runs them must not run while
+        :attr:`fault_forced_misses` is armed.  Empty when the cache is
+        disabled, as ``read`` and ``write`` then do nothing.
+        """
+        if not self.config.enabled:
+            return []
+        code: List[str] = []
+        if address.isdigit():
+            index, tag = map(str, self.locate(int(address), system_mode))
+        else:
+            index_expr, tag_expr = _placement(
+                self.config.line_words, self.lines, address,
+                str(int(system_mode)))
+            code += [f"_ei = {index_expr}", f"_et = {tag_expr}"]
+            index, tag = "_ei", "_et"
+        kind = "write" if store else "read"
+        code += [f"ECS.{kind}s += 1", f"if ET[{index}] != {tag}:"]
+        if not store or not self.config.write_through:
+            code.append(f"    ET[{index}] = {tag}")
+            code.append(f"    pen += {self.config.miss_penalty}")
+        code.append(f"    ECS.{kind}_misses += 1")
+        return code
+
+    def invalidate(self, address: int, system_mode: bool) -> None:
+        """Drop the line holding ``address``, if it is resident (a
+        snooped store from another node)."""
+        index, tag = self.locate(address, system_mode)
+        if self._tags[index] == tag:
+            self._tags[index] = self.INVALID
 
     # ------------------------------------------------------ fault injection
     def inject_tag_corruption(self, rng, count: int = 1) -> int:

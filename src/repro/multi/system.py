@@ -109,21 +109,9 @@ class MultiMachine:
         for index, machine in enumerate(self.machines):
             if index == origin:
                 continue
-            self._invalidate_line(machine, address, system_mode)
+            machine.ecache.invalidate(address, system_mode)
         if origin is not None:
             self.bus.invalidations += 1
-
-    @staticmethod
-    def _invalidate_line(machine: Machine, address: int,
-                         system_mode: bool) -> None:
-        ecache = machine.ecache
-        if not ecache.config.enabled:
-            return
-        line_addr = address // ecache.config.line_words
-        index = line_addr % ecache.lines
-        tag = (line_addr // ecache.lines) * 2 + (1 if system_mode else 0)
-        if ecache._tags[index] == tag:
-            ecache._tags[index] = ecache.INVALID
 
     # -------------------------------------------------------------- loading
     def load_program(self, program: Program,

@@ -150,10 +150,10 @@ def check_bench_file(path: pathlib.Path) -> List[str]:
 
 #: floors for the translated fast path: aggregate and per-workload
 #: wall-clock speedup of the jit over the interpreter.  Six fresh
-#: ``repro bench --quick`` runs on a 2-CPU Xeon read 4.34-5.27x
-#: aggregate, sieve 3.79-6.89x and bubble 3.87-5.71x (``jit_gate`` in
-#: BENCH_chain.json), so the aggregate floor fails most runs there;
-#: the floors still catch a fast path that quietly stopped being fast.
+#: ``repro bench --quick`` runs on a 2-CPU Xeon read 5.09-7.43x
+#: aggregate, sieve 5.05-7.60x and bubble 5.04-8.38x (``jit_gate`` in
+#: BENCH_probe.json), so the floors catch a fast path that quietly
+#: stopped being fast without failing a healthy one.
 JIT_SPEEDUP_FLOOR = 5.0
 JIT_WORKLOAD_SPEEDUP_FLOOR = 3.0
 

@@ -1,6 +1,8 @@
 """Tests for the external cache, main memory, MMIO devices, and the
 late-miss stall behaviour seen from the pipeline."""
 
+import random
+
 import pytest
 
 from repro.asm import assemble
@@ -127,6 +129,64 @@ class TestEcacheTiming:
         for address in range(32):
             cache.read(address, True)
         assert cache.stats.miss_rate == 1.0
+
+
+#: geometries for the translated probe: power-of-two and odd line sizes
+#: and line counts, under both write policies
+PROBE_GEOMETRIES = {
+    "4x16": EcacheConfig(size_words=64, line_words=4),
+    "1x64-write-back": EcacheConfig(size_words=64, line_words=1,
+                                    write_through=False),
+    "4x24-write-back": EcacheConfig(size_words=96, line_words=4,
+                                    write_through=False, miss_penalty=3),
+    "7x9": EcacheConfig(size_words=63, line_words=7, miss_penalty=5),
+    "7x9-write-back": EcacheConfig(size_words=63, line_words=7,
+                                   write_through=False),
+    "3x1": EcacheConfig(size_words=3, line_words=3),
+}
+
+
+class TestTranslatedProbe:
+    """The statements :meth:`Ecache.probe_code` writes for a translated
+    load or store do exactly what ``read`` or ``write`` does."""
+
+    @staticmethod
+    def _probe(cache, store, address, mode, literal):
+        code = cache.probe_code(store, str(address) if literal else "addr",
+                                mode)
+        source = "\n    ".join(["def probe(EC, addr):", *cache.PROBE_SETUP,
+                                "pen = 0", *code, "return pen"])
+        namespace = {}
+        exec(source, namespace)
+        return namespace["probe"](cache, address)
+
+    @pytest.mark.parametrize("geometry", sorted(PROBE_GEOMETRIES))
+    def test_probe_agrees_with_read_and_write(self, geometry):
+        config = PROBE_GEOMETRIES[geometry]
+        rng = random.Random(geometry)
+        reference, probed = Ecache(config), Ecache(config)
+        lines = config.size_words // config.line_words
+        for _ in range(400):
+            store = rng.random() < 0.4
+            mode = rng.random() < 0.5
+            address = (rng.randrange(3 * config.size_words)
+                       if rng.random() < 0.9 else rng.randrange(1 << 32))
+            line = address // config.line_words
+            assert probed.locate(address, mode) == (
+                line % lines, line // lines * 2 + mode)
+            access = reference.write if store else reference.read
+            wanted = access(address, mode)
+            literal = rng.random() < 0.3
+            assert self._probe(probed, store, address, mode,
+                               literal) == wanted
+            assert probed._tags == reference._tags
+            assert probed.stats == reference.stats
+        assert reference.stats.read_misses and reference.stats.write_misses
+
+    def test_disabled_cache_probes_nothing(self):
+        cache = Ecache(EcacheConfig(enabled=False))
+        assert cache.probe_code(False, "addr", True) == []
+        assert cache.miss_stall == 0
 
 
 class TestLateMissFromPipeline:

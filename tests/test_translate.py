@@ -25,6 +25,7 @@ from repro.fuzz.gen import generate_program
 from repro.fuzz.oracle import (_machine_signature, _programs_for, check_all,
                                check_jit_equivalence, run_pipeline)
 from repro.isa import encode
+from repro.isa.opcodes import Funct
 from repro.workloads import LISP_SUITE, PASCAL_SUITE
 from tests.test_decode_memo import random_loop_program
 
@@ -115,19 +116,23 @@ class TestWorkloadEquivalence:
 
 
 class TestCoverageFloor:
-    """Recursive programs run translated through calls and returns.
+    """Recursive programs run translated through calls and returns, and
+    software multiplies and divides through ``movtos md``.
 
     Each floor is about half the coverage measured at the default
     threshold when calls and returns were first translated (towers
     0.869, treefold 0.763, fib 0.679, ackermann 0.653; with entry
     variants they measure 0.982, 0.979, 0.989 and 0.988), so a
     translator change that starts refusing ``jspci`` blocks again
-    fails here rather than only in the benchmark.
+    fails here rather than only in the benchmark.  intmm and quick
+    multiply and divide through ``movtos md``: refusing it left them at
+    0.656 and 0.755, translating it takes them to 0.949 and 0.971, and
+    their floors sit between.
     """
 
     @pytest.mark.parametrize("name, floor", [
         ("towers", 0.43), ("treefold", 0.38), ("fib", 0.34),
-        ("ackermann", 0.32)])
+        ("ackermann", 0.32), ("intmm", 0.9), ("quick", 0.9)])
     def test_recursive_program_runs_translated(self, name, floor):
         from repro.workloads import cached_program
 
@@ -386,6 +391,138 @@ class TestExceptionAtBlockBoundary:
         trapcount = program.symbols["trapcount"]
         assert reference.memory.system.read(trapcount) == 1
         assert reference.stats.exceptions == 1
+
+
+# ----------------------------------------------------------- movtos md
+MD_LOOP = """
+_start:
+    li s0, 40
+    li s1, 1
+    li s2, 13
+    li s3, 3
+    li s4, 0
+loop:
+    sub s0, s0, s1
+    movtos md, s0        ; multiplier: the counter, bypassed from the sub
+    mov t0, s2
+    li t1, 0
+    mstep t1, t1, t0
+    sll t0, t0, 1
+    mstep t1, t1, t0
+    sll t0, t0, 1
+    mstep t1, t1, t0
+    movfrs t2, md
+    add s4, s4, t1
+    add s4, s4, t2
+    movtos md, s0        ; dividend
+    mov t3, r0
+    dstep t3, t3, s3
+    dstep t3, t3, s3
+    movfrs t4, md
+    add s4, s4, t4
+    bne s0, r0, loop
+    nop
+    nop
+    halt
+"""
+
+#: system space: the vector, a handler that counts the trap and
+#: resumes at ``{resume}`` (past the trapping word), and a stub that
+#: drops to user mode
+TRAP_RESUME_SYSTEM = """
+.org 0
+    br handler
+    nop
+    nop
+.org 0x40
+handler:
+    la   t0, traps
+    ld   t1, 0(t0)
+    nop
+    addi t1, t1, 1
+    st   t1, 0(t0)
+    li   t0, {resume}
+    movtos pc1, t0
+    addi t0, t0, 1
+    movtos pc2, t0
+    addi t0, t0, 1
+    movtos pc3, t0
+    jpc
+    jpc
+    jpcrs
+.org 0x100
+_start:
+    li   t9, {psw}
+    movtos psw, t9
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+traps: .word 0
+"""
+
+USER_MD_LOOP = """
+.org 0x110
+    li s0, 12
+    li s1, 1
+    li s2, 7
+loop:
+    sub s0, s0, s1
+    nop
+    movtos md, s2        ; privileged in user mode: traps every pass
+resume:
+    add s3, s3, s1
+    bne s0, r0, loop
+    nop
+    nop
+    halt
+"""
+
+
+class TestMovtosMd:
+    """``movtos md`` sets up the software multiply and divide: in
+    system mode a block writes MD in its ALU cycle, and in user mode,
+    where it traps, the block holding it is refused."""
+
+    def test_md_writes_match_the_interpreter_at_every_exit(
+            self, monkeypatch):
+        program = assemble(MD_LOOP)
+        jit = Machine(MachineConfig(jit=True, jit_threshold=2))
+        tally = lockstep_exits(program, monkeypatch, chunk=101, jit=jit)
+        # chunked budgets stop the loop at pass boundaries; the passes
+        # before it compiled ran as linked linear blocks
+        assert tally["canonical"] > 0 and tally["link"] > 0, tally
+        translator = jit.pipeline._translator
+        assert translator.stats.cycles > 0.5 * jit.stats.cycles
+        loop = program.symbols["loop"]
+        assert sum(instr.funct == Funct.MOVTOS
+                   for instr in translator.blocks[loop].instrs) == 2
+
+    def test_user_mode_movtos_md_is_refused_and_traps_identically(self):
+        user = assemble(USER_MD_LOOP)
+        system = assemble(TRAP_RESUME_SYSTEM.format(
+            resume=user.symbols["resume"], psw=1 << PswBit.SHIFT_EN))
+
+        def boot(jit):
+            machine = Machine(perfect_memory_config(
+                jit=jit, jit_threshold=2))
+            machine.load_program(system)
+            # the handler's first two return jumps fetch in system
+            # mode, so system space mirrors the user words
+            machine.memory.system.load_image(user.image)
+            machine.memory.user.load_image(user.image)
+            machine.run(100_000)
+            assert machine.halted
+            return machine
+
+        reference, jit = boot(False), boot(True)
+        assert _machine_signature(reference) == _machine_signature(jit)
+        assert reference.memory.system.read(system.symbols["traps"]) == 12
+        translator = jit.pipeline._translator
+        assert user.symbols["loop"] in translator.dead
+        assert translator.stats.compiled == 0
 
 
 # -------------------------------------------------------- admission bounds
@@ -800,8 +937,11 @@ ECACHE_GEOMETRIES = {
 
 
 class TestEcacheGeometry:
-    """Translated loads and stores probe the Ecache through its own
-    ``read``/``write``, so every geometry stays exact, links included."""
+    """Translated loads and stores probe the Ecache inline, in the
+    statements :meth:`~repro.ecache.Ecache.probe_code` writes for the
+    cache's geometry and write policy; every geometry stays exact, links
+    included, and so does a forced-miss storm, which the inline probe
+    does not model: no block enters while one is armed."""
 
     @pytest.mark.parametrize("geometry", sorted(ECACHE_GEOMETRIES))
     @pytest.mark.parametrize("name", ["sieve", "bubble"])
@@ -826,6 +966,31 @@ class TestEcacheGeometry:
         tally = lockstep_exits(cached_program("sieve"), monkeypatch,
                                chunk=1009, jit=jit)
         assert tally["link"] > 0 and tally["canonical"] > 0, tally
+
+
+    @pytest.mark.parametrize("geometry", ["default", "write-back"])
+    def test_forced_miss_storm_armed_mid_run(self, geometry):
+        from repro.workloads import cached_program
+
+        program = cached_program("sieve")
+        ecache = ECACHE_GEOMETRIES.get(geometry, EcacheConfig())
+        machines = []
+        for jit in (False, True):
+            machine = Machine(MachineConfig(jit=jit, ecache=ecache))
+            machine.load_program(program)
+            machine.run(30_000)
+            machine.ecache.begin_forced_misses(40)
+            machines.append(machine)
+        reference, jit = machines
+        translator = jit.pipeline._translator
+        entries = translator.stats.entries
+        assert entries > 0
+        for machine in machines:
+            machine.run()
+            assert machine.halted
+            assert machine.ecache.fault_forced_events == 40
+        assert _machine_signature(reference) == _machine_signature(jit)
+        assert translator.stats.entries > entries
 
 
 class TestStallFlagAtExit:
