@@ -7,7 +7,7 @@ per-fault-class report, and writes it atomically to
 
 The campaign doubles as a chaos test of the harness itself: with
 ``chaos_rate > 0`` a seeded subset of first-attempt workers is killed
-mid-job (``ChaosMonkey``), and the runner's backoff-retry/merge path has
+mid-job (``ChaosMonkey``), and the runner's crash-retry/merge path has
 to deliver the same verdicts regardless -- the report's ``harness``
 section records exactly what the runner had to absorb.
 

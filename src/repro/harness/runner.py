@@ -10,7 +10,7 @@ Design:
   after job -- job in over its pipe, result back -- so a job that lasts
   tens of milliseconds does not pay for a fork and the lazy imports of a
   fresh process.  The scheduler blocks on the result pipes and worker
-  sentinels until a result, a death, a job deadline or a retry backoff
+  sentinels until a result, a death, a job deadline or a crash retry
   is due.  Every worker is stopped and joined before ``run`` returns, so
   nothing outlives a call;
 * **isolation contract**: a job runs in a process of its own run, never
@@ -25,11 +25,9 @@ Design:
   ``"timeout"`` result and starts a replacement for the remaining jobs;
   a runner-wide ``default_timeout`` acts as a watchdog for jobs that did
   not set their own;
-* **retry-on-crash with exponential backoff**: a worker that dies
-  without reporting (``os._exit``, segfault, OOM kill) is replaced and
-  its job rescheduled up to ``max_retries`` times, the retry of attempt
-  ``n`` delayed by ``backoff_base * 2**(n-2)`` seconds, under a
-  runner-wide ``retry_budget`` (total retries per run).  An in-worker
+* **retry-on-crash**: a worker that dies without reporting
+  (``os._exit``, segfault, OOM kill) is replaced and its job rescheduled
+  once, :data:`CRASH_RETRY_DELAY` seconds later.  An in-worker
   Python exception is deterministic, so it is recorded as ``"error"``
   without a retry, and the worker goes on to its next job;
 * **deterministic merging**: results come back in submission order keyed
@@ -47,8 +45,8 @@ Status taxonomy (``JobResult.status``):
 ``error``      the function raised; ``error`` carries the **remote
                traceback**, ``error_kind`` the exception class name
 ``timeout``    the watchdog killed the worker after ``timeout`` seconds
-``crashed``    the worker died on every allowed attempt without
-               reporting; ``error_kind`` is ``worker-died``
+``crashed``    the worker died on both attempts without reporting;
+               ``error_kind`` is ``worker-died``
 ``interrupted`` the run received SIGTERM/SIGINT before this job started;
                in-flight jobs are drained, queued jobs get this status
 ============== ===========================================================
@@ -82,6 +80,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 #: the exit code chaos kills use; distinguishable from real crashes in logs
 CHAOS_EXIT_CODE = 86
+
+#: seconds between a worker's death and its job's one retry
+CRASH_RETRY_DELAY = 0.05
 
 
 @dataclasses.dataclass(frozen=True)
@@ -252,40 +253,16 @@ class Runner:
     more workers than it has jobs.  ``run`` returns
     one :class:`JobResult` per job **in submission order**.
 
-    Resilience knobs:
-
-    * ``max_retries`` -- crash retries per job (default 1: the original
-      retry-once-on-crash behaviour);
-    * ``backoff_base`` -- first retry delay in seconds, doubled per
-      further attempt (exponential backoff);
-    * ``backoff_jitter`` -- deterministic seeded spread on top of the
-      exponential delay: attempt ``n`` of job ``j`` waits
-      ``base * 2**(n-2) * (1 + jitter * draw(j, n))`` where ``draw`` is
-      a stable sha256 hash of ``(jitter_seed, job id, attempt)`` mapped
-      into [0, 1).  Coalesced service requests that crash together thus
-      retry *spread out* instead of thundering-herding the pool, and
-      the schedule is still exactly reproducible (and pinnable in
-      tests) because nothing consults a random source at run time;
-    * ``retry_budget`` -- total retries allowed across the whole run
-      (None = unlimited); once exhausted, crashes are final;
-    * ``default_timeout`` -- watchdog for jobs with ``timeout=None``;
-    * ``chaos`` -- a :class:`ChaosMonkey`, for testing the above.
+    A job whose worker dies is retried once, after
+    :data:`CRASH_RETRY_DELAY` seconds.  ``default_timeout`` is the
+    watchdog for jobs with ``timeout=None``; ``chaos`` is a
+    :class:`ChaosMonkey`, for testing the retry path.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
-                 max_retries: int = 1,
-                 backoff_base: float = 0.05,
-                 backoff_jitter: float = 0.0,
-                 jitter_seed: int = 0,
-                 retry_budget: Optional[int] = None,
                  default_timeout: Optional[float] = None,
                  chaos: Optional[ChaosMonkey] = None):
         self.max_workers = max(1, max_workers or os.cpu_count() or 1)
-        self.max_retries = max(0, max_retries)
-        self.backoff_base = max(0.0, backoff_base)
-        self.backoff_jitter = max(0.0, backoff_jitter)
-        self.jitter_seed = jitter_seed
-        self.retry_budget = retry_budget
         self.default_timeout = default_timeout
         self.chaos = chaos or ChaosMonkey()
         #: set when SIGTERM/SIGINT arrived during the last parallel run
@@ -358,28 +335,6 @@ class Runner:
                              attempts=attempt, sweep=job.sweep)
         return None
 
-    def _backoff(self, attempt: int, job_id: str = "") -> float:
-        """Retry delay before ``attempt`` (exponential: base * 2^(n-2)).
-
-        With ``backoff_jitter`` > 0 the delay is stretched by a
-        deterministic per-(job, attempt) factor in
-        ``[1, 1 + backoff_jitter)`` so simultaneous crash retries
-        (coalesced service requests, a chaos-killed batch) de-correlate
-        instead of retrying in lockstep.  The draw hashes
-        ``jitter_seed``, the job id, and the attempt with sha256 --
-        never Python's salted ``hash()`` -- so the schedule is
-        reproducible across processes and pinnable in tests.
-        """
-        if attempt <= 1 or self.backoff_base <= 0.0:
-            return 0.0
-        delay = self.backoff_base * (2.0 ** (attempt - 2))
-        if self.backoff_jitter > 0.0:
-            digest = hashlib.sha256(
-                f"{self.jitter_seed}:{job_id}:{attempt}".encode()).digest()
-            draw = int.from_bytes(digest[:8], "big") / float(1 << 64)
-            delay *= 1.0 + self.backoff_jitter * draw
-        return delay
-
     def _install_signal_handlers(self) -> List[tuple]:
         """Arm graceful shutdown for the duration of a parallel run.
 
@@ -405,10 +360,9 @@ class Runner:
     def _run_parallel(self, jobs: List[Job]) -> Dict[str, JobResult]:
         queue: List[tuple] = [(job, 1) for job in jobs]
         queue.reverse()                      # pop() takes submission order
-        #: crash retries waiting out their backoff: (eligible_at, job,
+        #: crash retries waiting out their delay: (eligible_at, job,
         #: attempt), redispatched in eligibility order
         waiting: List[tuple] = []
-        self._retries_left = self.retry_budget
         size = min(self.max_workers, len(jobs))
         idle: List[_Worker] = []
         busy: List[_Worker] = []
@@ -458,12 +412,8 @@ class Runner:
                     if not worker.conn.closed:   # served: reuse it
                         idle.append(worker)
                     if outcome == "retry":
-                        if self._retries_left is not None:
-                            self._retries_left -= 1
-                        attempt = worker.attempt + 1
-                        eligible = (time.monotonic()
-                                    + self._backoff(attempt, worker.job.id))
-                        waiting.append((eligible, worker.job, attempt))
+                        waiting.append((time.monotonic() + CRASH_RETRY_DELAY,
+                                        worker.job, worker.attempt + 1))
                     else:
                         results[worker.job.id] = outcome
         finally:
@@ -480,7 +430,7 @@ class Runner:
 
     def _wait(self, busy: List[_Worker], waiting: List[tuple]) -> None:
         """Block until a busy worker replies or dies, or until the next
-        job deadline or retry backoff falls due."""
+        job deadline or crash retry falls due."""
         deadlines = [eligible for eligible, _job, _attempt in waiting]
         for worker in busy:
             limit = self._effective_timeout(worker.job)
@@ -526,9 +476,7 @@ class Runner:
         """The worker died without delivering a result."""
         worker.process.join()
         worker.conn.close()
-        remaining = getattr(self, "_retries_left", self.retry_budget)
-        budget_open = remaining is None or remaining > 0
-        if worker.attempt <= self.max_retries and budget_open:
+        if worker.attempt == 1:
             return "retry"
         job = worker.job
         return JobResult(

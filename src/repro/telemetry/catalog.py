@@ -267,79 +267,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
                "Extra cycles spent draining the pipeline to a quiescent "
                "boundary before each snapshot.",
                "robustness (checkpoint/restore)"),
-    # ------------------------------------------- simulation as a service
-    MetricSpec("service.requests", "counter", "events",
-               "Requests received by the job server (every kind, "
-               "including pings and requests later shed).",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.responses.ok", "counter", "events",
-               "Responses delivered with status ok (hits, coalesced "
-               "shares, and completed computations).",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.responses.error", "counter", "events",
-               "Responses delivered with an error or bad-request "
-               "status (named reason, never a silent drop).",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.shed", "counter", "events",
-               "Requests shed by admission control, the open breaker, "
-               "or drain -- each with a Retry-After hint.",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.cache.hits", "counter", "events",
-               "Result-cache hits: the canonical payload replayed "
-               "without touching the worker pool.",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.cache.misses", "counter", "events",
-               "Result-cache misses (includes integrity rejections).",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.cache.coalesced", "counter", "events",
-               "Requests that shared an identical in-flight "
-               "computation instead of spawning their own.",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.cache.integrity_failures", "counter", "events",
-               "Cached payloads rejected by sha256 re-verification and "
-               "recomputed (bit rot or injected corruption).",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.cache.evictions", "counter", "events",
-               "LRU evictions past the result-cache entry bound.",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.deadline.expired", "counter", "events",
-               "Requests whose deadline expired while queued; answered "
-               "with a deadline error, never run late.",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.frames.malformed", "counter", "events",
-               "Protocol frames rejected (oversize length header, "
-               "truncation, undecodable or non-object body).",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.clients.slow_disconnects", "counter", "events",
-               "Connections dropped for stalling mid-frame past the "
-               "frame timeout (slow-client defense).",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.breaker.opens", "counter", "events",
-               "Circuit-breaker transitions into the open state "
-               "(failure-rate window or queue-depth trip).",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.breaker.closes", "counter", "events",
-               "Circuit-breaker recoveries: half-open probe succeeded "
-               "and normal service resumed.",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.jobs.dispatched", "counter", "events",
-               "Runner jobs dispatched onto the worker pool (sweep "
-               "requests fan out to one job per point).",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.jobs.failed", "counter", "events",
-               "Dispatched jobs that did not produce a value (error, "
-               "timeout, or crashed after retries).",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.queue.depth", "gauge", "events",
-               "Admitted requests waiting for a dispatch batch at "
-               "harvest time.",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.breaker.state", "gauge", "events",
-               "Breaker state code: 0 closed, 1 open, 2 half-open.",
-               "robustness (simulation as a service)"),
-    MetricSpec("service.cache.entries", "gauge", "events",
-               "Result-cache entries resident at harvest time.",
-               "robustness (simulation as a service)"),
 )
 
 #: name -> spec, for validation and documentation lookups

@@ -59,15 +59,6 @@ gate report (see :mod:`repro.harness.devices`): every kernel-lite demo
 booted to its pinned golden UART log with interrupts delivered,
 bit-exact under the JIT (with blocks actually compiled), and
 bit-identical across a mid-boot checkpoint/restore.
-
-``--service PATH`` validates the ``service`` section of a
-``BENCH_service.json`` load-generator report (see
-:mod:`repro.service.loadgen`): the cache-hit p50 speedup floor, zero
-cached-vs-recomputed payload mismatches, and zero error responses.
-``--service-campaign PATH`` validates a ``SERVICE_campaign.json`` chaos
-report (see :mod:`repro.service.chaos`): every disturbance class held
-with zero wrong responses, the breaker opened and re-closed, and the
-SIGTERM drain lost no accepted job.
 """
 
 from __future__ import annotations
@@ -561,169 +552,6 @@ def check_checkpoint_file(path: pathlib.Path) -> List[str]:
     return failures
 
 
-#: floors for the service benchmark: cache hits must be at least this
-#: much faster than cold misses at p50.  Measured values sit around
-#: 300-1000x; the quick (CI smoke) floor is relaxed because tiny runs
-#: put event-loop contention, not cache lookups, in the hit p50.
-SERVICE_HIT_SPEEDUP_FLOOR = 100.0
-SERVICE_HIT_SPEEDUP_FLOOR_QUICK = 25.0
-
-#: keys a complete service benchmark section must carry
-SERVICE_KEYS = ("schema", "requests_sent", "responses", "hit_rate",
-                "shed_rate", "latency_ms", "hit_speedup_p50",
-                "equivalence", "breaker", "cache")
-
-#: disturbance classes a complete service chaos report must cover
-SERVICE_DISTURBANCES = ("worker-kill", "cache-corruption", "overload",
-                        "malformed-frame", "slow-client", "drain")
-
-
-def check_service_section(path: pathlib.Path) -> List[str]:
-    """Validate the ``service`` section of ``BENCH_service.json``.
-
-    Structural problems read as named-section messages (like
-    :func:`check_bench_file`).  A structurally sound section still
-    fails when the measured service economics or correctness slipped:
-
-    * **hit speedup** -- cache hits at least
-      :data:`SERVICE_HIT_SPEEDUP_FLOOR`x faster than cold misses at
-      p50 (:data:`SERVICE_HIT_SPEEDUP_FLOOR_QUICK`x for quick runs);
-    * **equivalence** -- every catalog entry recomputed without the
-      cache produced a byte-identical canonical payload (zero
-      mismatches, at least one check);
-    * **clean responses** -- zero error responses under plain load;
-    * **sanity** -- rates inside [0, 1], p50 <= p99.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"service file {path} does not exist "
-                "(run `repro service-bench`)"]
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"service file {path} is not valid JSON: {exc}"]
-    section = payload.get("service") if isinstance(payload, dict) else None
-    if not isinstance(section, dict):
-        return ["service file: section 'service' is missing or not an "
-                "object (was this written by `repro service-bench`?)"]
-    failures = []
-    for key in SERVICE_KEYS:
-        if key not in section:
-            failures.append(f"service file: section 'service' is missing "
-                            f"key '{key}'")
-    if failures:
-        return failures
-    floor = (SERVICE_HIT_SPEEDUP_FLOOR_QUICK if section.get("quick")
-             else SERVICE_HIT_SPEEDUP_FLOOR)
-    speedup = section["hit_speedup_p50"]
-    if not isinstance(speedup, (int, float)) or speedup < floor:
-        failures.append(
-            f"service file: hit speedup p50 {speedup!r} is below the "
-            f"{floor}x floor (content-addressed cache no longer pays)")
-    equivalence = section["equivalence"]
-    if not isinstance(equivalence, dict) or \
-            not equivalence.get("checked"):
-        failures.append("service file: equivalence pass checked nothing "
-                        "(cached-vs-recomputed oracle never ran)")
-    elif equivalence.get("mismatches"):
-        failures.append(
-            f"service file: {equivalence['mismatches']} cached response(s) "
-            "differ from their uncached recomputation -- the cache is "
-            "serving wrong payloads")
-    responses = section["responses"]
-    if not isinstance(responses, dict) or responses.get("error"):
-        failures.append(
-            f"service file: {responses.get('error')} error response(s) "
-            "under plain load (expected zero)")
-    for rate_key in ("hit_rate", "shed_rate"):
-        rate = section[rate_key]
-        if not isinstance(rate, (int, float)) or not 0.0 <= rate <= 1.0:
-            failures.append(f"service file: {rate_key} {rate!r} is not a "
-                            "ratio in [0, 1]")
-    latency = section["latency_ms"]
-    if not isinstance(latency, dict):
-        failures.append("service file: 'latency_ms' is not an object")
-    else:
-        for lo, hi in (("p50", "p99"), ("hit_p50", "hit_p99"),
-                       ("miss_p50", "miss_p99")):
-            if latency.get(lo, 0) > latency.get(hi, 0):
-                failures.append(
-                    f"service file: latency {lo} {latency.get(lo)!r} "
-                    f"exceeds {hi} {latency.get(hi)!r}")
-    return failures
-
-
-def check_service_campaign(path: pathlib.Path) -> List[str]:
-    """Validate a ``SERVICE_campaign.json`` chaos report.
-
-    Every disturbance class must be present and held, with zero wrong
-    responses anywhere, the breaker must have opened *and* re-closed,
-    the drain must have lost nothing, and the worst per-disturbance
-    p99 must sit under the report's own bound.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"service campaign {path} does not exist "
-                "(run `repro service-chaos`)"]
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"service campaign {path} is not valid JSON: {exc}"]
-    if not isinstance(payload, dict):
-        return [f"service campaign {path}: top level must be an object, "
-                f"got {type(payload).__name__}"]
-    failures = []
-    disturbances = payload.get("disturbances")
-    summary = payload.get("summary")
-    if not isinstance(disturbances, dict):
-        failures.append("service campaign: section 'disturbances' is "
-                        "missing or not an object")
-    if not isinstance(summary, dict):
-        failures.append("service campaign: section 'summary' is missing "
-                        "or not an object")
-    if failures:
-        return failures
-    for name in SERVICE_DISTURBANCES:
-        row = disturbances.get(name)
-        if not isinstance(row, dict):
-            failures.append(f"service campaign: disturbance '{name}' "
-                            "was not run")
-            continue
-        if row.get("wrong"):
-            failures.append(
-                f"service campaign: disturbance '{name}' produced "
-                f"{row['wrong']} wrong response(s)")
-        if not row.get("held"):
-            failures.append(
-                f"service campaign: disturbance '{name}' invariant did "
-                "not hold (see its row for which leg failed)")
-    if summary.get("wrong_responses"):
-        failures.append(
-            f"service campaign: {summary['wrong_responses']} wrong "
-            "response(s) across the campaign (must be zero)")
-    if not summary.get("breaker_opened"):
-        failures.append("service campaign: the breaker never opened "
-                        "(overload disturbance did not bite)")
-    if not summary.get("breaker_reclosed"):
-        failures.append("service campaign: the breaker never re-closed "
-                        "(no recovery after the open interval)")
-    if summary.get("drain_lost"):
-        failures.append(
-            f"service campaign: drain lost {summary['drain_lost']} "
-            "accepted job(s) (graceful shutdown must lose none)")
-    worst = summary.get("worst_p99_ms", 0.0)
-    bound = summary.get("p99_bound_ms", 0.0)
-    if not bound or worst > bound:
-        failures.append(
-            f"service campaign: worst p99 {worst!r} ms exceeds the "
-            f"{bound!r} ms bound")
-    if summary.get("exit_code") != 0:
-        failures.append(
-            f"service campaign: recorded exit code "
-            f"{summary.get('exit_code')!r} (0 = all invariants held)")
-    return failures
-
-
 #: keys every devices-gate demo row must carry
 DEVICES_ROW_KEYS = ("uart_log", "cycles", "interrupts", "expected_ok",
                     "halted", "jit", "checkpoint", "ok")
@@ -958,7 +786,7 @@ CHECKS: List[Tuple[str, Callable[[int], List[str]]]] = [
 ]
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="check_results",
         description="re-derive paper-shape orderings; exit 1 on regression")
@@ -1004,19 +832,11 @@ def main(argv=None) -> int:
                              "(DEVICES_results.json): pinned boot logs, "
                              "interrupts delivered, JIT bit-exact, "
                              "checkpoint/restore bit-identical")
-    parser.add_argument("--service", dest="service_file",
-                        type=pathlib.Path, default=None, metavar="PATH",
-                        help="also validate the 'service' section of "
-                             "BENCH_service.json: hit-speedup floor, "
-                             "byte-identical cached-vs-recomputed "
-                             "payloads, zero error responses")
-    parser.add_argument("--service-campaign", dest="service_campaign",
-                        type=pathlib.Path, default=None, metavar="PATH",
-                        help="also validate a SERVICE_campaign.json chaos "
-                             "report: every disturbance held with zero "
-                             "wrong responses, breaker opened and "
-                             "re-closed, drain lost nothing")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
 
     all_failures: List[str] = []
     if args.bench_file is not None:
@@ -1065,20 +885,6 @@ def main(argv=None) -> int:
         failures = check_devices_file(args.devices_file)
         status = "ok" if not failures else "FAIL"
         print(f"[{status:>4}] devices gate report")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.service_file is not None:
-        failures = check_service_section(args.service_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] service benchmark section")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.service_campaign is not None:
-        failures = check_service_campaign(args.service_campaign)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] service chaos campaign")
         for failure in failures:
             print(f"       - {failure}")
         all_failures.extend(failures)

@@ -17,10 +17,6 @@ Usage::
     python -m repro.tools.cli run program.s --checkpoint-every 100000
     python -m repro.tools.cli run program.s --resume --checkpoint-id ID
     python -m repro.tools.cli checkpoint [--fuzz-seeds N] [--quick]
-    python -m repro.tools.cli serve [--port P] [--workers N]
-    python -m repro.tools.cli client run '{"workload": "fib"}'
-    python -m repro.tools.cli service-bench [--quick] [--clients N]
-    python -m repro.tools.cli service-chaos [--quick] [--seed N]
 
 ``run`` executes assembly on the paper-configuration machine; ``compile``
 sends SPL source through the compiler + reorganizer; ``workload`` runs a
@@ -62,26 +58,15 @@ under ``.trace_cache/checkpoints/`` (see :mod:`repro.checkpoint`), and
 standing recovery gates -- restore equivalence, chaos resume, snapshot
 corruption -- and writes ``CHECKPOINT_campaign.json``.
 
-``serve`` starts the simulation-as-a-service job server
-(:mod:`repro.service`) on local TCP and drains gracefully on
-SIGTERM/SIGINT; ``client`` sends it one request and prints the JSON
-response.  ``service-bench`` runs the zipf-mix load generator against
-an in-process server and writes ``BENCH_service.json``;
-``service-chaos`` runs the six-disturbance resilience campaign
-(worker kill, cache corruption, overload, malformed frames, slow
-client, drain) and writes ``SERVICE_campaign.json``.
-
-The campaign commands (``faults``, ``fuzz``, ``checkpoint``,
-``service-chaos``) share one exit-code taxonomy, documented in full in
-the README:
+The campaign commands (``faults``, ``fuzz``, ``checkpoint``) share one
+exit-code taxonomy, documented in full in the README:
 
 * **0** -- campaign ran and found nothing wrong;
 * **1** -- harness failure: a job errored/timed out/crashed (the
   infrastructure broke, nothing is known about the models);
 * **2** -- a classified finding: an invariant violation (``faults``),
-  an unexplained model divergence (``fuzz``), a recovery-gate failure
-  (``checkpoint``), or a disturbance that was not absorbed
-  (``service-chaos``).
+  an unexplained model divergence (``fuzz``), or a recovery-gate failure
+  (``checkpoint``).
 """
 
 from __future__ import annotations
@@ -451,144 +436,6 @@ def cmd_devices(args) -> int:
     return code
 
 
-def cmd_serve(args) -> int:
-    import asyncio
-    import signal
-
-    from repro.service.server import ServiceConfig, ServiceServer
-
-    async def _serve() -> int:
-        config = ServiceConfig(host=args.host, port=args.port,
-                               max_workers=args.workers,
-                               cache_entries=args.cache_entries)
-        server = ServiceServer(config)
-        try:
-            await server.start()
-        except OSError as exc:
-            print(f"error: cannot listen on {args.host}:{args.port}: "
-                  f"{exc}", file=sys.stderr)
-            return 1
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, stop.set)
-        print(f"repro service listening on {config.host}:{server.port} "
-              "(SIGTERM/SIGINT drains)")
-        await stop.wait()
-        print("draining: listener closed, finishing accepted jobs ...")
-        await server.drain()
-        snap = server.snapshot()
-        await server.close()
-        stats = snap["service"]
-        print(f"drained clean: {stats['requests']} requests, "
-              f"{stats['responses_ok']} ok / "
-              f"{stats['responses_error']} error / "
-              f"{stats['shed']} shed; cache "
-              f"{snap['cache']['hits']} hits / "
-              f"{snap['cache']['misses']} misses")
-        return 0
-
-    return asyncio.run(_serve())
-
-
-def cmd_client(args) -> int:
-    import asyncio
-    import json
-
-    from repro.service.server import ServiceClient
-
-    try:
-        params = json.loads(args.params) if args.params else {}
-    except json.JSONDecodeError as exc:
-        print(f"error: params is not valid JSON: {exc}", file=sys.stderr)
-        return 1
-    if not isinstance(params, dict):
-        print("error: params must be a JSON object", file=sys.stderr)
-        return 1
-
-    async def _request() -> dict:
-        client = ServiceClient(host=args.host, port=args.port)
-        await client.connect()
-        try:
-            extra = {"no_cache": True} if args.no_cache else {}
-            return await client.request(args.kind, params, **extra)
-        finally:
-            await client.close()
-
-    try:
-        response = asyncio.run(_request())
-    except (ConnectionError, OSError) as exc:
-        print(f"error: cannot reach service on {args.host}:{args.port}: "
-              f"{exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(response, indent=2, sort_keys=True))
-    return 0 if response.get("status") == "ok" else 1
-
-
-def cmd_service_bench(args) -> int:
-    from repro.service.loadgen import run_loadgen
-
-    try:
-        payload = run_loadgen(clients=args.clients,
-                              requests_per_client=args.requests,
-                              catalog_size=args.catalog,
-                              zipf_s=args.zipf,
-                              seed=args.seed,
-                              quick=args.quick,
-                              max_workers=args.workers,
-                              output=args.output)
-    except Exception as exc:                     # noqa: BLE001 -- taxonomy
-        print(f"service-bench harness failure: {exc}", file=sys.stderr)
-        return 1
-    section = payload["service"]
-    latency = section["latency_ms"]
-    print(f"service-bench: {section['requests_sent']} requests from "
-          f"{section['clients']} clients over {section['catalog_size']} "
-          f"catalog entries in {section['wall_s']}s")
-    print(f"  hit rate {section['hit_rate']:.1%}, shed rate "
-          f"{section['shed_rate']:.1%}, p50 {latency['p50']:.3f} ms, "
-          f"p99 {latency['p99']:.3f} ms")
-    print(f"  hit p50 {latency['hit_p50']:.3f} ms vs miss p50 "
-          f"{latency['miss_p50']:.3f} ms -- {section['hit_speedup_p50']}x")
-    equivalence = section["equivalence"]
-    print(f"  equivalence: {equivalence['checked']} cached-vs-recomputed "
-          f"payloads compared, {equivalence['mismatches']} mismatches")
-    print(f"report written to {args.output}")
-    bad = (section["responses"]["error"] or equivalence["mismatches"])
-    if bad:
-        print("service-bench found wrong answers (see report)",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
-def cmd_service_chaos(args) -> int:
-    from repro.service.chaos import run_campaign
-
-    try:
-        report = run_campaign(quick=args.quick, seed=args.seed,
-                              output=args.output)
-    except Exception as exc:                     # noqa: BLE001 -- taxonomy
-        print(f"service-chaos harness failure: {exc}", file=sys.stderr)
-        return 1
-    summary = report["summary"]
-    for name, row in report["disturbances"].items():
-        verdict = "held" if row["held"] else "NOT HELD"
-        print(f"  {name:<18} {verdict:<9} wrong={row['wrong']} "
-              f"p99={row['p99_ms']:.1f}ms")
-    print(f"service-chaos: wrong_responses={summary['wrong_responses']} "
-          f"breaker_opened={summary['breaker_opened']} "
-          f"breaker_reclosed={summary['breaker_reclosed']} "
-          f"drain_lost={summary['drain_lost']} "
-          f"worst_p99={summary['worst_p99_ms']:.1f}ms")
-    print(f"report written to {args.output}")
-    code = int(summary["exit_code"])
-    if code == 2:
-        print("a disturbance was not absorbed (see report)",
-              file=sys.stderr)
-    return code
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="MIPS-X reproduction command line")
@@ -858,93 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "DEVICES_results.json at the repo root)")
     p_devices.set_defaults(func=cmd_devices)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="start the simulation-as-a-service job server on local TCP "
-             "(content-addressed cache, admission control, circuit "
-             "breaker; SIGTERM drains)",
-        description="Serve assemble/run/sweep/trace/fault/fuzz jobs over "
-                    "a length-prefixed JSON protocol, fronted by a "
-                    "content-addressed result cache and a token-bucket "
-                    "admission controller.  SIGTERM/SIGINT stops the "
-                    "listener, finishes every accepted job, then exits "
-                    "0.  Exit 1 means the server could not start.")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=0,
-                         help="TCP port (default 0 = ephemeral, printed "
-                              "at startup)")
-    p_serve.add_argument("--workers", type=int, default=2,
-                         help="Runner worker processes (default 2)")
-    p_serve.add_argument("--cache-entries", type=int, default=4096,
-                         help="result-cache capacity (default 4096)")
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_client = sub.add_parser(
-        "client",
-        help="send one request to a running service and print the "
-             "JSON response",
-        description="Connect to a repro serve instance, send one "
-                    "request, print the response JSON.  Exit 0 when the "
-                    "response status is ok, 1 otherwise.")
-    p_client.add_argument("kind",
-                          help="request kind: assemble, run, sweep, "
-                               "trace, fault, fuzz")
-    p_client.add_argument("params", nargs="?", default=None,
-                          help="request params as a JSON object, e.g. "
-                               "'{\"workload\": \"fib\"}'")
-    p_client.add_argument("--host", default="127.0.0.1")
-    p_client.add_argument("--port", type=int, required=True)
-    p_client.add_argument("--no-cache", action="store_true",
-                          help="bypass the result cache (force a "
-                               "recomputation)")
-    p_client.set_defaults(func=cmd_client)
-
-    p_sbench = sub.add_parser(
-        "service-bench",
-        help="zipf-mix load generator against an in-process service, "
-             "written to BENCH_service.json",
-        description="Run hundreds of synthetic clients drawing from a "
-                    "zipf-skewed request catalog against an in-process "
-                    "server, then recompute every catalog entry uncached "
-                    "and compare canonical payloads byte-for-byte.  "
-                    "Publishes p50/p99 split by cache outcome, hit rate, "
-                    "shed rate, and breaker transitions.  Exit codes: "
-                    "0 = clean, 1 = harness failure, 2 = a wrong answer "
-                    "(response error or cached-vs-recomputed mismatch).")
-    p_sbench.add_argument("--quick", action="store_true",
-                          help="small client fleet (CI smoke)")
-    p_sbench.add_argument("--clients", type=int, default=120)
-    p_sbench.add_argument("--requests", type=int, default=10,
-                          help="requests per client (default 10)")
-    p_sbench.add_argument("--catalog", type=int, default=16,
-                          help="distinct (kind, params) entries "
-                               "(default 16)")
-    p_sbench.add_argument("--zipf", type=float, default=1.1,
-                          help="zipf skew s (default 1.1)")
-    p_sbench.add_argument("--seed", type=int, default=1987)
-    p_sbench.add_argument("--workers", type=int, default=2,
-                          help="Runner worker processes (default 2)")
-    p_sbench.add_argument("--output", default="BENCH_service.json",
-                          metavar="PATH")
-    p_sbench.set_defaults(func=cmd_service_bench)
-
-    p_schaos = sub.add_parser(
-        "service-chaos",
-        help="six-disturbance service resilience campaign, written to "
-             "SERVICE_campaign.json",
-        description="Subject the service to worker SIGKILL, cache "
-                    "corruption, burst overload, malformed frames, a "
-                    "stalled client, and a mid-flight drain; every "
-                    "response is checked against an in-process reference "
-                    "computation.  Exit codes: 0 = every disturbance "
-                    "absorbed with zero wrong responses, 1 = harness "
-                    "failure, 2 = a disturbance was not absorbed.")
-    p_schaos.add_argument("--quick", action="store_true",
-                          help="smaller disturbances (CI smoke)")
-    p_schaos.add_argument("--seed", type=int, default=0)
-    p_schaos.add_argument("--output", default="SERVICE_campaign.json",
-                          metavar="PATH")
-    p_schaos.set_defaults(func=cmd_service_chaos)
     return parser
 
 

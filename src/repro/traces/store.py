@@ -82,10 +82,8 @@ def canonical_json(material: object) -> str:
     Key-sorted, minimal separators, no whitespace variance: two
     structurally equal values (whatever their dict insertion order, and
     with tuples and lists interchangeable) canonicalise to the same
-    text.  Both the trace-store descriptor keys and the service-layer
-    request hashes (:mod:`repro.service.cache`) derive their sha256
-    content addresses from this one function, so the two caches can
-    never drift apart on canonicalisation.
+    text.  The trace-store descriptor keys derive their sha256 content
+    addresses from it.
     """
     return json.dumps(material, sort_keys=True, separators=(",", ":"))
 

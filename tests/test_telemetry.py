@@ -78,14 +78,12 @@ class TestCollectMachine:
         machine.run()
         snapshot = machine.metrics().snapshot()
         # multi.* counters come from the MultiMachine harvest
-        # (collect_multi), checkpoint.* from the checkpoint watchdog
-        # (CheckpointStats.as_metrics), service.* from the job server
-        # (ServiceServer.metrics) -- not from a single machine
+        # (collect_multi) and checkpoint.* from the checkpoint watchdog
+        # (CheckpointStats.as_metrics) -- not from a single machine
         counters = {spec.name for spec in CATALOG
                     if spec.kind == "counter"
                     and not spec.name.startswith(("multi.",
-                                                  "checkpoint.",
-                                                  "service."))}
+                                                  "checkpoint."))}
         assert counters <= set(snapshot)
 
     def test_collect_multi_reports_every_catalogued_counter(self):
@@ -97,12 +95,10 @@ class TestCollectMachine:
         system.run(2_000_000)
         assert system.all_halted
         snapshot = system.metrics().snapshot()
-        # checkpoint.* counters are the watchdog's and service.* the
-        # job server's, not the system's
+        # checkpoint.* counters are the watchdog's, not the system's
         counters = {spec.name for spec in CATALOG
                     if spec.kind == "counter"
-                    and not spec.name.startswith(("checkpoint.",
-                                                  "service."))}
+                    and not spec.name.startswith("checkpoint.")}
         assert counters <= set(snapshot)
         for name in snapshot:
             assert name in CATALOG_BY_NAME, name

@@ -1,10 +1,21 @@
-"""Tests for the developer tooling: pipeline viewer and CLI."""
+"""Tests for the developer tooling: pipeline viewer, CLI, and the CI
+workflow's calls into both."""
 
+import ast
+import pathlib
+import re
+import shlex
+
+import pytest
 
 from repro.asm import assemble
 from repro.core import Machine, perfect_memory_config
+from repro.tools import check_results, cli
 from repro.tools.cli import main
 from repro.tools.pipeview import PipelineTracer, trace_pipeline
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+CI_FILE = REPO_ROOT / ".github" / "workflows" / "ci.yml"
 
 LOOP = """
 _start:
@@ -297,3 +308,80 @@ class TestCheckFuzzFile:
         payload["config"]["mutation"] = "sra-logical"
         failures = check_fuzz_file(self._write(tmp_path, payload))
         assert any("failed its self-test" in f for f in failures)
+
+
+def _ci_commands():
+    """The shell commands of every ``run:`` step in the CI workflow.
+
+    A folded (``>``) or literal (``|``) block is the lines indented past
+    its key; each command is split at ``&&`` and newlines into argv.
+    """
+    lines = CI_FILE.read_text().splitlines()
+    commands = []
+    for index, line in enumerate(lines):
+        match = re.match(r"^(\s*)(?:- )?run:\s*(.*)$", line)
+        if not match:
+            continue
+        column, text = len(match.group(1)), match.group(2)
+        if text in (">", "|"):
+            block = []
+            for follow in lines[index + 1:]:
+                if follow.strip() and len(follow) - len(follow.lstrip()) \
+                        <= column:
+                    break
+                block.append(follow.strip())
+            text = (" " if text == ">" else "\n").join(block)
+        for part in re.split(r"&&|\n", text):
+            if "repro.tools" in part or "pytest" in part:
+                commands.append(shlex.split(part))
+    return commands
+
+
+def _ci_calls(module):
+    """The argv after ``python -m <module>`` of each CI call into it."""
+    return [argv[argv.index(module) + 1:] for argv in _ci_commands()
+            if module in argv]
+
+
+def _assert_parses(parser, args, capsys):
+    try:
+        parser.parse_args(args)
+    except SystemExit:
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        pytest.fail(f"ci.yml runs {shlex.join(args)!r}: {error}")
+
+
+class TestCiWorkflow:
+    """Every command CI runs must exist, so deleting a subcommand, a gate
+    flag or a test file that CI still calls fails here, not only in CI."""
+
+    def test_cli_subcommands_exist(self, capsys):
+        calls = _ci_calls("repro.tools.cli")
+        assert len(calls) >= 10
+        for args in calls:
+            _assert_parses(cli.build_parser(), args, capsys)
+
+    def test_check_results_flags_are_registered(self, capsys):
+        calls = _ci_calls("repro.tools.check_results")
+        assert len(calls) >= 6
+        for args in calls:
+            _assert_parses(check_results.build_parser(), args, capsys)
+
+    def test_pytest_targets_exist(self):
+        targets = [arg for argv in _ci_commands() if "pytest" in argv
+                   for arg in argv if arg.startswith("tests/")]
+        assert targets
+        for target in targets:
+            path, *names = target.split("::")
+            assert (REPO_ROOT / path).is_file(), f"ci.yml runs {path}"
+            scope = ast.parse((REPO_ROOT / path).read_text()).body
+            for name in names:
+                found = [node for node in scope
+                         if getattr(node, "name", None) == name]
+                assert found, f"ci.yml runs {target}: no {name}"
+                scope = getattr(found[0], "body", [])
+
+    def test_workflow_is_valid_yaml(self):
+        yaml = pytest.importorskip("yaml")
+        workflow = yaml.safe_load(CI_FILE.read_text())
+        assert "test" in workflow["jobs"]

@@ -11,7 +11,8 @@ import pytest
 import repro.core  # noqa: F401  -- resolves the core<->ecache import cycle
 from repro.ecache.memory import Memory, MemoryFault
 from repro.traces.capture import TraceCollector
-from repro.traces.store import CapturedTrace, TraceStore, descriptor_key
+from repro.traces.store import (CapturedTrace, TraceStore, canonical_json,
+                                descriptor_key)
 
 
 class TestCapturedTrace:
@@ -54,6 +55,13 @@ class TestDescriptorKey:
         for field, value in (("length", 1001), ("seed", 8),
                              ("kind", "synthetic-data")):
             assert descriptor_key(dict(base, **{field: value})) != key
+
+    def test_tuples_and_lists_are_interchangeable(self):
+        assert (descriptor_key({"points": (1, "a", 2.5)})
+                == descriptor_key({"points": [1, "a", 2.5]}))
+
+    def test_canonical_json_is_key_sorted_and_minimal(self):
+        assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
 
     def test_key_is_stable_and_filename_safe(self):
         key = descriptor_key({"kind": "x"})
