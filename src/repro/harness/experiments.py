@@ -14,7 +14,7 @@ E5), the Ecache size sweep (E15), the coprocessor interface schemes
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.harness.runner import Job
 
@@ -270,29 +270,29 @@ def _branch_jobs(quick: bool) -> List[Job]:
     return jobs
 
 
-def _icache_jobs(quick: bool) -> List[Job]:
-    trace_length = 60_000 if quick else TRACE_LENGTH
+def icache_grid(quick: bool = False) -> List[Tuple[str, dict]]:
+    """``(row id, IcacheConfig fields)`` of the Icache sweep: the 512-word
+    organizations at the paper's fetch-back (every fourth on ``quick``),
+    then the fetch-back study on the paper organization."""
     points = icache_design_points()
     if quick:
         points = points[::4] or points
-    jobs = [
-        Job(id=f"icache/{p['sets']}set-{p['ways']}way-{p['block_words']}w",
-            fn=_POINT_FNS["icache-organizations"],
-            params=dict(p, trace_length=trace_length),
-            sweep="icache-organizations")
-        for p in points
-    ]
-    # the fetch-back study rides on the paper organization
-    for fetchback in (1, 2, 3, 4):
-        jobs.append(Job(
-            id=f"icache/fetchback-{fetchback}",
-            fn=_POINT_FNS["icache-organizations"],
-            params={"sets": 4, "ways": 8, "block_words": 16,
-                    "fetchback": fetchback,
-                    "miss_cycles": max(2, fetchback),
-                    "trace_length": trace_length},
-            sweep="icache-organizations"))
-    return jobs
+    grid = [(f"icache/{p['sets']}set-{p['ways']}way-{p['block_words']}w",
+             dict(p, fetchback=2, miss_cycles=2))
+            for p in points]
+    grid += [(f"icache/fetchback-{fb}",
+              {"sets": 4, "ways": 8, "block_words": 16,
+               "fetchback": fb, "miss_cycles": max(2, fb)})
+             for fb in (1, 2, 3, 4)]
+    return grid
+
+
+def _icache_jobs(quick: bool) -> List[Job]:
+    trace_length = 60_000 if quick else TRACE_LENGTH
+    return [Job(id=job_id, fn=_POINT_FNS["icache-organizations"],
+                params=dict(params, trace_length=trace_length),
+                sweep="icache-organizations")
+            for job_id, params in icache_grid(quick)]
 
 
 def _ecache_jobs(quick: bool) -> List[Job]:
@@ -314,24 +314,35 @@ def _coproc_jobs(quick: bool) -> List[Job]:
             for name in names]
 
 
+#: the CPI workloads by simulated cycles, most first (``pipeline.cycles``
+#: in METRICS_summary.json).  Their points are the grid's longest jobs, and
+#: one submitted last would set its makespan; results still merge in
+#: submission order, by job id.
+CPI_LONGEST_FIRST = ("queens", "towers", "bubble", "assoc", "quick", "perm",
+                     "intmm", "sieve", "treefold", "ackermann", "fib",
+                     "listops")
+
+
 def _cpi_jobs(quick: bool) -> List[Job]:
     from repro.workloads import LISP_SUITE, PASCAL_SUITE
 
     names = list(PASCAL_SUITE) + list(LISP_SUITE)
     if quick:
         names = names[:3]
+    names.sort(key=CPI_LONGEST_FIRST.index)
     return [Job(id=f"cpi/{name}", fn=_POINT_FNS["workload-cpi"],
                 params={"name": name}, sweep="workload-cpi")
             for name in names]
 
 
-#: sweep name -> job-list builder (quick: bool) -> List[Job]
+#: sweep name -> job-list builder (quick: bool) -> List[Job], in
+#: submission order: the long CPI points go first
 EXPERIMENT_SWEEPS = {
+    "workload-cpi": _cpi_jobs,
     "branch-schemes": _branch_jobs,
     "icache-organizations": _icache_jobs,
     "ecache-sweep": _ecache_jobs,
     "coproc-schemes": _coproc_jobs,
-    "workload-cpi": _cpi_jobs,
 }
 
 
@@ -366,6 +377,7 @@ def default_jobs(quick: bool = False,
 def traced_icache_sweep(quick: bool = False, reuse: bool = True,
                         store=None) -> dict:
     """Replay every Icache organization against one stored fetch trace."""
+    import dataclasses
     import time
 
     from repro.core.config import IcacheConfig
@@ -386,22 +398,15 @@ def traced_icache_sweep(quick: bool = False, reuse: bool = True,
         reuse=reuse)
     addresses = captured["addresses"]
 
-    points = icache_design_points()
-    if quick:
-        points = points[::4] or points
-    grid = [(f"icache/{p['sets']}set-{p['ways']}way-{p['block_words']}w",
-             dict(p, fetchback=2, miss_cycles=2))
-            for p in points]
-    grid += [(f"icache/fetchback-{fb}",
-              {"sets": 4, "ways": 8, "block_words": 16,
-               "fetchback": fb, "miss_cycles": max(2, fb)})
-             for fb in (1, 2, 3, 4)]
-
     started = time.perf_counter()
     rows = []
-    for job_id, params in grid:
+    replayed = {}  # fetchback-2 is also the paper organization's row
+    for job_id, params in icache_grid(quick):
         config = IcacheConfig(**params)
-        stats = trace_sim.replay(config, addresses)
+        key = dataclasses.astuple(config)
+        if key not in replayed:
+            replayed[key] = trace_sim.replay(config, addresses)
+        stats = replayed[key]
         rows.append(dict(
             params, id=job_id, miss_ratio=stats.miss_rate,
             fetch_cost=stats.average_fetch_cost(config.miss_cycles)))

@@ -10,22 +10,32 @@ live cache's bit for bit (pinned by tests/test_trace_replay.py).
 
 Why it is fast: instruction streams are long stride-1 bursts, so the
 trace is decomposed once (config-independently, in numpy) into maximal
-stride-1 runs.  Each run is walked block-portion by block-portion with
-integer valid-bit masks, which turns per-*access* Python work into
-per-*miss* work:
+stride-1 runs, and each run is walked *portion* by portion -- a portion
+is the run's stretch inside one block -- with integer valid-bit masks.
+The work is per portion, not per access or per miss:
 
-* a fully-valid portion is one dict probe + one mask compare for the
-  whole burst of accesses;
-* the first invalid word inside a portion falls out of one bit trick
-  (``(inv & -inv).bit_length() - 1``);
+* a resident portion is one recency touch (every access in it uses the
+  same way, and nothing else interleaves), its hits one mask compare and
+  its sub-block misses filled by mask;
+* a fresh portion (block not resident) resolves every miss at once: with
+  fetch-back ``F``, words ``w..w_hi`` miss at ``w, w+F, ...`` --
+  ``(w_hi - w) // F + 1`` misses -- and leave one contiguous valid span.
+  Only the last miss can fetch past the block end, so the touch order is
+  the block, then that spill, then the block again if words remain;
+* with one-word blocks the ``F-1`` words a miss fetched back are resident
+  and most recent in their sets (they lie in distinct sets, or ``F <= 2``),
+  so their accesses are no-op hits the walk steps over;
+* a spill that evicts the walked block (a one-line set) sends the words
+  after the last miss back through the fresh path;
 * replacement state lives in one ``OrderedDict`` per set whose key order
   *is* the live cache's per-set order list (head == victim,
-  ``move_to_end`` == touch), so victim selection is O(1) instead of an
-  order-list scan.
+  ``move_to_end`` == touch), so victim selection is O(1).
 
-A hit burst inside one portion touches a single way, so collapsing its
-per-access LRU touches into one ``move_to_end`` at the end of the burst
-is exact: nothing else can interleave within a portion.
+Fetch-back breaks LRU inclusion -- a small cache that misses on a block's
+last word fills the next block's first word, which a larger cache that
+hits there never fills -- so the one-pass all-associativity method
+(Mattson et al. 1970) would be exact only without it; every organization
+is replayed on its own.
 """
 
 from __future__ import annotations
@@ -73,9 +83,15 @@ def _replay_runs(config: IcacheConfig, trace: np.ndarray) -> IcacheStats:
     bshift = block.bit_length() - 1
     bmask = block - 1
     smask = sets - 1
+    full = (1 << block) - 1  # every valid bit of a block
     lru = config.replacement == "lru"
     random = config.replacement == "random"
     rand_state = _XORSHIFT_SEED
+    # one-word blocks: a miss's fetched-back words are resident and MRU
+    # in their sets (distinct sets, or the last fill of a one-set cache),
+    # so accessing them next is a no-op hit the walk can step over
+    skip = fetchback - 1 if block == 1 and (fetchback <= 2
+                                            or fetchback <= sets) else 0
 
     starts = _run_starts(trace)
     a0s = trace[starts]
@@ -88,133 +104,122 @@ def _replay_runs(config: IcacheConfig, trace: np.ndarray) -> IcacheStats:
     repeat = np.empty(a0s.size, dtype=bool)
     repeat[0] = False
     repeat[1:] = (a0s[1:] == a0s[:-1]) & (lens[1:] == lens[:-1])
-    run_a0 = a0s.tolist()
-    run_len = lens.tolist()
-    run_repeat = repeat.tolist()
 
-    # per-set state; OrderedDict key order == the live order list
-    # restricted to allocated ways (never-used ways stay in front of it,
-    # in index order -- ``used`` hands them out before the od head).
-    # Keys are raw block numbers: at a fixed mode bit, block <-> tag is a
-    # bijection within a set, so probing by block is exact and skips the
-    # tag arithmetic on every access.
+    # Per set, an OrderedDict from block number to its valid-bit mask,
+    # in the live cache's replacement order (head == victim, most recent
+    # last).  Keying by block is exact: at a fixed mode bit, block <->
+    # tag is a bijection within a set.  Which way a block occupies only
+    # matters to the random policy's victim index, so only it keeps
+    # ``way_block``.
     tags = [OrderedDict() for _ in range(sets)]
-    way_tag = [[None] * ways for _ in range(sets)]
-    valid = [[0] * ways for _ in range(sets)]
-    used = [0] * sets
+    way_block = [[None] * ways for _ in range(sets)]
     misses = 0
     filled = 0
     allocs = 0
 
-    def fill(addr: int) -> None:
-        nonlocal filled, allocs, rand_state
-        blk = addr >> bshift
-        s = blk & smask
-        od = tags[s]
-        way = od.get(blk)
-        if way is None:
+    def place_random(blk: int, od: OrderedDict) -> None:
+        """Put ``blk`` in the way the xorshift picks, as the live cache
+        does, evicting the block that held it."""
+        nonlocal rand_state
+        x = rand_state
+        x ^= (x << 13) & 0xFFFFFFFF
+        x ^= x >> 17
+        x ^= (x << 5) & 0xFFFFFFFF
+        rand_state = x
+        row = way_block[blk & smask]
+        old = row[x % ways]
+        if old is not None:
+            del od[old]
+        row[x % ways] = blk
+
+    def fill(blk: int, mask: int) -> None:
+        """Fill the words of ``mask`` into block ``blk``, allocating a
+        way on a tag miss."""
+        nonlocal filled, allocs
+        od = tags[blk & smask]
+        v = od.get(blk)
+        if v is None:
             if random:
-                x = rand_state
-                x ^= (x << 13) & 0xFFFFFFFF
-                x ^= x >> 17
-                x ^= (x << 5) & 0xFFFFFFFF
-                rand_state = x
-                way = x % ways
-                old = way_tag[s][way]
-                if old is not None:
-                    del od[old]
-            elif used[s] < ways:
-                way = used[s]
-                used[s] = way + 1
-            else:
-                way = od.popitem(last=False)[1]
-            od[blk] = way
-            way_tag[s][way] = blk
-            valid[s][way] = 0
+                place_random(blk, od)
+            elif len(od) == ways:
+                od.popitem(last=False)
+            v = 0
             allocs += 1
         elif lru:
-            od.move_to_end(blk)  # fill into a live way refreshes recency
-        bit = 1 << (addr & bmask)
-        v = valid[s][way]
-        if not v & bit:
-            valid[s][way] = v | bit
-            filled += 1
+            od.move_to_end(blk)  # a fill into a live way is a use
+        od[blk] = v | mask  # a new key is the most recent, and FIFO's tail
+        filled += (mask & ~v).bit_count()
 
-    in_block_fill = fetchback - 1  # last fill offset that can stay in-block
     clean = False  # previous run completed without a miss
-
-    if block == 1:
-        # One word per block: an allocated block always has its single
-        # valid bit set (fill() sets it in the same call that allocates),
-        # so hit == block present and the sub-block machinery drops out.
-        for a0, length, is_repeat in zip(run_a0, run_len, run_repeat):
-            if is_repeat and clean:
-                continue
-            run_misses = misses
-            if lru:
-                for a in range(a0, a0 + length):
-                    od = tags[a & smask]
-                    if a in od:
-                        od.move_to_end(a)
-                    else:
-                        misses += 1
-                        for k in range(fetchback):
-                            fill(a + k)
-            else:
-                for a in range(a0, a0 + length):
-                    if a not in tags[a & smask]:
-                        misses += 1
-                        for k in range(fetchback):
-                            fill(a + k)
-            clean = misses == run_misses
-        return IcacheStats(accesses=int(trace.size), misses=misses,
-                           words_filled=filled, tag_allocations=allocs)
-
-    for a0, length, is_repeat in zip(run_a0, run_len, run_repeat):
+    for a0, length, is_repeat in zip(a0s.tolist(), lens.tolist(),
+                                     repeat.tolist()):
         if is_repeat and clean:
             continue
         run_misses = misses
         a_end = a0 + length - 1
-        blk = a0 >> bshift
         blk_end = a_end >> bshift
         w = a0 & bmask
-        while True:
-            w_hi = bmask if blk != blk_end else a_end & bmask
-            s = blk & smask
-            od = tags[s]
-            valid_s = valid[s]
-            while w <= w_hi:
-                way = od.get(blk)
-                if way is None:
-                    misses += 1
-                    base = (blk << bshift) | w
-                    for k in range(fetchback):
-                        fill(base + k)
-                    w += 1
+        resume = 0
+        for blk in range(a0 >> bshift, blk_end + 1):
+            # one portion: words w..w_hi of block blk, accessed in order
+            if blk < resume:
+                continue
+            od = tags[blk & smask]
+            v = od.get(blk)
+            if v is not None:
+                if lru:  # every access of the portion touches this way
+                    od.move_to_end(blk)
+                if v == full:
+                    w = 0
                     continue
-                v = valid_s[way]
-                span = ((2 << (w_hi - w)) - 1) << w  # bits w..w_hi
-                inv = span & ~v
-                if inv == 0:
-                    if lru:
-                        od.move_to_end(blk)
-                    break
-                j = (inv & -inv).bit_length() - 1
-                if lru:  # leading hits and the sub-block miss's own fill
-                    od.move_to_end(blk)  # both touch this way exactly once
-                misses += 1
-                if j + in_block_fill <= bmask:
-                    add = (((1 << fetchback) - 1) << j) & ~v
-                    valid_s[way] = v | add
-                    filled += add.bit_count()
+            w_hi = bmask if blk != blk_end else a_end & bmask
+            while True:
+                if v is None:
+                    # fresh block: allocate it; misses at w, w+F, ...
+                    # each fill F words, and only the last (at j) can
+                    # fetch past the block end
+                    m = (w_hi - w) // fetchback + 1
+                    misses += m
+                    j = w + (m - 1) * fetchback
+                    v = ((1 << (j + fetchback)) - (1 << w)) & full
+                    if random:
+                        place_random(blk, od)
+                    elif len(od) == ways:
+                        od.popitem(last=False)
+                    od[blk] = v
+                    allocs += 1
+                    filled += v.bit_count()
                 else:
-                    base = (blk << bshift) | j
-                    for k in range(fetchback):
-                        fill(base + k)
-                w = j + 1
-            if blk == blk_end:
+                    inv = ((2 << w_hi) - (1 << w)) & ~v
+                    if not inv:
+                        break
+                    old = v
+                    while inv:  # sub-block misses, filled by mask
+                        j = (inv & -inv).bit_length() - 1
+                        misses += 1
+                        v |= ((1 << fetchback) - 1) << j
+                        inv &= ~v
+                    v &= full
+                    od[blk] = v
+                    filled += v.bit_count() - old.bit_count()
+                rest = j + fetchback - block  # words fetched past the end
+                if rest > 0:
+                    spill = blk
+                    while rest > 0:
+                        spill += 1
+                        fill(spill, ((1 << rest) - 1) & full)
+                        rest -= block
+                    if blk not in od:
+                        # a fill evicted the walked block (a one-line
+                        # set): the words after j miss again
+                        w = j + 1
+                        if w <= w_hi:
+                            v = None
+                            continue
+                    elif lru and j < w_hi:
+                        od.move_to_end(blk)  # the hits after the last miss
+                    resume = blk + 1 + skip
                 break
-            blk += 1
             w = 0
         clean = misses == run_misses
 

@@ -725,7 +725,9 @@ def check_ecache_sweep(trace_length: int) -> List[str]:
 
 def check_trace_replay_equivalence(trace_length: int) -> List[str]:
     """Trace replay: Table 1 replays to the live ordering (and the live
-    numbers, exactly), and the Icache replay model matches the live cache."""
+    numbers, exactly), and the Icache replay model matches the live cache
+    on every distinct organization of the traced sweep."""
+    import dataclasses
     import tempfile
 
     import numpy as np
@@ -733,6 +735,7 @@ def check_trace_replay_equivalence(trace_length: int) -> List[str]:
     from repro.analysis.branch_schemes import table1
     from repro.analysis.trace_replay import table1_traced
     from repro.core.config import IcacheConfig
+    from repro.harness.experiments import icache_grid
     from repro.icache import trace_sim
     from repro.icache.cache import simulate
     from repro.traces.store import TraceStore
@@ -763,16 +766,20 @@ def check_trace_replay_equivalence(trace_length: int) -> List[str]:
     trace = np.fromiter(
         paper_regime_program().instruction_trace(trace_length),
         dtype=np.int64, count=trace_length)
-    config = IcacheConfig()  # the paper organization
-    live_stats = simulate(config, trace.tolist())
-    replay_stats = trace_sim.replay(config, trace)
-    if (live_stats.misses, live_stats.words_filled,
-            live_stats.tag_allocations) != (
-            replay_stats.misses, replay_stats.words_filled,
-            replay_stats.tag_allocations):
-        failures.append(
-            f"trace replay: Icache replay diverges from the live cache "
-            f"(live {live_stats}, replay {replay_stats})")
+    addresses = trace.tolist()
+    seen = set()
+    for org_id, params in icache_grid():
+        config = IcacheConfig(**params)
+        key = dataclasses.astuple(config)
+        if key in seen:
+            continue
+        seen.add(key)
+        live_stats = simulate(config, addresses)
+        replay_stats = trace_sim.replay(config, trace)
+        if live_stats != replay_stats:
+            failures.append(
+                f"trace replay: {org_id} Icache replay diverges from the "
+                f"live cache (live {live_stats}, replay {replay_stats})")
     return failures
 
 
@@ -781,7 +788,7 @@ CHECKS: List[Tuple[str, Callable[[int], List[str]]]] = [
     ("E4 fetch-back miss-ratio halving", check_fetchback_ratio),
     ("E5 service time beats miss ratio", check_service_time),
     ("E15 Ecache size sweep", check_ecache_sweep),
-    ("Trace-replay equivalence (Table 1 + Icache)",
+    ("Trace-replay equivalence (Table 1 + Icache grid)",
      check_trace_replay_equivalence),
 ]
 

@@ -258,6 +258,17 @@ class TestExperimentGrids:
         for job in jobs:
             assert callable(resolve(job.fn))
 
+    def test_cpi_points_are_submitted_longest_first(self):
+        from repro.harness.experiments import CPI_LONGEST_FIRST
+        from repro.workloads import LISP_SUITE, PASCAL_SUITE
+
+        assert sorted(CPI_LONGEST_FIRST) == sorted(PASCAL_SUITE + LISP_SUITE)
+        quick = [j.id for j in default_jobs(quick=True)]
+        assert quick[:3] == ["cpi/queens", "cpi/towers", "cpi/perm"]
+        full = [j.id for j in default_jobs(quick=False)]
+        assert full[:len(CPI_LONGEST_FIRST)] == [
+            f"cpi/{name}" for name in CPI_LONGEST_FIRST]
+
     def test_quick_grid_is_a_subset(self):
         quick = {j.id for j in default_jobs(quick=True)}
         full = {j.id for j in default_jobs(quick=False)}

@@ -5,7 +5,9 @@ replay models are *bit-exact* against the live simulators; these tests
 pin that down three ways:
 
 * randomized (hypothesis) address streams through the Icache and Ecache
-  replay models vs. the live caches, across organizations and policies;
+  replay models vs. the live caches, across organizations and policies,
+  and stride-1 loop streams -- the runs the Icache replay resolves a
+  portion at a time -- down to one-line sets;
 * real pipeline-captured streams: a workload runs on the cycle-accurate
   machine with a :class:`TraceCollector` attached and the recorded
   streams replay to the machine's own cache statistics;
@@ -39,14 +41,23 @@ geometries = st.sampled_from([
     (4, 2, 1),    # single-word blocks (the replay fast path)
 ])
 
+#: stride-1 loops (base, length, trips), back to back: random addresses
+#: almost never form the runs the replay resolves a portion at a time
+loop_traces = st.lists(
+    st.tuples(st.integers(0, 600), st.integers(1, 48), st.integers(1, 4)),
+    min_size=1, max_size=12,
+).map(lambda loops: [address for base, length, trips in loops
+                     for _ in range(trips)
+                     for address in range(base, base + length)])
+
 
 class TestIcacheReplayEquivalence:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(geometry=geometries,
            fetchback=st.integers(0, 4),
            policy=st.sampled_from(["lru", "fifo", "random"]),
            addresses=st.lists(st.integers(0, 4095),
-                              min_size=1, max_size=400))
+                              min_size=1, max_size=400) | loop_traces)
     def test_replay_matches_live_simulation(self, geometry, fetchback,
                                             policy, addresses):
         sets, ways, block = geometry
@@ -68,6 +79,37 @@ class TestIcacheReplayEquivalence:
         replayed = icache_sim.replay(
             config, np.asarray(looped, dtype=np.int64))
         assert icache_signature(replayed) == icache_signature(live)
+
+    # One-line sets, where a fetch-back spill can evict the block being
+    # walked, and one-word blocks with fetch-back past the set count,
+    # where the replay cannot step over the fetched-back words.
+    @pytest.mark.parametrize("geometry", [(1, 1, 16), (1, 1, 1), (2, 1, 1)])
+    @pytest.mark.parametrize("fetchback", range(5))
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+    @settings(max_examples=8, deadline=None)
+    @given(addresses=loop_traces)
+    def test_one_line_sets_match_live_simulation(self, geometry, fetchback,
+                                                 policy, addresses):
+        sets, ways, block = geometry
+        config = IcacheConfig(sets=sets, ways=ways, block_words=block,
+                              fetchback=fetchback, replacement=policy)
+        replayed = icache_sim.replay(
+            config, np.asarray(addresses, dtype=np.int64))
+        assert (icache_signature(replayed)
+                == icache_signature(simulate(config, addresses)))
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+    def test_hits_after_a_spill_touch_the_walked_block(self, policy):
+        # Word 2's miss fetches words 2-4, spilling into block 1 of the
+        # same set; the hit on word 3 then makes block 0 most recent
+        # again under LRU, so block 2 evicts block 1 and word 2 still hits.
+        config = IcacheConfig(sets=1, ways=2, block_words=4, fetchback=3,
+                              replacement=policy)
+        addresses = [2, 3, 8, 2]
+        replayed = icache_sim.replay(
+            config, np.asarray(addresses, dtype=np.int64))
+        assert (icache_signature(replayed)
+                == icache_signature(simulate(config, addresses)))
 
     def test_empty_trace(self):
         stats = icache_sim.replay(IcacheConfig(),
@@ -178,20 +220,21 @@ class TestTracedSweepsMatchLivePoints:
     def test_icache_sweep_row_matches_live_point(self, tmp_path):
         from repro.harness.experiments import (
             icache_organization_point,
+            sweep_jobs,
             traced_icache_sweep,
         )
 
         outcome = traced_icache_sweep(quick=True,
                                       store=TraceStore(root=tmp_path))
         rows = {row["id"]: row for row in outcome["rows"]}
-        # fetchback-2 is the paper organization under its live job id
-        row = rows["icache/fetchback-2"]
-        live = icache_organization_point(sets=4, ways=8, block_words=16,
-                                         trace_length=60_000)
-        assert row["miss_ratio"] == live["miss_ratio"]
-        assert row["fetch_cost"] == pytest.approx(live["fetch_cost"])
-        # the fetch-back satellite jobs ride along under live job ids
-        assert {f"icache/fetchback-{fb}" for fb in (1, 2, 3, 4)} <= set(rows)
+        # every row, the fetch-back study included, under its live job id
+        live_jobs = sweep_jobs("icache-organizations", quick=True)
+        assert [job.id for job in live_jobs] == list(rows)
+        for job in live_jobs:
+            live = icache_organization_point(**job.params)
+            row = rows[job.id]
+            assert row["miss_ratio"] == live["miss_ratio"], job.id
+            assert row["fetch_cost"] == pytest.approx(live["fetch_cost"])
 
     def test_ecache_sweep_row_matches_live_point(self, tmp_path):
         from repro.harness.experiments import (
