@@ -1,4 +1,4 @@
-"""The ``repro checkpoint`` campaign: the standing recovery gates.
+"""The checkpoint campaign: restore equivalence, chaos resume, corruption.
 
 Three sections, each a falsifiable claim about the checkpoint layer:
 
@@ -20,9 +20,9 @@ Three sections, each a falsifiable claim about the checkpoint layer:
   named error, and ``load_latest`` must fall back to the older good
   generation (never load garbage).
 
-Exit semantics follow the other campaigns: 0 = all gates green,
-2 = a gate found a real divergence/recovery failure, 1 = the harness
-itself misbehaved (a job died in an unclassified way).
+Verdict (:func:`gate`): a divergence or recovery failure in any section
+is a *finding*; a job that died in an unclassified way is a *harness*
+failure.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import MachineConfig
 from repro.core.processor import Machine
-from repro.harness.bench import REPO_ROOT, write_json_atomic
+from repro.harness.campaign import (FINDING, HARNESS, REPO_ROOT, Failure,
+                                    add_runner_arguments, write_json_atomic)
 from repro.harness.runner import Job, Runner
 from repro.checkpoint.run import CheckpointStats, run_with_checkpoints
 from repro.checkpoint.state import (
@@ -479,17 +480,82 @@ def run_campaign(fuzz_seeds: int = 50,
     return payload
 
 
-def exit_code(payload: Dict[str, Any]) -> int:
-    """Map a campaign report to the documented exit taxonomy."""
-    if (payload["equivalence"]["diverged"]
-            or payload["chaos"]["diverged"]
-            or payload["chaos"]["resumes"] == 0
-            or not payload["corruption"]["ok"]):
-        return 2
-    if (payload["equivalence"]["harness_failures"]
-            or payload["chaos"]["harness_failures"]):
-        return 1
-    return 0
+def add_arguments(parser) -> None:
+    """The checkpoint campaign's description and options."""
+    parser.description = (
+        "Run the standing crash-recovery gates: snapshot mid-run + "
+        "restore + finish must be bit-identical to an uninterrupted run "
+        "(workloads, a 4-node multiprocessor, and fuzz seeds; JIT off "
+        "and on); SIGKILLed checkpointed workers must resume from their "
+        "last snapshot and merge byte-identical; corrupted/truncated/"
+        "mis-versioned snapshots must be rejected with named errors and "
+        "fall back a generation.  A finding is a failed recovery gate.")
+    parser.add_argument("--fuzz-seeds", type=int, default=50,
+                        help="fuzz seeds in the equivalence gate "
+                             "(default 50)")
+    parser.add_argument("--quick", action="store_true",
+                        help="few fuzz seeds (CI smoke)")
+    add_runner_arguments(parser)
+
+
+def run(args) -> Dict[str, Any]:
+    """Run the three gates from parsed command-line options."""
+    return run_campaign(fuzz_seeds=args.fuzz_seeds, workers=args.workers,
+                        parallel=not args.serial, quick=args.quick,
+                        output=args.output)
+
+
+def gate(payload: Dict[str, Any]) -> List[Failure]:
+    """The campaign's verdict over its three sections.
+
+    * **equivalence** -- every restore-equivalence case bit-identical;
+    * **chaos** -- no diverged merges, and at least one job *provably
+      resumed* from a snapshot (``resumes > 0``: a chaos gate where
+      nothing ever resumes tests nothing);
+    * **corruption** -- every tamper case rejected with its named error
+      and fallen back to a good generation.
+    """
+    missing = [section for section in ("equivalence", "chaos", "corruption")
+               if not isinstance(payload.get(section), dict)]
+    if missing:
+        return [Failure(HARNESS, f"section '{section}' is missing or not "
+                                 "an object (partial or interrupted "
+                                 "campaign?)") for section in missing]
+    failures = []
+    equivalence = payload["equivalence"]
+    if equivalence.get("diverged"):
+        failures.append(Failure(
+            FINDING, f"{equivalence['diverged']} restore-equivalence "
+                     "case(s) diverged from the straight run (see the "
+                     "report's 'equivalence.failures')"))
+    if equivalence.get("harness_failures"):
+        failures.append(Failure(
+            HARNESS, f"{equivalence['harness_failures']} equivalence "
+                     "job(s) failed in the harness"))
+    chaos = payload["chaos"]
+    if not chaos.get("resumes"):
+        failures.append(Failure(
+            FINDING, "chaos gate recorded zero resumes -- no killed job "
+                     "provably restarted from a snapshot"))
+    if chaos.get("diverged"):
+        failures.append(Failure(
+            FINDING, f"{chaos['diverged']} chaos job(s) merged results "
+                     "that differ from the serial uninterrupted reference"))
+    if chaos.get("harness_failures"):
+        failures.append(Failure(
+            HARNESS, f"{chaos['harness_failures']} chaos job(s) failed in "
+                     "the harness"))
+    cases = payload["corruption"].get("cases")
+    if not isinstance(cases, list) or not cases:
+        failures.append(Failure(HARNESS, "section 'corruption' has no "
+                                         "cases"))
+    else:
+        for case in cases:
+            if case.get("status") != "ok":
+                failures.append(Failure(
+                    FINDING, f"corruption case '{case.get('case')}' ended "
+                             f"'{case.get('status')}' ({case.get('error')})"))
+    return failures
 
 
 def format_summary(payload: Dict[str, Any]) -> str:

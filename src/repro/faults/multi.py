@@ -24,23 +24,23 @@ seeded mid-run injection into a seeded victim node -- and then asserts
 Only ``psieve`` and ``pintmm`` participate: ``pring``'s Peterson lock
 state (``pturn``) finishes at a timing-dependent value by design, so its
 memory image is not comparable across timing perturbations.
+
+``repro campaign faults --multi-nodes N`` runs this grid through the one
+faults driver (:func:`repro.faults.campaign.run_campaign`) and writes
+``FAULTS_multi.json``.
 """
 
 from __future__ import annotations
 
-import pathlib
 import random
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.config import MachineConfig
 from repro.faults.plan import WARMUP_CYCLES
-from repro.harness.bench import REPO_ROOT, write_json_atomic
-from repro.harness.runner import Job, JobResult, Runner
+from repro.harness.runner import Job
 from repro.lang.codegen import NODE_STACK_WORDS, STACK_TOP
 from repro.multi.system import MultiMachine
 from repro.workloads.parallel import QUICK_SIZES, parallel_program
-
-DEFAULT_MULTI_REPORT = REPO_ROOT / "FAULTS_multi.json"
 
 #: node-level fault classes: which timing structure of the victim node
 #: gets corrupted mid-run
@@ -200,105 +200,3 @@ def multi_campaign_jobs(seeds: int, nodes: int = DEFAULT_NODES,
             timeout=timeout,
             sweep="faults-multi"))
     return jobs
-
-
-def _aggregate(results: List[JobResult]) -> Dict[str, Any]:
-    per_class: Dict[str, Dict[str, Any]] = {}
-    for fault_class in MULTI_FAULT_CLASSES:
-        per_class[fault_class] = {
-            "runs": 0, "absorbed": 0, "not_triggered": 0, "violated": 0,
-            "max_inflation": 0, "violations": [],
-        }
-    for result in results:
-        if not result.ok or not isinstance(result.value, dict):
-            continue
-        verdict = result.value
-        row = per_class[verdict["fault_class"]]
-        row["runs"] += 1
-        row[verdict["status"].replace("-", "_")] += 1
-        row["max_inflation"] = max(row["max_inflation"],
-                                   verdict["inflation"])
-        for violation in verdict["violations"]:
-            row["violations"].append(
-                {"seed": verdict["seed"],
-                 "workload": verdict["workload"],
-                 "victim": verdict["victim"], **violation})
-    return {name: row for name, row in per_class.items() if row["runs"]}
-
-
-def run_multi_campaign(seeds: int = 16,
-                       nodes: int = DEFAULT_NODES,
-                       workers: Optional[int] = None,
-                       quick: bool = False,
-                       parallel: bool = True,
-                       output: Optional[pathlib.Path] = None
-                       ) -> Dict[str, Any]:
-    """Fan the node-fault grid across the Runner; persist the report.
-
-    Same exit taxonomy as the single-node campaign: an ``unhandled`` job
-    is a harness/model crash; a classified violation is a finding.
-    """
-    jobs = multi_campaign_jobs(seeds, nodes=nodes, quick=quick)
-    runner = Runner(max_workers=workers, default_timeout=JOB_TIMEOUT)
-    results = runner.run(jobs, parallel=parallel)
-
-    unhandled = {r.job_id: (r.error or r.status) for r in results
-                 if not r.ok}
-    classes = _aggregate(results)
-    payload: Dict[str, Any] = {
-        "schema": 1,
-        "seeds": seeds,
-        "nodes": nodes,
-        "quick": quick,
-        "summary": {
-            "runs": sum(row["runs"] for row in classes.values()),
-            "absorbed": sum(row["absorbed"] for row in classes.values()),
-            "not_triggered": sum(row["not_triggered"]
-                                 for row in classes.values()),
-            "violated": sum(row["violated"] for row in classes.values()),
-            "unhandled_jobs": len(unhandled),
-        },
-        "classes": classes,
-        "harness": {
-            r.job_id: {
-                "status": r.status,
-                "attempts": r.attempts,
-                "duration_s": round(r.duration, 4),
-            }
-            for r in results
-        },
-    }
-    if unhandled:
-        payload["unhandled"] = unhandled
-    path = pathlib.Path(output) if output else DEFAULT_MULTI_REPORT
-    write_json_atomic(path, payload)
-    payload["report_path"] = str(path)
-    return payload
-
-
-def format_summary(payload: Dict[str, Any]) -> str:
-    """Human-readable one-screen summary of a node-fault report."""
-    summary = payload["summary"]
-    lines = [
-        f"node faults       {summary['runs']} runs on "
-        f"{payload['nodes']}-node systems ({payload['seeds']} seeds"
-        + (", quick" if payload.get("quick") else "") + ")",
-        f"  absorbed        {summary['absorbed']}",
-        f"  not triggered   {summary['not_triggered']}",
-        f"  violations      {summary['violated']}",
-        f"  harness         {summary['unhandled_jobs']} unhandled",
-    ]
-    for name, row in sorted(payload["classes"].items()):
-        lines.append(
-            f"  {name:<18} {row['runs']:>4} runs, "
-            f"{row['absorbed']} absorbed, {row['not_triggered']} quiet, "
-            f"{row['violated']} violated, "
-            f"max inflation {row['max_inflation']}")
-    for name, row in sorted(payload["classes"].items()):
-        for violation in row["violations"][:10]:
-            lines.append(
-                f"  ! {name} seed {violation['seed']} "
-                f"({violation['workload']}, victim node "
-                f"{violation['victim']}): [{violation['kind']}] "
-                f"{violation['detail']}")
-    return "\n".join(lines)

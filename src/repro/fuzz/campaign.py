@@ -1,8 +1,8 @@
-"""The ``repro fuzz`` campaign driver.
+"""The fuzz campaign: seeded programs cross-checked across the models.
 
 Fans seeded generate->check->shrink jobs across the hardened parallel
 :class:`repro.harness.runner.Runner` (same timeout/retry/chaos machinery
-as ``repro faults``), aggregates a deterministic report, and writes it
+as the faults campaign), aggregates a deterministic report, and writes it
 atomically to ``FUZZ_campaign.json`` at the repo root.
 
 Campaigns are **resumable**: every finished job is appended to a JSONL
@@ -18,13 +18,14 @@ campaign, not a resume).
 and submission stops once the budget is spent (finished work is already
 journaled, so the next invocation picks up where this one stopped).
 
-Exit semantics (used by the CLI): **0** all models agree, **1** a job
-died in the harness (error/timeout/crashed -- infrastructure, not a
-finding), **2** the oracle observed a real, unexplained divergence.
-Divergences produced by a planted ``--mutate`` bug are self-test
-findings, not real ones; they are reported but exit 0 -- and inversely,
-a completed mutation campaign that caught *nothing* exits 2, because
-the oracle just missed a bug it was planted to find.
+Verdict (:func:`gate`): an unexplained model divergence is a
+*finding*; a job that died in the harness (error/timeout/crashed --
+infrastructure, not a finding) is a *harness* failure; a campaign the
+budget stopped is *incomplete*.  Divergences produced by a planted
+``--mutate`` bug are self-test findings, not real ones; they are
+reported but pass -- and inversely, a completed mutation campaign that
+caught *nothing* is a finding, because the oracle just missed a bug it
+was planted to find.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.fuzz.gen import GenConfig, generate_program
 from repro.fuzz.oracle import PAIR_GOLDEN_PIPELINE, check_all
 from repro.fuzz.shrink import count_instructions, shrink
-from repro.harness.bench import REPO_ROOT, write_json_atomic
+from repro.harness.campaign import (FINDING, HARNESS, INCOMPLETE, REPO_ROOT,
+                                    Failure, add_runner_arguments,
+                                    write_json_atomic)
 from repro.harness.runner import ChaosMonkey, Job, Runner
 
 DEFAULT_REPORT = REPO_ROOT / "FUZZ_campaign.json"
@@ -48,6 +51,9 @@ DEFAULT_REPORT = REPO_ROOT / "FUZZ_campaign.json"
 JOB_TIMEOUT = 120.0
 
 MODES = ("isa", "lang", "os")
+
+#: keys a complete report's ``totals`` section carries
+TOTALS_KEYS = ("jobs", "completed", "ok", "diverged", "harness_failures")
 
 
 # ------------------------------------------------------------------ worker
@@ -282,7 +288,7 @@ def run_campaign(seeds: int = 50,
             shrunk = dataclasses.replace(
                 base, source=divergence["shrunk_source"])
             corpus_mod.write_entry(shrunk, report, corpus_dir=corpus_dir,
-                                   note="auto-filed by repro fuzz")
+                                   note="auto-filed by repro campaign fuzz")
 
     payload["report_path"] = str(output)
     payload["journal_path"] = str(journal_file)
@@ -290,18 +296,96 @@ def run_campaign(seeds: int = 50,
     return payload
 
 
-def exit_code(payload: Dict[str, Any]) -> int:
-    """Map a campaign report to the documented exit taxonomy."""
-    if payload["config"].get("mutation"):
-        # self-test: divergences are *expected*; a completed campaign
-        # that caught nothing means the oracle missed the planted bug
-        if payload.get("complete") and not payload["totals"]["diverged"]:
-            return 2
-    elif payload["totals"]["diverged"]:
-        return 2
-    if payload["totals"]["harness_failures"]:
-        return 1
-    return 0
+def add_arguments(parser) -> None:
+    """The fuzz campaign's description and options."""
+    parser.description = (
+        "Generate seeded random programs (ISA instruction sequences, SPL "
+        "sources, and OS-mode trap/interrupt programs), run each on the "
+        "golden simulator (naive code) and the pipeline (reorganized "
+        "code), replay the captured cache streams through the trace "
+        "models, and compare everything observable; os-mode programs "
+        "instead cross-check the interpreter, the JIT, and a "
+        "checkpoint/restore run cycle-exactly.  Divergent programs are "
+        "auto-shrunk to a minimal repro and filed under fuzz_corpus/.  "
+        "Campaigns journal every finished seed and resume from the "
+        "journal when rerun.  A finding is an unexplained model "
+        "divergence.")
+    parser.add_argument("--seeds", type=int, default=50,
+                        help="seeds per mode (default 50)")
+    parser.add_argument("--modes", default=None, metavar="M[,M]",
+                        help="comma-separated modes: isa, lang, os "
+                             "(default all three)")
+    parser.add_argument("--quick", action="store_true",
+                        help="smaller generated programs (CI smoke)")
+    add_runner_arguments(parser)
+    parser.add_argument("--max-seconds", type=float, default=None,
+                        help="wall-clock budget; finished seeds are "
+                             "journaled, rerun the same command to resume")
+    parser.add_argument("--chaos", type=float, default=0.0, metavar="RATE",
+                        help="kill this fraction of first-attempt workers "
+                             "mid-job (chaos test of the runner)")
+    parser.add_argument("--chaos-seed", type=int, default=0,
+                        help="seed for the chaos kill selection")
+    parser.add_argument("--mutate", default=None, metavar="NAME",
+                        help="dev-only: plant a known golden-model bug "
+                             "(see repro.fuzz.mutation); divergences are "
+                             "then expected and do not fail the campaign")
+    parser.add_argument("--corpus-dir", default=None, metavar="DIR",
+                        help="where to file shrunk repros (default: "
+                             "fuzz_corpus/ at the repo root)")
+    parser.add_argument("--no-corpus", action="store_true",
+                        help="do not file repros for divergences")
+
+
+def run(args) -> Dict[str, Any]:
+    """Run (or resume) the campaign from parsed command-line options."""
+    modes = tuple(args.modes.split(",")) if args.modes else MODES
+    return run_campaign(seeds=args.seeds, modes=modes, quick=args.quick,
+                        workers=args.workers, parallel=not args.serial,
+                        max_seconds=args.max_seconds,
+                        chaos_rate=args.chaos, chaos_seed=args.chaos_seed,
+                        mutation=args.mutate, output=args.output,
+                        corpus_dir=args.corpus_dir,
+                        write_corpus=not args.no_corpus)
+
+
+def gate(payload: Dict[str, Any]) -> List[Failure]:
+    """The campaign's verdict: structure, completeness, and a clean
+    (or, under ``--mutate``, a self-test-passing) oracle."""
+    totals = payload.get("totals")
+    if not isinstance(totals, dict):
+        return [Failure(HARNESS, "section 'totals' is missing or not an "
+                                 "object (partial or interrupted "
+                                 "campaign?)")]
+    missing = [key for key in TOTALS_KEYS if key not in totals]
+    if missing:
+        return [Failure(HARNESS, f"section 'totals' is missing key "
+                                 f"'{key}'") for key in missing]
+    failures = []
+    complete = payload.get("complete", False)
+    if not complete:
+        failures.append(Failure(
+            INCOMPLETE, f"campaign incomplete ({totals['completed']}/"
+                        f"{totals['jobs']} jobs; resume it by rerunning "
+                        "the same `repro campaign fuzz` command)"))
+    mutation = payload.get("config", {}).get("mutation")
+    if totals["diverged"] and not mutation:
+        failures.append(Failure(
+            FINDING, f"{totals['diverged']} unexplained model "
+                     "divergence(s) recorded (see the report's "
+                     "'divergences'; shrunk repros go to fuzz_corpus/)"))
+    if mutation and complete and not totals["diverged"]:
+        failures.append(Failure(
+            FINDING, f"planted mutation {mutation!r} was not caught -- "
+                     "the oracle failed its self-test"))
+    if totals["harness_failures"]:
+        failures.append(Failure(
+            HARNESS, f"{totals['harness_failures']} campaign job(s) "
+                     "failed in the harness (see the report's 'harness')"))
+    if not isinstance(payload.get("divergences"), list):
+        failures.append(Failure(HARNESS, "section 'divergences' is "
+                                         "missing or not a list"))
+    return failures
 
 
 def format_summary(payload: Dict[str, Any]) -> str:

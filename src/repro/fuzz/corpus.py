@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.fuzz.gen import GeneratedProgram
 from repro.fuzz.oracle import DivergenceReport
-from repro.harness.bench import REPO_ROOT, write_json_atomic
+from repro.harness.campaign import REPO_ROOT, write_json_atomic
 
 DEFAULT_CORPUS = REPO_ROOT / "fuzz_corpus"
 

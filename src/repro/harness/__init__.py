@@ -12,7 +12,10 @@ those points in parallel:
   functions and the sweep grids built from them;
 * :mod:`repro.harness.bench` -- benchmark telemetry: core ``cycles/sec``
   and sweep wall-clock, persisted to ``BENCH_pipeline.json`` at the repo
-  root so every PR leaves a perf trajectory.
+  root so every PR leaves a perf trajectory;
+* :mod:`repro.harness.campaign` -- the contract, registry and exit rule
+  of the standing campaigns behind ``repro campaign <name>``, one of
+  which, :mod:`repro.harness.devices`, boots the kernel-lite demos.
 """
 
 from repro.harness.experiments import (EXPERIMENT_SWEEPS, default_jobs,

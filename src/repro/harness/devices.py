@@ -1,7 +1,7 @@
-"""The devices gate: boot every kernel-lite demo three ways and compare.
+"""The devices campaign: boot every kernel-lite demo three ways and compare.
 
-Standing CI gate for the software stack of ROADMAP item 5 (see
-``docs/SOFTWARE.md``): each demo in
+Standing gate for the software stack (see ``docs/SOFTWARE.md``): each
+demo in
 :data:`repro.workloads.kernel.KERNEL_DEMOS` must
 
 * **boot clean** -- the interpretive run halts and its UART transmit
@@ -14,10 +14,9 @@ Standing CI gate for the software stack of ROADMAP item 5 (see
   (quiescent drain, JSON round-trip, restore into a fresh machine) and
   finishes; log and counters must match the straight run bit-for-bit.
 
-:func:`run_devices_gate` writes the ``DEVICES_results.json`` report the
-``repro devices`` CLI command and the ``check_results.py --devices``
-gate consume.  Exit taxonomy (shared with the other campaigns): 0 =
-every demo held, 1 = harness failure, 2 = a comparison failed.
+:func:`run_devices_gate` writes the ``DEVICES_results.json`` report;
+:func:`gate` is its verdict: a failed comparison is a *finding*, a demo
+that raised is a *harness* failure.
 """
 
 from __future__ import annotations
@@ -29,6 +28,8 @@ import random
 from typing import Any, Dict, List, Optional
 
 from repro.core import Machine, perfect_memory_config
+from repro.harness.campaign import (FINDING, HARNESS, REPO_ROOT, Failure,
+                                    write_json_atomic)
 from repro.workloads.kernel import (KERNEL_DEMOS, KernelRun,
                                     build_kernel_program, run_kernel_demo)
 
@@ -38,6 +39,12 @@ QUICK_DEMOS = ("kernel-echo", "kernel-pipeline")
 
 #: demo boot budget (the longest demo, kernel-slice, runs ~1.4M cycles)
 MAX_CYCLES = 2_000_000
+
+DEFAULT_REPORT = REPO_ROOT / "DEVICES_results.json"
+
+#: keys every demo row must carry
+ROW_KEYS = ("uart_log", "cycles", "interrupts", "expected_ok", "halted",
+            "jit", "checkpoint", "ok")
 
 
 def _signature(run: KernelRun) -> Dict[str, Any]:
@@ -141,22 +148,90 @@ def run_devices_gate(quick: bool = False,
             "harness_failures": harness_failures,
         },
     }
-    path = pathlib.Path(output) if output else pathlib.Path(
-        "DEVICES_results.json")
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path = pathlib.Path(output) if output else DEFAULT_REPORT
+    write_json_atomic(path, payload)
     payload["report_path"] = str(path)
     return payload
 
 
-def exit_code(payload: Dict[str, Any]) -> int:
-    """Map a gate payload to the shared campaign exit taxonomy."""
-    summary = payload["summary"]
-    if summary["harness_failures"]:
-        return 1
-    if summary["failed"] or summary["ok"] != summary["demos"]:
-        return 2
-    return 0
+def add_arguments(parser) -> None:
+    """The devices campaign's description and options."""
+    parser.description = (
+        "Boot each kernel-lite demo (see docs/SOFTWARE.md) three ways and "
+        "compare: the UART boot log must match its pinned golden log "
+        "with interrupts delivered, the JIT run must be bit-exact (log, "
+        "cycles, instructions) with blocks compiled, and a mid-boot "
+        "snapshot/restore must finish bit-identical to the straight "
+        "run.  A finding is a failed comparison.")
+    parser.add_argument("--quick", action="store_true",
+                        help="skip the long timer-sliced demo (CI smoke)")
+
+
+def run(args) -> Dict[str, Any]:
+    """Run the gate from parsed command-line options."""
+    return run_devices_gate(quick=args.quick, output=args.output)
+
+
+def gate(payload: Dict[str, Any]) -> List[Failure]:
+    """The campaign's verdict, per demo.
+
+    * **boot** -- the demo halted and its UART log equals the pinned
+      golden log, with at least one delivered interrupt (a boot that
+      never preempts tests nothing);
+    * **jit** -- the translated-fast-path run was bit-exact (log,
+      cycles, instructions) and compiled at least one block;
+    * **checkpoint** -- the mid-boot snapshot/restore run finished
+      bit-identical to the straight run.
+    """
+    demos = payload.get("demos")
+    summary = payload.get("summary")
+    failures = []
+    if not isinstance(demos, dict) or not demos:
+        failures.append(Failure(HARNESS, "section 'demos' is missing or "
+                                         "empty (partial or interrupted "
+                                         "gate run?)"))
+    if not isinstance(summary, dict):
+        failures.append(Failure(HARNESS, "section 'summary' is missing or "
+                                         "not an object"))
+    if failures:
+        return failures
+    for failure in summary.get("harness_failures", []):
+        failures.append(Failure(HARNESS, f"harness failure: {failure}"))
+    for name, row in sorted(demos.items()):
+        if not isinstance(row, dict):
+            failures.append(Failure(HARNESS, f"demo '{name}' row is not "
+                                             "an object"))
+            continue
+        missing = [key for key in ROW_KEYS if key not in row]
+        if missing:
+            failures.append(Failure(HARNESS, f"demo '{name}' is missing "
+                                             f"{missing}"))
+            continue
+        if not row["halted"]:
+            failures.append(Failure(FINDING, f"demo '{name}' did not halt"))
+        if not row["expected_ok"]:
+            failures.append(Failure(
+                FINDING, f"demo '{name}' boot log differs from its pinned "
+                         f"golden log (got {row['uart_log']!r})"))
+        if not row["interrupts"]:
+            failures.append(Failure(
+                FINDING, f"demo '{name}' delivered zero interrupts "
+                         "(nothing was preempted)"))
+        jit = row["jit"]
+        if not jit.get("ok"):
+            failures.append(Failure(
+                FINDING, f"demo '{name}' diverged under the translated "
+                         "fast path"))
+        if not jit.get("blocks_compiled"):
+            failures.append(Failure(
+                FINDING, f"demo '{name}' compiled no blocks under the JIT "
+                         "(fast path never engaged)"))
+        if not row["checkpoint"].get("ok"):
+            failures.append(Failure(
+                FINDING, f"demo '{name}' diverged across checkpoint/"
+                         "restore (snapshot at cycle "
+                         f"{row['checkpoint'].get('snapshot_cycle')})"))
+    return failures
 
 
 def format_summary(payload: Dict[str, Any]) -> str:

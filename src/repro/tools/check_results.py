@@ -24,10 +24,7 @@ run, hand-edited payload) fails with a readable message instead of a
 ``KeyError`` traceback -- and, on a host that ran the sweep on two or
 more workers, fails when the parallel sweep was slower than the serial
 one (``sweep.speedup`` below :data:`SWEEP_SPEEDUP_FLOOR`).
-``--fuzz-file PATH`` does the same for a
-``FUZZ_campaign.json`` fuzzing report, additionally failing when the
-campaign itself recorded unexplained divergences or harness failures
-(so CI can gate on the artifact alone).  ``--metrics-file PATH`` audits
+``--metrics-file PATH`` audits
 an aggregated ``METRICS_summary.json`` (see :mod:`repro.telemetry`):
 counter-derived CPI must equal the analysis-module CPI for every
 workload, and the counter accounting identities must hold on each
@@ -41,33 +38,32 @@ the interpreter on every benchmarked workload and meet the speedup
 floors (:data:`JIT_SPEEDUP_FLOOR` aggregate,
 :data:`JIT_WORKLOAD_SPEEDUP_FLOOR` per workload).
 
+``--campaign NAME=PATH`` (repeatable) applies campaign NAME's own
+``gate`` -- the one ``repro campaign NAME`` applies after a run, see
+:mod:`repro.harness.campaign` -- to the report at PATH, and fails on
+every failure it returns, an incomplete campaign included.  Every
+report file is read by :func:`repro.harness.campaign.read_report`, so a
+missing, torn or non-object file fails with its path named.
+
 Usage::
 
     PYTHONPATH=src python -m repro.tools.check_results [--trace-length N]
-        [--bench-file BENCH_pipeline.json] [--fuzz-file FUZZ_campaign.json]
+        [--bench-file BENCH_pipeline.json]
         [--metrics-file METRICS_summary.json] [--multi BENCH_pipeline.json]
-        [--jit BENCH_pipeline.json] [--checkpoint CHECKPOINT_campaign.json]
-        [--devices DEVICES_results.json]
-
-``--checkpoint PATH`` validates a ``CHECKPOINT_campaign.json`` recovery
-report (see :mod:`repro.checkpoint.campaign`): every restore-equivalence
-case bit-identical, the chaos gate with at least one proven resume, and
-every snapshot-corruption case rejected with its named error.
-
-``--devices PATH`` validates a ``DEVICES_results.json`` software-stack
-gate report (see :mod:`repro.harness.devices`): every kernel-lite demo
-booted to its pinned golden UART log with interrupts delivered,
-bit-exact under the JIT (with blocks actually compiled), and
-bit-identical across a mid-boot checkpoint/restore.
+        [--jit BENCH_pipeline.json]
+        [--campaign fuzz=FUZZ_campaign.json] [--campaign NAME=PATH ...]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import pathlib
 import sys
 from typing import Callable, List, Tuple
+
+from repro.harness.campaign import CAMPAIGNS, ReportError, read_report
+from repro.harness.campaign import load as load_campaign
 
 DEFAULT_TRACE_LENGTH = 150_000
 
@@ -92,16 +88,10 @@ def check_bench_file(path: pathlib.Path) -> List[str]:
     a bare ``KeyError: 'sweep'``.  With ``host.workers >= 2`` a
     ``sweep.speedup`` below :data:`SWEEP_SPEEDUP_FLOOR` fails too.
     """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"bench file {path} does not exist (run `repro bench`)"]
     try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"bench file {path} is not valid JSON: {exc}"]
-    if not isinstance(payload, dict):
-        return [f"bench file {path}: top level must be an object, "
-                f"got {type(payload).__name__}"]
+        payload = read_report(path)
+    except ReportError as exc:
+        return [f"bench file {exc}"]
     failures = []
     for section, required_keys in BENCH_SECTIONS.items():
         if section not in payload:
@@ -163,14 +153,10 @@ def check_jit_section(path: pathlib.Path) -> List[str]:
     * **coverage sanity** -- blocks compiled and entries taken are
       non-zero (a jit that never fires "passes" equivalence trivially).
     """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"bench file {path} does not exist (run `repro bench`)"]
     try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"bench file {path} is not valid JSON: {exc}"]
-    section = payload.get("jit") if isinstance(payload, dict) else None
+        section = read_report(path).get("jit")
+    except ReportError as exc:
+        return [f"bench file {exc}"]
     if not isinstance(section, dict):
         return ["bench file: section 'jit' is missing "
                 "(run `repro bench` with the translated fast path built)"]
@@ -232,16 +218,10 @@ def check_metrics_file(path: pathlib.Path) -> List[str]:
     from repro.telemetry.metrics import (check_counter_consistency,
                                          derived_from_counters)
 
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"metrics file {path} does not exist (run `repro bench`)"]
     try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"metrics file {path} is not valid JSON: {exc}"]
-    if not isinstance(payload, dict):
-        return [f"metrics file {path}: top level must be an object, "
-                f"got {type(payload).__name__}"]
+        payload = read_report(path)
+    except ReportError as exc:
+        return [f"metrics file {exc}"]
     failures = []
     for key in METRICS_KEYS:
         if not isinstance(payload.get(key), dict):
@@ -321,18 +301,10 @@ def check_multi_file(path: pathlib.Path) -> List[str]:
       invalidation on) reaches 4 nodes, its speedup must clear
       :data:`MULTI_PSIEVE_N4_SPEEDUP`.
     """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"multi file {path} does not exist "
-                "(run `repro bench --multi`)"]
     try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"multi file {path} is not valid JSON: {exc}"]
-    if not isinstance(payload, dict):
-        return [f"multi file {path}: top level must be an object, "
-                f"got {type(payload).__name__}"]
-    multi = payload.get("multi")
+        multi = read_report(path).get("multi")
+    except ReportError as exc:
+        return [f"multi file {exc}"]
     if not isinstance(multi, dict):
         return ["multi file: section 'multi' is missing or not an object "
                 "(was the bench run started with --multi?)"]
@@ -418,218 +390,19 @@ def check_multi_file(path: pathlib.Path) -> List[str]:
     return failures
 
 
-#: keys a complete fuzz campaign report must carry
-FUZZ_TOTALS_KEYS = ("jobs", "completed", "ok", "diverged",
-                    "harness_failures")
+def check_campaign_file(name: str, path: pathlib.Path) -> List[str]:
+    """Apply campaign ``name``'s own ``gate`` to its report on disk.
 
-
-def check_fuzz_file(path: pathlib.Path) -> List[str]:
-    """Validate a ``FUZZ_campaign.json`` report and its verdict.
-
-    Structural problems read as named-section messages (like
-    :func:`check_bench_file`); a structurally sound report still fails
-    when the campaign is incomplete, diverged without a planted
-    mutation, or lost jobs to the harness.
+    Every failure the gate returns fails the check, an ``incomplete``
+    campaign included, each message prefixed with its kind (see
+    :mod:`repro.harness.campaign`).
     """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"fuzz file {path} does not exist (run `repro fuzz`)"]
     try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"fuzz file {path} is not valid JSON: {exc}"]
-    if not isinstance(payload, dict):
-        return [f"fuzz file {path}: top level must be an object, "
-                f"got {type(payload).__name__}"]
-    failures = []
-    totals = payload.get("totals")
-    if not isinstance(totals, dict):
-        failures.append("fuzz file: section 'totals' is missing or not "
-                        "an object (partial or interrupted campaign?)")
-        return failures
-    for key in FUZZ_TOTALS_KEYS:
-        if key not in totals:
-            failures.append(f"fuzz file: section 'totals' is missing "
-                            f"key '{key}'")
-    if failures:
-        return failures
-    if not payload.get("complete", False):
-        failures.append(
-            f"fuzz file: campaign incomplete "
-            f"({totals['completed']}/{totals['jobs']} jobs; resume it "
-            "by rerunning the same `repro fuzz` command)")
-    config = payload.get("config", {})
-    if totals["diverged"] and not config.get("mutation"):
-        failures.append(
-            f"fuzz file: {totals['diverged']} unexplained model "
-            "divergence(s) recorded (see the report's 'divergences')")
-    if (config.get("mutation") and payload.get("complete")
-            and not totals["diverged"]):
-        failures.append(
-            f"fuzz file: planted mutation {config['mutation']!r} was not "
-            "caught -- the oracle failed its self-test")
-    if totals["harness_failures"]:
-        failures.append(
-            f"fuzz file: {totals['harness_failures']} campaign job(s) "
-            "failed in the harness (see the report's 'harness')")
-    divergences = payload.get("divergences")
-    if not isinstance(divergences, list):
-        failures.append("fuzz file: section 'divergences' is missing or "
-                        "not a list")
-    return failures
-
-
-def check_checkpoint_file(path: pathlib.Path) -> List[str]:
-    """Validate a ``CHECKPOINT_campaign.json`` report and its verdict.
-
-    Structural problems read as named-section messages (like
-    :func:`check_bench_file`); a structurally sound report still fails
-    when any recovery gate failed:
-
-    * **equivalence** -- every restore-equivalence case bit-identical
-      (no divergences, no harness failures);
-    * **chaos** -- no diverged merges, no harness failures, and at
-      least one job *provably resumed* from a snapshot
-      (``resumes > 0``: a chaos gate where nothing ever resumes tests
-      nothing);
-    * **corruption** -- every tamper case rejected with its named error
-      and fallen back to a good generation.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"checkpoint file {path} does not exist "
-                "(run `repro checkpoint`)"]
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"checkpoint file {path} is not valid JSON: {exc}"]
-    if not isinstance(payload, dict):
-        return [f"checkpoint file {path}: top level must be an object, "
-                f"got {type(payload).__name__}"]
-    failures = []
-    for section in ("equivalence", "chaos", "corruption"):
-        if not isinstance(payload.get(section), dict):
-            failures.append(
-                f"checkpoint file: section '{section}' is missing or not "
-                "an object (partial or interrupted campaign?)")
-    if failures:
-        return failures
-    equivalence = payload["equivalence"]
-    if equivalence.get("diverged"):
-        failures.append(
-            f"checkpoint file: {equivalence['diverged']} restore-"
-            "equivalence case(s) diverged from the straight run "
-            "(see the report's 'equivalence.failures')")
-    if equivalence.get("harness_failures"):
-        failures.append(
-            f"checkpoint file: {equivalence['harness_failures']} "
-            "equivalence job(s) failed in the harness")
-    chaos = payload["chaos"]
-    if not chaos.get("resumes"):
-        failures.append(
-            "checkpoint file: chaos gate recorded zero resumes -- no "
-            "killed job provably restarted from a snapshot")
-    if chaos.get("diverged"):
-        failures.append(
-            f"checkpoint file: {chaos['diverged']} chaos job(s) merged "
-            "results that differ from the serial uninterrupted reference")
-    if chaos.get("harness_failures"):
-        failures.append(
-            f"checkpoint file: {chaos['harness_failures']} chaos job(s) "
-            "failed in the harness")
-    corruption = payload["corruption"]
-    cases = corruption.get("cases")
-    if not isinstance(cases, list) or not cases:
-        failures.append("checkpoint file: section 'corruption' has no "
-                        "cases")
-    else:
-        for case in cases:
-            if case.get("status") != "ok":
-                failures.append(
-                    f"checkpoint file: corruption case "
-                    f"'{case.get('case')}' ended '{case.get('status')}' "
-                    f"({case.get('error')})")
-    return failures
-
-
-#: keys every devices-gate demo row must carry
-DEVICES_ROW_KEYS = ("uart_log", "cycles", "interrupts", "expected_ok",
-                    "halted", "jit", "checkpoint", "ok")
-
-
-def check_devices_file(path: pathlib.Path) -> List[str]:
-    """Validate a ``DEVICES_results.json`` software-stack gate report.
-
-    Structural problems read as named-section messages (like
-    :func:`check_bench_file`).  A structurally sound report still
-    fails when any demo's gate did not hold:
-
-    * **boot** -- the demo halted and its UART log equals the pinned
-      golden log, with at least one delivered interrupt (a boot that
-      never preempts tests nothing);
-    * **jit** -- the translated-fast-path run was bit-exact (log,
-      cycles, instructions) and compiled at least one block;
-    * **checkpoint** -- the mid-boot snapshot/restore run finished
-      bit-identical to the straight run.
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [f"devices file {path} does not exist "
-                "(run `repro devices`)"]
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"devices file {path} is not valid JSON: {exc}"]
-    if not isinstance(payload, dict):
-        return [f"devices file {path}: top level must be an object, "
-                f"got {type(payload).__name__}"]
-    failures = []
-    demos = payload.get("demos")
-    summary = payload.get("summary")
-    if not isinstance(demos, dict) or not demos:
-        failures.append("devices file: section 'demos' is missing or "
-                        "empty (partial or interrupted gate run?)")
-    if not isinstance(summary, dict):
-        failures.append("devices file: section 'summary' is missing or "
-                        "not an object")
-    if failures:
-        return failures
-    for failure in summary.get("harness_failures", []):
-        failures.append(f"devices file: harness failure: {failure}")
-    for name, row in sorted(demos.items()):
-        if not isinstance(row, dict):
-            failures.append(f"devices file: demo '{name}' row is not an "
-                            "object")
-            continue
-        missing = [key for key in DEVICES_ROW_KEYS if key not in row]
-        if missing:
-            failures.append(f"devices file: demo '{name}' is missing "
-                            f"{missing}")
-            continue
-        if not row["halted"]:
-            failures.append(f"devices file: demo '{name}' did not halt")
-        if not row["expected_ok"]:
-            failures.append(
-                f"devices file: demo '{name}' boot log differs from its "
-                f"pinned golden log (got {row['uart_log']!r})")
-        if not row["interrupts"]:
-            failures.append(f"devices file: demo '{name}' delivered zero "
-                            "interrupts (nothing was preempted)")
-        jit = row["jit"]
-        if not jit.get("ok"):
-            failures.append(f"devices file: demo '{name}' diverged under "
-                            "the translated fast path")
-        if not jit.get("blocks_compiled"):
-            failures.append(f"devices file: demo '{name}' compiled no "
-                            "blocks under the JIT (fast path never "
-                            "engaged)")
-        ckpt = row["checkpoint"]
-        if not ckpt.get("ok"):
-            failures.append(
-                f"devices file: demo '{name}' diverged across "
-                f"checkpoint/restore (snapshot at cycle "
-                f"{ckpt.get('snapshot_cycle')})")
-    return failures
+        payload = read_report(path)
+    except ReportError as exc:
+        return [f"{name} report {exc}"]
+    return [f"{failure.kind}: {failure.message}"
+            for failure in load_campaign(name).gate(payload)]
 
 
 def check_table1_orderings(trace_length: int) -> List[str]:
@@ -793,6 +566,15 @@ CHECKS: List[Tuple[str, Callable[[int], List[str]]]] = [
 ]
 
 
+def _campaign_report(spec: str) -> Tuple[str, pathlib.Path]:
+    name, sep, path = spec.partition("=")
+    if not sep or name not in CAMPAIGNS or not path:
+        raise argparse.ArgumentTypeError(
+            f"expected NAME=PATH with NAME one of {', '.join(CAMPAIGNS)}, "
+            f"got {spec!r}")
+    return name, pathlib.Path(path)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="check_results",
@@ -805,11 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also validate the named sections of a bench "
                              "telemetry file (BENCH_pipeline.json) and its "
                              "sweep speedup floor")
-    parser.add_argument("--fuzz-file", type=pathlib.Path, default=None,
-                        metavar="PATH",
-                        help="also validate a fuzz campaign report "
-                             "(FUZZ_campaign.json): structure, "
-                             "completeness, and a clean verdict")
     parser.add_argument("--metrics-file", type=pathlib.Path, default=None,
                         metavar="PATH",
                         help="also audit an aggregated metrics summary "
@@ -827,78 +604,39 @@ def build_parser() -> argparse.ArgumentParser:
                              "telemetry file: self-checks, node-count "
                              "invariant results, speedup(N=1)==1.0, "
                              "monotone bus contention, psieve N=4 speedup")
-    parser.add_argument("--checkpoint", dest="checkpoint_file",
-                        type=pathlib.Path, default=None, metavar="PATH",
-                        help="also validate a checkpoint campaign report "
-                             "(CHECKPOINT_campaign.json): restore "
-                             "equivalence, chaos resumes > 0, and every "
-                             "corruption case rejected")
-    parser.add_argument("--devices", dest="devices_file",
-                        type=pathlib.Path, default=None, metavar="PATH",
-                        help="also validate a devices gate report "
-                             "(DEVICES_results.json): pinned boot logs, "
-                             "interrupts delivered, JIT bit-exact, "
-                             "checkpoint/restore bit-identical")
+    parser.add_argument("--campaign", type=_campaign_report,
+                        action="append", default=[], metavar="NAME=PATH",
+                        help="also apply campaign NAME's gate to its "
+                             "report at PATH (repeatable; NAME is one of "
+                             f"{', '.join(CAMPAIGNS)})")
     return parser
+
+
+#: (argument dest, title, gate) of each report file a flag names
+FILE_GATES: List[Tuple[str, str, Callable[[pathlib.Path], List[str]]]] = [
+    ("bench_file", "bench telemetry file structure", check_bench_file),
+    ("metrics_file", "metrics summary consistency", check_metrics_file),
+    ("jit_file", "translated fast path (jit) section", check_jit_section),
+    ("multi_file", "multiprocessor scaling section", check_multi_file),
+]
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
+    gates: List[Tuple[str, Callable[[], List[str]]]] = [
+        (title, functools.partial(check, getattr(args, dest)))
+        for dest, title, check in FILE_GATES
+        if getattr(args, dest) is not None]
+    gates += [(f"{name} campaign report ({path})",
+               functools.partial(check_campaign_file, name, path))
+              for name, path in args.campaign]
+    gates += [(title, functools.partial(check, args.trace_length))
+              for title, check in CHECKS]
     all_failures: List[str] = []
-    if args.bench_file is not None:
-        failures = check_bench_file(args.bench_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] bench telemetry file structure")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.metrics_file is not None:
-        failures = check_metrics_file(args.metrics_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] metrics summary consistency")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.fuzz_file is not None:
-        failures = check_fuzz_file(args.fuzz_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] fuzz campaign report")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.jit_file is not None:
-        failures = check_jit_section(args.jit_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] translated fast path (jit) section")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.multi_file is not None:
-        failures = check_multi_file(args.multi_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] multiprocessor scaling section")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.checkpoint_file is not None:
-        failures = check_checkpoint_file(args.checkpoint_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] checkpoint recovery gates")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    if args.devices_file is not None:
-        failures = check_devices_file(args.devices_file)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] devices gate report")
-        for failure in failures:
-            print(f"       - {failure}")
-        all_failures.extend(failures)
-    for name, check in CHECKS:
-        failures = check(args.trace_length)
-        status = "ok" if not failures else "FAIL"
-        print(f"[{status:>4}] {name}")
+    for title, run in gates:
+        failures = run()
+        print(f"[{'ok' if not failures else 'FAIL':>4}] {title}")
         for failure in failures:
             print(f"       - {failure}")
         all_failures.extend(failures)

@@ -9,14 +9,14 @@ Usage::
     python -m repro.tools.cli trace sieve [--output TRACE.json]
     python -m repro.tools.cli trace psieve --nodes 4 [--bus-latency L]
     python -m repro.tools.cli bench [--quick] [--workers N] [--multi]
-    python -m repro.tools.cli faults [--seeds N] [--quick] [--chaos R]
-    python -m repro.tools.cli faults --multi-nodes 4 [--seeds N] [--quick]
-    python -m repro.tools.cli fuzz [--seeds N] [--quick] [--max-seconds S]
     python -m repro.tools.cli run examples/boot.s --devices
-    python -m repro.tools.cli devices [--quick]
     python -m repro.tools.cli run program.s --checkpoint-every 100000
     python -m repro.tools.cli run program.s --resume --checkpoint-id ID
-    python -m repro.tools.cli checkpoint [--fuzz-seeds N] [--quick]
+    python -m repro.tools.cli campaign faults [--seeds N] [--quick] [--chaos R]
+    python -m repro.tools.cli campaign faults --multi-nodes 4 [--seeds N]
+    python -m repro.tools.cli campaign fuzz [--seeds N] [--quick] [--max-seconds S]
+    python -m repro.tools.cli campaign checkpoint [--fuzz-seeds N] [--quick]
+    python -m repro.tools.cli campaign devices [--quick]
 
 ``run`` executes assembly on the paper-configuration machine; ``compile``
 sends SPL source through the compiler + reorganizer; ``workload`` runs a
@@ -31,42 +31,39 @@ multiprocessor scaling sweep (nodes x bus latency x invalidation) as the
 payload's ``multi`` section.  ``trace --nodes N`` runs a parallel
 workload on an N-node :class:`~repro.multi.system.MultiMachine` and
 exports one Perfetto process per node so cross-node stall interleaving
-(including bus-wait spans) is visible on one timeline.  ``faults`` runs
-a seeded fault-injection campaign (see :mod:`repro.faults`) across the
-parallel runner and writes ``FAULTS_campaign.json``; ``faults
---multi-nodes N`` instead runs the node-level multiprocessor campaign
-(:mod:`repro.faults.multi`), writing ``FAULTS_multi.json``.  ``fuzz`` runs a seeded
-differential-fuzzing campaign (see :mod:`repro.fuzz`) cross-checking the
-golden, pipeline, and trace-replay models on generated programs, writing
-``FUZZ_campaign.json``.
+(including bus-wait spans) is visible on one timeline.
 
 ``run``/``compile``/``workload`` accept ``--devices`` to feed the
 canonical UART boot stimulus (:data:`repro.workloads.kernel.
 DEFAULT_BOOT_FEED`) into the machine's receive line and print the UART
 boot log plus the device counters after the run -- ``repro run
 examples/boot.s --devices`` boots the kernel-lite echo demo (see
-``docs/SOFTWARE.md``).  ``devices`` runs the standing software-stack
-gate (:mod:`repro.harness.devices`): every kernel-lite demo booted
-interpretive, under the JIT (bit-exact or fail), and across a mid-boot
-checkpoint/restore, written to ``DEVICES_results.json``.
+``docs/SOFTWARE.md``).  ``--checkpoint-every K`` snapshots the machine
+every K cycles into the content-addressed store under
+``.trace_cache/checkpoints/`` (see :mod:`repro.checkpoint`), and
+``--resume`` continues a crashed run from its latest valid snapshot
+(``--checkpoint-id`` names the ladder).
 
-``run``/``compile``/``workload`` accept ``--checkpoint-every K`` to
-snapshot the machine every K cycles into the content-addressed store
-under ``.trace_cache/checkpoints/`` (see :mod:`repro.checkpoint`), and
-``--resume`` to continue a crashed run from its latest valid snapshot
-(``--checkpoint-id`` names the ladder).  ``checkpoint`` runs the
-standing recovery gates -- restore equivalence, chaos resume, snapshot
-corruption -- and writes ``CHECKPOINT_campaign.json``.
+``campaign NAME`` runs one standing campaign of
+:data:`repro.harness.campaign.CAMPAIGNS` -- ``faults`` (seeded fault
+injection, or node-level faults with ``--multi-nodes N``), ``fuzz``
+(differential fuzzing of the golden, pipeline, trace-replay, JIT and
+checkpoint models), ``checkpoint`` (restore equivalence, chaos resume,
+snapshot corruption) and ``devices`` (every kernel-lite demo booted
+interpretive, under the JIT, and across checkpoint/restore) -- writes
+its report, and applies the campaign's own gate, the one
+``check_results --campaign`` applies.  Each campaign declares its own
+options.  One exit rule covers all four
+(:func:`repro.harness.campaign.exit_code`):
 
-The campaign commands (``faults``, ``fuzz``, ``checkpoint``) share one
-exit-code taxonomy, documented in full in the README:
-
-* **0** -- campaign ran and found nothing wrong;
+* **0** -- the campaign held, or it is incomplete (a budget ran out or
+  jobs were interrupted: rerun the same command to finish it);
 * **1** -- harness failure: a job errored/timed out/crashed (the
   infrastructure broke, nothing is known about the models);
-* **2** -- a classified finding: an invariant violation (``faults``),
-  an unexplained model divergence (``fuzz``), or a recovery-gate failure
-  (``checkpoint``).
+* **2** -- a finding: an invariant violation (``faults``), an
+  unexplained model divergence (``fuzz``), a failed recovery gate
+  (``checkpoint``) or a failed boot comparison (``devices``).  A run
+  with both a finding and a harness failure exits 2.
 """
 
 from __future__ import annotations
@@ -76,9 +73,11 @@ import dataclasses
 import sys
 from typing import List, Optional
 
-from repro.asm import assemble, listing, parse
+from repro.asm import assemble, listing
 from repro.coproc import Fpu
 from repro.core import Machine, MachineConfig, perfect_memory_config
+from repro.harness.campaign import CAMPAIGNS, EXIT_RULE
+from repro.harness.campaign import load as load_campaign
 from repro.lang import compile_spl
 from repro.tools.pipeview import PipelineTracer
 
@@ -240,7 +239,6 @@ def _cmd_trace_multi(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    import json
     import os
 
     from repro.telemetry import CycleTracer, Metrics, write_trace
@@ -313,127 +311,18 @@ def cmd_bench(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_faults(args) -> int:
-    if args.multi_nodes:
-        return _cmd_faults_multi(args)
-    from repro.faults.campaign import format_summary, run_campaign
+def cmd_campaign(args) -> int:
+    """``campaign NAME``: run one campaign, summarise it, apply its gate."""
+    from repro.harness.campaign import exit_code
 
-    payload = run_campaign(seeds=args.seeds,
-                           workers=args.workers,
-                           quick=args.quick,
-                           parallel=not args.serial,
-                           chaos_rate=args.chaos,
-                           chaos_seed=args.chaos_seed,
-                           output=args.output)
-    print(format_summary(payload))
+    campaign = args.campaign_module
+    payload = campaign.run(args)
+    print(campaign.format_summary(payload))
     print(f"report written to {payload['report_path']}")
-    summary = payload["summary"]
-    if summary["unhandled_jobs"]:
-        print(f"{summary['unhandled_jobs']} campaign job(s) failed in the "
-              "harness (see report)", file=sys.stderr)
-        return 1
-    if summary["violated"]:
-        print(f"{summary['violated']} invariant violation(s) classified "
-              "(see report)", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_faults_multi(args) -> int:
-    """``faults --multi-nodes N``: the node-level multiprocessor campaign
-    (same 0/1/2 exit taxonomy as the single-node campaign)."""
-    from repro.faults.multi import format_summary, run_multi_campaign
-
-    payload = run_multi_campaign(seeds=args.seeds,
-                                 nodes=args.multi_nodes,
-                                 workers=args.workers,
-                                 quick=args.quick,
-                                 parallel=not args.serial,
-                                 output=args.output)
-    print(format_summary(payload))
-    print(f"report written to {payload['report_path']}")
-    summary = payload["summary"]
-    if summary["unhandled_jobs"]:
-        print(f"{summary['unhandled_jobs']} campaign job(s) failed in the "
-              "harness (see report)", file=sys.stderr)
-        return 1
-    if summary["violated"]:
-        print(f"{summary['violated']} invariant violation(s) classified "
-              "(see report)", file=sys.stderr)
-        return 2
-    return 0
-
-
-def cmd_fuzz(args) -> int:
-    from repro.fuzz.campaign import exit_code, format_summary, run_campaign
-
-    modes = args.modes.split(",") if args.modes else ("isa", "lang", "os")
-    payload = run_campaign(seeds=args.seeds,
-                           modes=tuple(modes),
-                           quick=args.quick,
-                           workers=args.workers,
-                           parallel=not args.serial,
-                           max_seconds=args.max_seconds,
-                           chaos_rate=args.chaos,
-                           chaos_seed=args.chaos_seed,
-                           mutation=args.mutate,
-                           output=args.output,
-                           corpus_dir=args.corpus_dir,
-                           write_corpus=not args.no_corpus)
-    print(format_summary(payload))
-    print(f"report written to {payload['report_path']}")
-    code = exit_code(payload)
-    if code == 2 and args.mutate:
-        print(f"planted mutation {args.mutate!r} was NOT caught -- the "
-              "oracle failed its self-test", file=sys.stderr)
-    elif code == 2:
-        print(f"{payload['totals']['diverged']} unexplained model "
-              "divergence(s) -- shrunk repros in the report and corpus",
-              file=sys.stderr)
-    elif code == 1:
-        print(f"{payload['totals']['harness_failures']} campaign job(s) "
-              "failed in the harness (see report)", file=sys.stderr)
-    return code
-
-
-def cmd_checkpoint(args) -> int:
-    from repro.checkpoint.campaign import (exit_code, format_summary,
-                                           run_campaign)
-
-    payload = run_campaign(fuzz_seeds=args.fuzz_seeds,
-                           workers=args.workers,
-                           parallel=not args.serial,
-                           quick=args.quick,
-                           output=args.output)
-    print(format_summary(payload))
-    print(f"report written to {payload['report_path']}")
-    code = exit_code(payload)
-    if code == 2:
-        print("checkpoint recovery gate failed -- a restore diverged, a "
-              "killed job did not resume, or corruption was accepted "
-              "(see report)", file=sys.stderr)
-    elif code == 1:
-        print("campaign job(s) failed in the harness (see report)",
-              file=sys.stderr)
-    return code
-
-
-def cmd_devices(args) -> int:
-    from repro.harness.devices import (exit_code, format_summary,
-                                       run_devices_gate)
-
-    payload = run_devices_gate(quick=args.quick, output=args.output)
-    print(format_summary(payload))
-    print(f"report written to {payload['report_path']}")
-    code = exit_code(payload)
-    if code == 1:
-        for failure in payload["summary"]["harness_failures"]:
-            print(f"harness failure: {failure}", file=sys.stderr)
-    elif code == 2:
-        print(f"demo(s) failed the gate: "
-              f"{', '.join(payload['summary']['failed'])} (see report)",
-              file=sys.stderr)
-    return code
+    failures = campaign.gate(payload)
+    for failure in failures:
+        print(f"{failure.kind}: {failure.message}", file=sys.stderr)
+    return exit_code(failures)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,143 +456,27 @@ def build_parser() -> argparse.ArgumentParser:
                               "trace replays")
     p_bench.set_defaults(func=cmd_bench)
 
-    p_faults = sub.add_parser(
-        "faults",
-        help="seeded fault-injection campaign: differential invariant "
-             "checking across the parallel runner, written to "
-             "FAULTS_campaign.json",
-        description="Inject seeded hardware-fault plans into pipeline "
-                    "runs and check architectural invariants against a "
-                    "clean differential run.  Exit codes: 0 = every fault "
-                    "was absorbed or classified benign, 1 = a campaign "
-                    "job failed in the harness (infrastructure, not a "
-                    "finding), 2 = classified invariant violation.")
-    p_faults.add_argument("--seeds", type=int, default=32,
-                          help="number of seeded fault plans (default 32)")
-    p_faults.add_argument("--quick", action="store_true",
-                          help="fewer events per plan (CI smoke)")
-    p_faults.add_argument("--workers", type=int, default=None,
-                          help="parallel worker processes (default: CPUs)")
-    p_faults.add_argument("--serial", action="store_true",
-                          help="run campaign jobs in-process")
-    p_faults.add_argument("--chaos", type=float, default=0.0, metavar="RATE",
-                          help="kill this fraction of first-attempt workers "
-                               "mid-job (chaos test of the runner)")
-    p_faults.add_argument("--chaos-seed", type=int, default=0,
-                          help="seed for the chaos kill selection")
-    p_faults.add_argument("--output", default=None, metavar="PATH",
-                          help="report file (default: FAULTS_campaign.json "
-                               "at the repo root)")
-    p_faults.add_argument("--multi-nodes", type=int, default=0, metavar="N",
-                          help="run the node-level multiprocessor campaign "
-                               "on N-node systems instead (flip one node's "
-                               "Icache valid bits / corrupt its Ecache "
-                               "tags mid-run; report: FAULTS_multi.json)")
-    p_faults.set_defaults(func=cmd_faults)
-
-    p_fuzz = sub.add_parser(
-        "fuzz",
-        help="differential fuzzing campaign: cross-check golden, pipeline "
-             "and trace-replay models on seeded generated programs, "
-             "written to FUZZ_campaign.json",
-        description="Generate seeded random programs (ISA instruction "
-                    "sequences, SPL sources, and OS-mode trap/interrupt "
-                    "programs), run each on the golden simulator (naive "
-                    "code) and the pipeline (reorganized code), replay "
-                    "the captured cache streams through the trace "
-                    "models, and compare everything observable; os-mode "
-                    "programs instead cross-check the interpreter, the "
-                    "JIT, and a checkpoint/restore run cycle-exactly.  "
-                    "Divergent programs are auto-shrunk to a minimal repro "
-                    "and filed under fuzz_corpus/.  Campaigns journal "
-                    "every finished seed and resume from the journal when "
-                    "rerun.  Exit codes: 0 = all models agree, 1 = a "
-                    "campaign job failed in the harness (infrastructure, "
-                    "not a finding), 2 = unexplained model divergence.")
-    p_fuzz.add_argument("--seeds", type=int, default=50,
-                        help="seeds per mode (default 50)")
-    p_fuzz.add_argument("--modes", default=None, metavar="M[,M]",
-                        help="comma-separated modes: isa, lang, os "
-                             "(default all three)")
-    p_fuzz.add_argument("--quick", action="store_true",
-                        help="smaller generated programs (CI smoke)")
-    p_fuzz.add_argument("--workers", type=int, default=None,
-                        help="parallel worker processes (default: CPUs)")
-    p_fuzz.add_argument("--serial", action="store_true",
-                        help="run campaign jobs in-process")
-    p_fuzz.add_argument("--max-seconds", type=float, default=None,
-                        help="wall-clock budget; finished seeds are "
-                             "journaled, rerun the same command to resume")
-    p_fuzz.add_argument("--chaos", type=float, default=0.0, metavar="RATE",
-                        help="kill this fraction of first-attempt workers "
-                             "mid-job (chaos test of the runner)")
-    p_fuzz.add_argument("--chaos-seed", type=int, default=0,
-                        help="seed for the chaos kill selection")
-    p_fuzz.add_argument("--mutate", default=None, metavar="NAME",
-                        help="dev-only: plant a known golden-model bug "
-                             "(see repro.fuzz.mutation); divergences are "
-                             "then expected and do not fail the campaign")
-    p_fuzz.add_argument("--output", default=None, metavar="PATH",
-                        help="report file (default: FUZZ_campaign.json at "
-                             "the repo root)")
-    p_fuzz.add_argument("--corpus-dir", default=None, metavar="DIR",
-                        help="where to file shrunk repros (default: "
-                             "fuzz_corpus/ at the repo root)")
-    p_fuzz.add_argument("--no-corpus", action="store_true",
-                        help="do not file repros for divergences")
-    p_fuzz.set_defaults(func=cmd_fuzz)
-
-    p_ckpt = sub.add_parser(
-        "checkpoint",
-        help="checkpoint/restore recovery gates: restore equivalence, "
-             "chaos resume, snapshot corruption; written to "
-             "CHECKPOINT_campaign.json",
-        description="Run the standing crash-recovery gates: snapshot "
-                    "mid-run + restore + finish must be bit-identical to "
-                    "an uninterrupted run (workloads, a 4-node "
-                    "multiprocessor, and fuzz seeds; JIT off and on); "
-                    "SIGKILLed checkpointed workers must resume from "
-                    "their last snapshot and merge byte-identical; "
-                    "corrupted/truncated/mis-versioned snapshots must be "
-                    "rejected with named errors and fall back a "
-                    "generation.  Exit codes: 0 = all gates green, 1 = a "
-                    "campaign job failed in the harness, 2 = a recovery "
-                    "gate failed.")
-    p_ckpt.add_argument("--fuzz-seeds", type=int, default=50,
-                        help="fuzz seeds in the equivalence gate "
-                             "(default 50)")
-    p_ckpt.add_argument("--quick", action="store_true",
-                        help="few fuzz seeds (CI smoke)")
-    p_ckpt.add_argument("--workers", type=int, default=None,
-                        help="parallel worker processes (default: CPUs)")
-    p_ckpt.add_argument("--serial", action="store_true",
-                        help="run equivalence jobs in-process")
-    p_ckpt.add_argument("--output", default=None, metavar="PATH",
-                        help="report file (default: "
-                             "CHECKPOINT_campaign.json at the repo root)")
-    p_ckpt.set_defaults(func=cmd_checkpoint)
-
-    p_devices = sub.add_parser(
-        "devices",
-        help="software-stack gate: boot every kernel-lite demo "
-             "interpretive, under the JIT, and across checkpoint/"
-             "restore; written to DEVICES_results.json",
-        description="Boot each kernel-lite demo (see docs/SOFTWARE.md) "
-                    "three ways and compare: the UART boot log must "
-                    "match its pinned golden log with interrupts "
-                    "delivered, the JIT run must be bit-exact (log, "
-                    "cycles, instructions) with blocks compiled, and a "
-                    "mid-boot snapshot/restore must finish "
-                    "bit-identical to the straight run.  Exit codes: "
-                    "0 = every demo held, 1 = harness failure, 2 = a "
-                    "comparison failed.")
-    p_devices.add_argument("--quick", action="store_true",
-                           help="skip the long timer-sliced demo "
-                                "(CI smoke)")
-    p_devices.add_argument("--output", default=None, metavar="PATH",
-                           help="report file (default: "
-                                "DEVICES_results.json at the repo root)")
-    p_devices.set_defaults(func=cmd_devices)
+    p_campaign = sub.add_parser(
+        "campaign",
+        help="run a standing campaign (faults, fuzz, checkpoint, devices), "
+             "write its report and apply its gate",
+        description="Run one standing campaign, write its JSON report at "
+                    "the repo root (or --output), and apply the same gate "
+                    "check_results --campaign applies to that report.  "
+                    + EXIT_RULE)
+    campaigns = p_campaign.add_subparsers(dest="campaign", required=True,
+                                          metavar="NAME")
+    for name in CAMPAIGNS:
+        module = load_campaign(name)
+        p_name = campaigns.add_parser(
+            name, help=(module.__doc__ or name).splitlines()[0],
+            epilog=EXIT_RULE)
+        module.add_arguments(p_name)
+        p_name.add_argument("--output", default=None, metavar="PATH",
+                            help=f"report file (default: "
+                                 f"{module.DEFAULT_REPORT.name} at the "
+                                 "repo root)")
+        p_name.set_defaults(func=cmd_campaign, campaign_module=module)
 
     return parser
 

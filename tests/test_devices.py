@@ -219,6 +219,12 @@ class TestKernelDemos:
         assert "spl" in kinds
 
 
+def check_devices_file(path):
+    from repro.tools.check_results import check_campaign_file
+
+    return check_campaign_file("devices", path)
+
+
 @pytest.fixture(scope="module")
 def gate_payload(tmp_path_factory):
     from repro.harness.devices import run_devices_gate
@@ -229,10 +235,10 @@ def gate_payload(tmp_path_factory):
 
 class TestDevicesGate:
     def test_quick_gate_is_clean(self, gate_payload):
-        from repro.harness.devices import exit_code
+        from repro.harness.devices import gate
 
         payload, _ = gate_payload
-        assert exit_code(payload) == 0, payload["summary"]
+        assert gate(payload) == [], payload["summary"]
 
     def test_jit_and_checkpoint_legs_are_bit_identical(self, gate_payload):
         payload, _ = gate_payload
@@ -245,14 +251,10 @@ class TestDevicesGate:
                 f"cycle {row['checkpoint']['snapshot_cycle']}")
 
     def test_report_validator_accepts_clean_report(self, gate_payload):
-        from repro.tools.check_results import check_devices_file
-
         _, output = gate_payload
         assert check_devices_file(str(output)) == []
 
     def test_report_validator_catches_tampering(self, gate_payload, tmp_path):
-        from repro.tools.check_results import check_devices_file
-
         payload, _ = gate_payload
         tampered = json.loads(json.dumps(payload))
         row = tampered["demos"]["kernel-echo"]
@@ -265,8 +267,6 @@ class TestDevicesGate:
         assert any("zero interrupts" in failure for failure in failures)
 
     def test_report_validator_catches_missing_file(self, tmp_path):
-        from repro.tools.check_results import check_devices_file
-
         assert check_devices_file(str(tmp_path / "absent.json"))
 
 

@@ -22,8 +22,8 @@ import json
 import pytest
 
 from repro.fuzz.campaign import (
-    exit_code,
     fuzz_point,
+    gate,
     journal_path_for,
     run_campaign,
 )
@@ -36,9 +36,15 @@ from repro.fuzz.oracle import (
     check_program,
 )
 from repro.fuzz.shrink import count_instructions, shrink
+from repro.harness import campaign
 
 QUICK_ISA = GenConfig(mode="isa", quick=True)
 QUICK_LANG = GenConfig(mode="lang", quick=True)
+
+
+def exit_code(payload):
+    """The exit code ``repro campaign fuzz`` gives this report."""
+    return campaign.exit_code(gate(payload))
 
 
 class TestGenerator:
@@ -247,7 +253,8 @@ class TestExitTaxonomy:
                            "diverged": diverged,
                            "harness_failures": harness},
                 "complete": complete,
-                "config": {"mutation": mutation}}
+                "config": {"mutation": mutation},
+                "divergences": []}
 
     def test_clean_campaign_exits_zero(self):
         assert exit_code(self._payload()) == 0
@@ -278,8 +285,10 @@ class TestExitTaxonomy:
 
         parser = build_parser()
         subparsers = parser._subparsers._group_actions[0]
+        campaigns = subparsers.choices["campaign"]._subparsers
         for command in ("faults", "fuzz"):
-            help_text = subparsers.choices[command].format_help()
+            help_text = (campaigns._group_actions[0].choices[command]
+                         .format_help())
             assert "0" in help_text and "1" in help_text and "2" in help_text
             assert "harness" in help_text
             expected = ("divergence" if command == "fuzz"

@@ -468,7 +468,7 @@ def _doomed_json_write(path):
     """Write a payload but SIGKILL ourselves between write and rename."""
     import signal
 
-    from repro.harness import bench
+    from repro.harness import campaign
 
     original = os.replace
 
@@ -477,13 +477,13 @@ def _doomed_json_write(path):
         return original(*args, **kwargs)  # pragma: no cover
 
     os.replace = die
-    bench.write_json_atomic(path, {"new": True})
+    campaign.write_json_atomic(path, {"new": True})
 
 
 class TestWriteJsonAtomic:
     def test_failure_before_rename_preserves_target(self, tmp_path,
                                                     monkeypatch):
-        from repro.harness.bench import write_json_atomic
+        from repro.harness.campaign import write_json_atomic
 
         target = tmp_path / "report.json"
         write_json_atomic(target, {"generation": 1})
@@ -507,7 +507,7 @@ class TestWriteJsonAtomic:
         import multiprocessing
         import signal
 
-        from repro.harness.bench import write_json_atomic
+        from repro.harness.campaign import write_json_atomic
 
         target = tmp_path / "report.json"
         write_json_atomic(target, {"old": True})

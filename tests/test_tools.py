@@ -230,6 +230,10 @@ class TestCheckBenchFile:
         assert check_bench_file(self._write(tmp_path, payload)) == []
 
 
+def check_fuzz_file(path):
+    return check_results.check_campaign_file("fuzz", path)
+
+
 class TestCheckFuzzFile:
     def _write(self, tmp_path, payload):
         import json
@@ -248,27 +252,19 @@ class TestCheckFuzzFile:
                 "divergences": []}
 
     def test_clean_report_passes(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
-
         assert check_fuzz_file(self._write(tmp_path, self._clean())) == []
 
     def test_missing_file_is_reported(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
-
         failures = check_fuzz_file(tmp_path / "nope.json")
         assert failures and "does not exist" in failures[0]
 
     def test_missing_totals_key_is_named(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
-
         payload = self._clean()
         del payload["totals"]["diverged"]
         failures = check_fuzz_file(self._write(tmp_path, payload))
         assert any("missing key 'diverged'" in f for f in failures)
 
     def test_incomplete_campaign_fails_with_resume_hint(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
-
         payload = self._clean()
         payload["complete"] = False
         payload["totals"]["completed"] = 1
@@ -276,8 +272,6 @@ class TestCheckFuzzFile:
         assert any("incomplete" in f and "resume" in f for f in failures)
 
     def test_unexplained_divergence_fails(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
-
         payload = self._clean()
         payload["totals"]["diverged"] = 1
         payload["totals"]["ok"] = 1
@@ -285,8 +279,6 @@ class TestCheckFuzzFile:
         assert any("unexplained model divergence" in f for f in failures)
 
     def test_mutation_divergence_is_explained(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
-
         payload = self._clean()
         payload["config"]["mutation"] = "sra-logical"
         payload["totals"]["diverged"] = 1
@@ -294,16 +286,12 @@ class TestCheckFuzzFile:
         assert check_fuzz_file(self._write(tmp_path, payload)) == []
 
     def test_harness_failures_fail(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
-
         payload = self._clean()
         payload["totals"]["harness_failures"] = 1
         failures = check_fuzz_file(self._write(tmp_path, payload))
         assert any("failed in the harness" in f for f in failures)
 
     def test_missed_mutation_fails_the_self_test(self, tmp_path):
-        from repro.tools.check_results import check_fuzz_file
-
         payload = self._clean()
         payload["config"]["mutation"] = "sra-logical"
         failures = check_fuzz_file(self._write(tmp_path, payload))
@@ -311,15 +299,18 @@ class TestCheckFuzzFile:
 
 
 def _ci_commands():
-    """The shell commands of every ``run:`` step in the CI workflow.
+    """The shell commands of every ``run:`` step in the CI workflow, and
+    of every matrix entry's ``commands:`` (which its step runs as
+    ``run: ${{ matrix.commands }}``).
 
     A folded (``>``) or literal (``|``) block is the lines indented past
-    its key; each command is split at ``&&`` and newlines into argv.
+    its key; a trailing backslash continues a line, and each command is
+    split at ``&&`` and newlines into argv.
     """
     lines = CI_FILE.read_text().splitlines()
     commands = []
     for index, line in enumerate(lines):
-        match = re.match(r"^(\s*)(?:- )?run:\s*(.*)$", line)
+        match = re.match(r"^(\s*)(?:- )?(?:run|commands):\s*(.*)$", line)
         if not match:
             continue
         column, text = len(match.group(1)), match.group(2)
@@ -331,6 +322,7 @@ def _ci_commands():
                     break
                 block.append(follow.strip())
             text = (" " if text == ">" else "\n").join(block)
+        text = text.replace("\\\n", " ")
         for part in re.split(r"&&|\n", text):
             if "repro.tools" in part or "pytest" in part:
                 commands.append(shlex.split(part))
@@ -366,6 +358,16 @@ class TestCiWorkflow:
         assert len(calls) >= 6
         for args in calls:
             _assert_parses(check_results.build_parser(), args, capsys)
+
+    def test_every_campaign_runs_and_is_gated(self):
+        from repro.harness.campaign import CAMPAIGNS
+
+        run = {args[1] for args in _ci_calls("repro.tools.cli")
+               if args[0] == "campaign"}
+        gated = {args[i + 1].partition("=")[0]
+                 for args in _ci_calls("repro.tools.check_results")
+                 for i, arg in enumerate(args) if arg == "--campaign"}
+        assert run == gated == set(CAMPAIGNS)
 
     def test_pytest_targets_exist(self):
         targets = [arg for argv in _ci_commands() if "pytest" in argv
