@@ -1,8 +1,10 @@
-"""Crash-resilient checkpoint/restore for long simulations.
+"""Bit-exact checkpoint/restore of a simulated machine.
 
-The paper's methodology lives on multi-million-reference traces; a
-billion-cycle study is only practical if a crashed worker resumes from
-its last snapshot instead of restarting cold.  This package provides:
+A snapshot is the whole machine state at a quiescent cycle boundary, as
+JSON; restoring it into a fresh machine and running on finishes
+bit-identical to a run that was never interrupted.  The fuzz oracle,
+the devices campaign and perfbench's os-boot workload all run through
+it.  This package provides:
 
 * :mod:`repro.checkpoint.state` -- bit-exact capture/restore of a
   :class:`~repro.core.processor.Machine` or
@@ -10,22 +12,13 @@ its last snapshot instead of restarting cold.  This package provides:
   cycle boundary, plus the named error family
   (:class:`CheckpointError` and friends);
 * :mod:`repro.checkpoint.store` -- :class:`SnapshotStore`: atomic,
-  fsync-durable, sha256-sidecar-verified generation ladders under
-  ``.trace_cache/checkpoints/``;
-* :mod:`repro.checkpoint.run` -- :func:`run_with_checkpoints`: the
-  auto-checkpoint watchdog (every K cycles / T seconds) with
-  resume-from-latest-valid-generation;
+  fsync-durable, sha256-sidecar-verified generation ladders whose
+  ``load_latest`` falls back past damaged generations;
 * :mod:`repro.checkpoint.campaign` -- the standing gates: restore
   equivalence (snapshot mid-run + restore + finish must be
-  bit-identical to a straight run), chaos resume (SIGKILLed workers
-  resume and merge byte-identical), and snapshot-corruption rejection.
+  bit-identical to a straight run) and snapshot-corruption rejection.
 """
 
-from repro.checkpoint.run import (
-    CheckpointStats,
-    resume_state,
-    run_with_checkpoints,
-)
 from repro.checkpoint.state import (
     FORMAT,
     CheckpointError,
@@ -45,7 +38,6 @@ from repro.checkpoint.store import SnapshotStore
 __all__ = [
     "FORMAT",
     "CheckpointError",
-    "CheckpointStats",
     "QuiescenceTimeout",
     "SnapshotConfigError",
     "SnapshotFormatError",
@@ -57,6 +49,4 @@ __all__ = [
     "multi_state",
     "restore_machine",
     "restore_multi",
-    "resume_state",
-    "run_with_checkpoints",
 ]

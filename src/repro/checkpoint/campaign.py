@@ -1,37 +1,29 @@
-"""The checkpoint campaign: restore equivalence, chaos resume, corruption.
+"""The checkpoint campaign: restore equivalence and corruption rejection.
 
-Three sections, each a falsifiable claim about the checkpoint layer:
+Two sections, each a falsifiable claim about the checkpoint layer:
 
 * **equivalence** -- for every named workload (and a band of fuzz
   seeds), run to a mid-point, snapshot, JSON-round-trip, restore into a
   *fresh* machine, finish, and require the full machine signature
   (registers, MD/PSW, memory, console, caches, all pipeline metrics) to
   be bit-identical to an uninterrupted run -- with the JIT both off and
-  on.  This is the differential gate the tentpole promises.
-* **chaos** -- run a grid of checkpointed simulation jobs under the
-  process harness with a :class:`~repro.harness.runner.ChaosMonkey`
-  that SIGKILLs doomed workers *right after their first snapshot
-  commits*.  The retried worker must resume from the surviving
-  generation (``checkpoint.resumes > 0``) and the merged metrics must
-  be byte-identical to a serial, uninterrupted reference run.
+  on.
 * **corruption** -- build a two-generation snapshot ladder, then
   truncate the newest, flip a byte under its sha, forge a bad format
   version, and attempt a wrong-config restore.  Each must raise its
   named error, and ``load_latest`` must fall back to the older good
   generation (never load garbage).
 
-Verdict (:func:`gate`): a divergence or recovery failure in any section
-is a *finding*; a job that died in an unclassified way is a *harness*
-failure.
+Verdict (:func:`gate`): a divergence or recovery failure in either
+section is a *finding*; a job that died in an unclassified way is a
+*harness* failure.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import pathlib
-import signal
 import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -40,7 +32,6 @@ from repro.core.processor import Machine
 from repro.harness.campaign import (FINDING, HARNESS, REPO_ROOT, Failure,
                                     add_runner_arguments, write_json_atomic)
 from repro.harness.runner import Job, Runner
-from repro.checkpoint.run import CheckpointStats, run_with_checkpoints
 from repro.checkpoint.state import (
     FORMAT,
     SnapshotConfigError,
@@ -53,11 +44,11 @@ from repro.checkpoint.store import SnapshotStore, state_cycles
 
 DEFAULT_REPORT = REPO_ROOT / "CHECKPOINT_campaign.json"
 
-#: each chaos job simulates well under a second of work; a minute means
-#: a hang, not a slow machine
+#: an equivalence job runs for seconds; two minutes means a hang, not a
+#: slow machine
 JOB_TIMEOUT = 120.0
 
-#: named single-core workloads for the equivalence and chaos sections
+#: named single-core workloads for the equivalence section
 WORKLOADS = ("sieve", "bubble")
 
 
@@ -234,128 +225,6 @@ def run_equivalence(fuzz_seeds: int = 50,
             "failures": [row for row in rows if row["status"] != "ok"]}
 
 
-# ------------------------------------------------------------------ chaos
-def checkpoint_point(workload: str, run_id: str, store_root: str,
-                     every_cycles: int = 2_000,
-                     kill_at_snapshot: int = 0) -> Dict[str, Any]:
-    """One chaos job: run ``workload`` under the checkpoint watchdog.
-
-    When ``kill_at_snapshot`` is nonzero *and* the store has no prior
-    generations for ``run_id`` (a cold first attempt), the process
-    SIGKILLs itself right after that snapshot commits -- a worst-case
-    mid-run crash with durable state on disk.  The harness retry then
-    enters with generations present, resumes, and finishes the run.
-    """
-    store = SnapshotStore(pathlib.Path(store_root))
-    cold = not store.generations(run_id)
-
-    program = _workload_program(workload)
-    machine = Machine()
-    machine.load_program(program)
-
-    def after_snapshot(count: int, _stats: CheckpointStats) -> None:
-        if kill_at_snapshot and cold and count == kill_at_snapshot:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    stats = run_with_checkpoints(machine, store, run_id,
-                                 max_cycles=10_000_000,
-                                 every_cycles=every_cycles,
-                                 after_snapshot=after_snapshot)
-    if not machine.halted:
-        raise RuntimeError(f"{workload} did not halt under checkpointing")
-    metrics = machine.metrics().snapshot()
-    return {"metrics": metrics,
-            "console": list(machine.console.values),
-            "checkpoint": stats.as_metrics()}
-
-
-def _chaos_reference(workload: str) -> Dict[str, Any]:
-    """The uninterrupted, checkpoint-free reference for one workload."""
-    machine = Machine()
-    machine.load_program(_workload_program(workload))
-    machine.run(10_000_000)
-    return {"metrics": machine.metrics().snapshot(),
-            "console": list(machine.console.values)}
-
-
-def run_chaos(workers: Optional[int] = None,
-              jobs_per_workload: int = 2,
-              store_root: Optional[pathlib.Path] = None) -> Dict[str, Any]:
-    """The chaos-resume gate: SIGKILLed checkpointed jobs must resume
-    and merge byte-identical to serial uninterrupted runs."""
-    own_tmp: Optional[tempfile.TemporaryDirectory] = None
-    if store_root is None:
-        own_tmp = tempfile.TemporaryDirectory(prefix="ckpt-chaos-")
-        store_root = pathlib.Path(own_tmp.name)
-    try:
-        jobs = []
-        doomed = set()
-        for workload in WORKLOADS:
-            for copy in range(jobs_per_workload):
-                job_id = f"chaos/{workload}-{copy}"
-                # the first copy of each workload is the doomed one: it
-                # SIGKILLs itself right after snapshot 1 commits
-                kill_at = 1 if copy == 0 else 0
-                if kill_at:
-                    doomed.add(job_id)
-                jobs.append(Job(
-                    id=job_id,
-                    fn="repro.checkpoint.campaign:checkpoint_point",
-                    params={"workload": workload,
-                            "run_id": job_id.replace("/", "-"),
-                            "store_root": str(store_root),
-                            "every_cycles": 2_000,
-                            "kill_at_snapshot": kill_at},
-                    timeout=JOB_TIMEOUT,
-                    sweep="checkpoint"))
-
-        runner = Runner(max_workers=workers, default_timeout=JOB_TIMEOUT)
-        results = runner.run(jobs, parallel=True)
-        merged = {result.job_id: result for result in results}
-
-        references = {workload: _chaos_reference(workload)
-                      for workload in WORKLOADS}
-
-        mismatches: List[Dict[str, Any]] = []
-        harness = 0
-        resumes = 0
-        killed_retried = 0
-        for job in jobs:
-            result = merged[job.id]
-            if not result.ok or not isinstance(result.value, dict):
-                harness += 1
-                mismatches.append({"id": job.id, "kind": "harness",
-                                   "detail": result.error or result.status})
-                continue
-            value = result.value
-            resumes += value["checkpoint"].get("checkpoint.resumes", 0)
-            if job.id in doomed and result.status == "retried-ok":
-                killed_retried += 1
-            reference = references[job.params["workload"]]
-            got = {"metrics": value["metrics"], "console": value["console"]}
-            if (json.dumps(got, sort_keys=True)
-                    != json.dumps(reference, sort_keys=True)):
-                keys = [key for key in reference["metrics"]
-                        if reference["metrics"][key]
-                        != value["metrics"].get(key)]
-                mismatches.append({"id": job.id, "kind": "diverged",
-                                   "detail": f"metric keys {keys[:5]}"})
-        return {
-            "jobs": len(jobs),
-            "doomed": len(doomed),
-            "killed_retried": killed_retried,
-            "resumes": resumes,
-            "harness_failures": harness,
-            "diverged": sum(1 for m in mismatches
-                            if m["kind"] == "diverged"),
-            "mismatches": mismatches,
-            "ok": not mismatches and resumes > 0,
-        }
-    finally:
-        if own_tmp is not None:
-            own_tmp.cleanup()
-
-
 # ------------------------------------------------------------- corruption
 def _corruption_ladder(store: SnapshotStore,
                        run_id: str) -> Tuple[Machine, List[pathlib.Path]]:
@@ -456,23 +325,21 @@ def run_campaign(fuzz_seeds: int = 50,
                  parallel: bool = True,
                  quick: bool = False,
                  output: Optional[pathlib.Path] = None) -> Dict[str, Any]:
-    """Run all three gates and persist the structured report."""
+    """Run both gates and persist the structured report."""
     if quick:
         fuzz_seeds = min(fuzz_seeds, 6)
     equivalence = run_equivalence(fuzz_seeds, workers=workers,
                                   parallel=parallel)
-    chaos = run_chaos(workers=workers)
     corruption = run_corruption()
 
     payload: Dict[str, Any] = {
-        "schema": 1,
+        "schema": 2,
         "config": {"fuzz_seeds": fuzz_seeds, "quick": quick},
         "equivalence": equivalence,
-        "chaos": chaos,
         "corruption": corruption,
         "ok": (equivalence["diverged"] == 0
                and equivalence["harness_failures"] == 0
-               and chaos["ok"] and corruption["ok"]),
+               and corruption["ok"]),
     }
     path = pathlib.Path(output) if output else DEFAULT_REPORT
     write_json_atomic(path, payload)
@@ -483,13 +350,12 @@ def run_campaign(fuzz_seeds: int = 50,
 def add_arguments(parser) -> None:
     """The checkpoint campaign's description and options."""
     parser.description = (
-        "Run the standing crash-recovery gates: snapshot mid-run + "
-        "restore + finish must be bit-identical to an uninterrupted run "
-        "(workloads, a 4-node multiprocessor, and fuzz seeds; JIT off "
-        "and on); SIGKILLed checkpointed workers must resume from their "
-        "last snapshot and merge byte-identical; corrupted/truncated/"
-        "mis-versioned snapshots must be rejected with named errors and "
-        "fall back a generation.  A finding is a failed recovery gate.")
+        "Run the standing checkpoint gates: snapshot mid-run + restore + "
+        "finish must be bit-identical to an uninterrupted run (workloads, "
+        "a 4-node multiprocessor, and fuzz seeds; JIT off and on); "
+        "corrupted/truncated/mis-versioned snapshots must be rejected "
+        "with named errors and fall back a generation.  A finding is a "
+        "failed gate.")
     parser.add_argument("--fuzz-seeds", type=int, default=50,
                         help="fuzz seeds in the equivalence gate "
                              "(default 50)")
@@ -499,23 +365,20 @@ def add_arguments(parser) -> None:
 
 
 def run(args) -> Dict[str, Any]:
-    """Run the three gates from parsed command-line options."""
+    """Run both gates from parsed command-line options."""
     return run_campaign(fuzz_seeds=args.fuzz_seeds, workers=args.workers,
                         parallel=not args.serial, quick=args.quick,
                         output=args.output)
 
 
 def gate(payload: Dict[str, Any]) -> List[Failure]:
-    """The campaign's verdict over its three sections.
+    """The campaign's verdict over its two sections.
 
     * **equivalence** -- every restore-equivalence case bit-identical;
-    * **chaos** -- no diverged merges, and at least one job *provably
-      resumed* from a snapshot (``resumes > 0``: a chaos gate where
-      nothing ever resumes tests nothing);
     * **corruption** -- every tamper case rejected with its named error
       and fallen back to a good generation.
     """
-    missing = [section for section in ("equivalence", "chaos", "corruption")
+    missing = [section for section in ("equivalence", "corruption")
                if not isinstance(payload.get(section), dict)]
     if missing:
         return [Failure(HARNESS, f"section '{section}' is missing or not "
@@ -532,19 +395,6 @@ def gate(payload: Dict[str, Any]) -> List[Failure]:
         failures.append(Failure(
             HARNESS, f"{equivalence['harness_failures']} equivalence "
                      "job(s) failed in the harness"))
-    chaos = payload["chaos"]
-    if not chaos.get("resumes"):
-        failures.append(Failure(
-            FINDING, "chaos gate recorded zero resumes -- no killed job "
-                     "provably restarted from a snapshot"))
-    if chaos.get("diverged"):
-        failures.append(Failure(
-            FINDING, f"{chaos['diverged']} chaos job(s) merged results "
-                     "that differ from the serial uninterrupted reference"))
-    if chaos.get("harness_failures"):
-        failures.append(Failure(
-            HARNESS, f"{chaos['harness_failures']} chaos job(s) failed in "
-                     "the harness"))
     cases = payload["corruption"].get("cases")
     if not isinstance(cases, list) or not cases:
         failures.append(Failure(HARNESS, "section 'corruption' has no "
@@ -561,7 +411,6 @@ def gate(payload: Dict[str, Any]) -> List[Failure]:
 def format_summary(payload: Dict[str, Any]) -> str:
     """Human-readable one-screen summary of a campaign report."""
     equivalence = payload["equivalence"]
-    chaos = payload["chaos"]
     corruption = payload["corruption"]
     lines = [
         f"checkpoint campaign "
@@ -570,17 +419,12 @@ def format_summary(payload: Dict[str, Any]) -> str:
         f"  equivalence     {equivalence['ok']}/{equivalence['cases']} "
         f"bit-identical, {equivalence['diverged']} diverged, "
         f"{equivalence['harness_failures']} harness",
-        f"  chaos           {chaos['jobs']} jobs, {chaos['doomed']} "
-        f"SIGKILLed, {chaos['killed_retried']} retried, "
-        f"{chaos['resumes']} resumes, {chaos['diverged']} diverged",
         f"  corruption      {len(corruption['cases'])} cases, "
         f"{corruption['failures']} failures",
     ]
     for row in equivalence["failures"][:5]:
         lines.append(f"  ! {row['id']}: {row['status']} "
                      f"{row.get('detail', '')}")
-    for row in chaos["mismatches"][:5]:
-        lines.append(f"  ! {row['id']}: {row['kind']} {row['detail']}")
     for case in corruption["cases"]:
         if case["status"] != "ok":
             lines.append(f"  ! corruption/{case['case']}: "

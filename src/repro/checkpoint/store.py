@@ -1,33 +1,30 @@
 """Durable, generation-laddered snapshot storage.
 
-Snapshots live next to the trace cache, one directory per run id::
+Snapshots live under the store's root, one directory per run id::
 
-    .trace_cache/checkpoints/<run_id>/gen-0000000000012345.json
-    .trace_cache/checkpoints/<run_id>/gen-0000000000012345.json.sha256
+    <root>/<run_id>/gen-0000000000012345.json
+    <root>/<run_id>/gen-0000000000012345.json.sha256
 
-Every write is atomic and durable: payload to a temp file, ``fsync`` of
-the file *and* its directory entry, ``os.replace`` into place, sha256
-sidecar second (so a crash between the two leaves a data file without a
-sidecar, which :meth:`SnapshotStore.load` rejects by name).  Writers
-serialize on an ``O_CREAT|O_EXCL`` lockfile carrying the owner pid; a
-lock whose owner is dead is broken immediately, a merely *old* lock
-after :data:`LOCK_STALE_SECONDS`.
+Every write goes through :func:`repro.fileio.atomic_file` with
+``durable=True`` (temp file, fsync, ``os.replace``, directory fsync),
+data file first and sha256 sidecar second, so a crash between the two
+leaves a data file without a sidecar, which :meth:`SnapshotStore.load`
+rejects by name.  Writers of one run serialize on a
+:func:`repro.fileio.pid_lock`.
 
 Reads are validating and never trust a single generation: ``load``
 raises :class:`SnapshotIntegrityError` for truncated/corrupted bytes and
 :class:`SnapshotFormatError` for unknown versions, and ``load_latest``
 walks the generation ladder newest-first, skipping (and counting) every
-invalid generation until one verifies -- the recovery path a crashed or
-chaos-killed run resumes through.
+invalid generation until one verifies.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pathlib
-import time
+import shutil
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.checkpoint.state import (
@@ -35,61 +32,14 @@ from repro.checkpoint.state import (
     SnapshotFormatError,
     SnapshotIntegrityError,
 )
-
-#: src/repro/checkpoint/store.py -> repository root
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
-DEFAULT_ROOT = REPO_ROOT / ".trace_cache" / "checkpoints"
-
-#: a lock older than this is presumed orphaned even if the pid cannot
-#: be probed (same policy as the trace store)
-LOCK_STALE_SECONDS = 120.0
-LOCK_TIMEOUT_SECONDS = 30.0
-
-
-def _fsync_directory(directory: pathlib.Path) -> None:
-    """Flush a directory entry so a rename survives power loss."""
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _write_durable(path: pathlib.Path, data: bytes) -> None:
-    """Atomic, durable byte write: temp + fsync + replace + dir fsync."""
-    tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-    try:
-        try:
-            os.write(fd, data)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        if tmp.exists():
-            os.unlink(tmp)
-        raise
-    _fsync_directory(path.parent)
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    except (OverflowError, ValueError):
-        return False
-    return True
+from repro.fileio import atomic_file, pid_lock
 
 
 class SnapshotStore:
     """Atomic, sha-verified, generation-laddered snapshot files."""
 
-    def __init__(self, root: Optional[pathlib.Path] = None):
-        self.root = pathlib.Path(root) if root is not None else DEFAULT_ROOT
+    def __init__(self, root: pathlib.Path):
+        self.root = pathlib.Path(root)
         #: invalid generations skipped by :meth:`load_latest`
         self.fallbacks = 0
         #: generations rejected by :meth:`load` (integrity or format)
@@ -109,42 +59,6 @@ class SnapshotStore:
             return []
         return sorted(path for path in run_dir.glob("gen-*.json"))
 
-    # ----------------------------------------------------------- locks
-    def _acquire_lock(self, run_dir: pathlib.Path) -> pathlib.Path:
-        lock = run_dir / ".lock"
-        deadline = time.monotonic() + LOCK_TIMEOUT_SECONDS
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(fd, str(os.getpid()).encode("ascii"))
-                os.close(fd)
-                return lock
-            except FileExistsError:
-                if self._lock_is_orphaned(lock):
-                    try:
-                        os.unlink(lock)
-                    except FileNotFoundError:
-                        pass
-                    continue
-                if time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"snapshot lock {lock} held for more than "
-                        f"{LOCK_TIMEOUT_SECONDS}s")
-                time.sleep(0.05)
-
-    @staticmethod
-    def _lock_is_orphaned(lock: pathlib.Path) -> bool:
-        """A lock is orphaned when its owner pid is dead (a SIGKILLed
-        writer) or when it is simply too old to be live."""
-        try:
-            raw = lock.read_text()
-            mtime = lock.stat().st_mtime
-        except (OSError, ValueError):
-            return False
-        if raw.strip().isdigit() and not _pid_alive(int(raw.strip())):
-            return True
-        return time.time() - mtime > LOCK_STALE_SECONDS
-
     # ------------------------------------------------------------ save
     def save(self, run_id: str, state: Dict[str, Any]) -> pathlib.Path:
         """Commit one generation; returns the snapshot path.
@@ -155,20 +69,14 @@ class SnapshotStore:
         """
         cycles = state_cycles(state)
         run_dir = self.run_dir(run_id)
-        run_dir.mkdir(parents=True, exist_ok=True)
         path = run_dir / f"gen-{cycles:016d}.json"
         data = json.dumps(state, sort_keys=True).encode("utf-8")
         digest = hashlib.sha256(data).hexdigest()
-        lock = self._acquire_lock(run_dir)
-        try:
-            _write_durable(path, data)
-            _write_durable(self._sidecar(path),
-                           (digest + "\n").encode("ascii"))
-        finally:
-            try:
-                os.unlink(lock)
-            except FileNotFoundError:
-                pass
+        with pid_lock(run_dir / ".lock"):
+            with atomic_file(path, durable=True) as handle:
+                handle.write(data)
+            with atomic_file(self._sidecar(path), durable=True) as handle:
+                handle.write((digest + "\n").encode("ascii"))
         return path
 
     # ------------------------------------------------------------ load
@@ -224,7 +132,7 @@ class SnapshotStore:
         Invalid generations (corrupted, truncated, wrong format) are
         skipped and counted in :attr:`fallbacks` -- the recovery ladder:
         a damaged newest generation silently falls back to the previous
-        good one instead of failing the resume.
+        good one instead of failing the load.
         """
         for path in reversed(self.generations(run_id)):
             try:
@@ -234,25 +142,8 @@ class SnapshotStore:
         return None, None
 
     # ----------------------------------------------------- maintenance
-    def prune(self, run_id: str, keep: int = 2) -> int:
-        """Drop all but the newest ``keep`` generations; returns the
-        number removed.  Two generations are kept by default so one
-        corrupted write still leaves a fallback."""
-        removed = 0
-        generations = self.generations(run_id)
-        for path in generations[:-keep] if keep else generations:
-            for victim in (path, self._sidecar(path)):
-                try:
-                    os.unlink(victim)
-                    removed += 1
-                except FileNotFoundError:
-                    pass
-        return removed
-
     def delete_run(self, run_id: str) -> None:
         """Remove a run's entire ladder (end-of-campaign cleanup)."""
-        import shutil
-
         shutil.rmtree(self.run_dir(run_id), ignore_errors=True)
 
 
@@ -264,9 +155,6 @@ def state_cycles(state: Dict[str, Any]) -> int:
 
 
 __all__ = [
-    "DEFAULT_ROOT",
-    "LOCK_STALE_SECONDS",
-    "LOCK_TIMEOUT_SECONDS",
     "SnapshotStore",
     "state_cycles",
 ]

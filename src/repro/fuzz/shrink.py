@@ -23,7 +23,7 @@ still parses and still terminates.
 from __future__ import annotations
 
 import re
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.asm.assembler import parse as parse_asm
 from repro.core.golden import GoldenSimulator

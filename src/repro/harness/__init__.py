@@ -16,18 +16,7 @@ those points in parallel:
 * :mod:`repro.harness.campaign` -- the contract, registry and exit rule
   of the standing campaigns behind ``repro campaign <name>``, one of
   which, :mod:`repro.harness.devices`, boots the kernel-lite demos.
+
+The package re-exports nothing: import the submodule you need, so a
+Runner worker or a campaign does not pay for the experiment registry.
 """
-
-from repro.harness.experiments import (EXPERIMENT_SWEEPS, default_jobs,
-                                       sweep_jobs)
-from repro.harness.runner import Job, JobResult, Runner, resolve
-
-__all__ = [
-    "EXPERIMENT_SWEEPS",
-    "Job",
-    "JobResult",
-    "Runner",
-    "default_jobs",
-    "resolve",
-    "sweep_jobs",
-]

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import importlib
 import json
-import os
 import pathlib
-import tempfile
 from types import ModuleType
 from typing import Any, Dict, List, NamedTuple
+
+from repro.fileio import atomic_file
 
 #: src/repro/harness/campaign.py -> repository root
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
@@ -99,35 +99,13 @@ def read_report(path: pathlib.Path) -> Dict[str, Any]:
 
 
 def write_json_atomic(path: pathlib.Path, payload: Any) -> None:
-    """Crash-durable JSON write: temp file in the target directory,
-    fsync, ``os.replace``, then fsync the directory so the *rename
-    itself* survives a power cut.  A reader (or a concurrent producer)
-    never observes a partially-written report, only the old or the new
-    one -- even if the process is killed between any two steps (a
-    leftover ``*.tmp`` is the only possible debris, and it is never
-    mistaken for the real file)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``payload`` as an indented, key-sorted JSON report through
+    :func:`~repro.fileio.atomic_file` (durable): a reader, or a
+    concurrent producer, sees the old report or the new one, never a
+    torn one, even across a kill or a power cut."""
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent,
-                               suffix=path.suffix + ".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    directory_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory_fd)
-    except OSError:
-        pass  # some filesystems refuse directory fsync; rename still atomic
-    finally:
-        os.close(directory_fd)
+    with atomic_file(path, durable=True) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 def add_runner_arguments(parser) -> None:

@@ -241,27 +241,9 @@ CATALOG: Tuple[MetricSpec, ...] = (
                "observed by the per-node cycle tracers.",
                "E13 (bus bandwidth)"),
     # ------------------------------------------------- checkpoint/restore
-    MetricSpec("checkpoint.snapshots", "counter", "events",
-               "Snapshots committed to the generation ladder (data file "
-               "plus sha256 sidecar, under the run lock).",
-               "robustness (checkpoint/restore)"),
-    MetricSpec("checkpoint.restores", "counter", "events",
-               "Successful restores of a snapshot into a machine.",
-               "robustness (checkpoint/restore)"),
-    MetricSpec("checkpoint.resumes", "counter", "events",
-               "Runs that started from a restored snapshot instead of "
-               "cold (the chaos gate requires at least one).",
-               "robustness (checkpoint/restore)"),
-    MetricSpec("checkpoint.restore_rejects", "counter", "events",
-               "Snapshot loads rejected by integrity or format checks "
-               "(truncated, corrupted, mis-versioned).",
-               "robustness (checkpoint/restore)"),
-    MetricSpec("checkpoint.fallbacks", "counter", "events",
-               "Times resume skipped an invalid newest generation and "
-               "fell back to an older good one.",
-               "robustness (checkpoint/restore)"),
     MetricSpec("checkpoint.bytes_written", "counter", "bytes",
-               "Total snapshot bytes written to the store.",
+               "Total snapshot bytes written to the store (perfbench's "
+               "os-boot workload counts its own saves).",
                "robustness (checkpoint/restore)"),
     MetricSpec("checkpoint.drain_cycles", "counter", "cycles",
                "Extra cycles spent draining the pipeline to a quiescent "

@@ -633,18 +633,19 @@ def main(argv=None) -> int:
               for name, path in args.campaign]
     gates += [(title, functools.partial(check, args.trace_length))
               for title, check in CHECKS]
-    all_failures: List[str] = []
+    failed: List[str] = []
     for title, run in gates:
         failures = run()
         print(f"[{'ok' if not failures else 'FAIL':>4}] {title}")
         for failure in failures:
             print(f"       - {failure}")
-        all_failures.extend(failures)
-    if all_failures:
-        print(f"\n{len(all_failures)} paper-shape regression(s) detected",
+        if failures:
+            failed.append(f"{title}: {len(failures)}")
+    if failed:
+        print(f"\n{len(failed)} gate(s) failed -- " + "; ".join(failed),
               file=sys.stderr)
         return 1
-    print("\nall paper-shape orderings hold")
+    print(f"\nall {len(gates)} gates hold")
     return 0
 
 

@@ -10,8 +10,6 @@ Usage::
     python -m repro.tools.cli trace psieve --nodes 4 [--bus-latency L]
     python -m repro.tools.cli bench [--quick] [--workers N] [--multi]
     python -m repro.tools.cli run examples/boot.s --devices
-    python -m repro.tools.cli run program.s --checkpoint-every 100000
-    python -m repro.tools.cli run program.s --resume --checkpoint-id ID
     python -m repro.tools.cli campaign faults [--seeds N] [--quick] [--chaos R]
     python -m repro.tools.cli campaign faults --multi-nodes 4 [--seeds N]
     python -m repro.tools.cli campaign fuzz [--seeds N] [--quick] [--max-seconds S]
@@ -38,18 +36,14 @@ canonical UART boot stimulus (:data:`repro.workloads.kernel.
 DEFAULT_BOOT_FEED`) into the machine's receive line and print the UART
 boot log plus the device counters after the run -- ``repro run
 examples/boot.s --devices`` boots the kernel-lite echo demo (see
-``docs/SOFTWARE.md``).  ``--checkpoint-every K`` snapshots the machine
-every K cycles into the content-addressed store under
-``.trace_cache/checkpoints/`` (see :mod:`repro.checkpoint`), and
-``--resume`` continues a crashed run from its latest valid snapshot
-(``--checkpoint-id`` names the ladder).
+``docs/SOFTWARE.md``).
 
 ``campaign NAME`` runs one standing campaign of
 :data:`repro.harness.campaign.CAMPAIGNS` -- ``faults`` (seeded fault
 injection, or node-level faults with ``--multi-nodes N``), ``fuzz``
 (differential fuzzing of the golden, pipeline, trace-replay, JIT and
-checkpoint models), ``checkpoint`` (restore equivalence, chaos resume,
-snapshot corruption) and ``devices`` (every kernel-lite demo booted
+checkpoint models), ``checkpoint`` (restore equivalence and snapshot
+corruption) and ``devices`` (every kernel-lite demo booted
 interpretive, under the JIT, and across checkpoint/restore) -- writes
 its report, and applies the campaign's own gate, the one
 ``check_results --campaign`` applies.  Each campaign declares its own
@@ -129,20 +123,7 @@ def _run_machine(program, args) -> int:
         tracer.step(args.trace)
         print(tracer.render())
         print()
-    if args.checkpoint_every or args.resume:
-        from repro.checkpoint import SnapshotStore, run_with_checkpoints
-
-        store = SnapshotStore()
-        run_id = args.checkpoint_id or "cli"
-        ckpt = run_with_checkpoints(
-            machine, store, run_id, max_cycles=args.max_cycles,
-            every_cycles=args.checkpoint_every or 250_000,
-            resume=args.resume)
-        print(f"checkpoint: {ckpt.snapshots} snapshot(s), "
-              f"{ckpt.resumes} resume(s), {ckpt.bytes_written} bytes "
-              f"under {store.run_dir(run_id)}")
-    else:
-        machine.run(args.max_cycles)
+    machine.run(args.max_cycles)
     if args.jit_trace and translator is not None:
         from repro.telemetry import write_jit_trace
 
@@ -348,15 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="feed the canonical UART boot stimulus and "
                             "print the UART boot log + device counters "
                             "after the run (see docs/SOFTWARE.md)")
-        p.add_argument("--checkpoint-every", type=int, default=0,
-                       metavar="K",
-                       help="snapshot the machine every K cycles into "
-                            ".trace_cache/checkpoints/ (0 = off)")
-        p.add_argument("--resume", action="store_true",
-                       help="resume from the latest valid snapshot of "
-                            "--checkpoint-id before running")
-        p.add_argument("--checkpoint-id", default=None, metavar="ID",
-                       help="snapshot ladder name (default: cli)")
 
     p_run = sub.add_parser("run", help="assemble and run a .s file")
     p_run.add_argument("file")

@@ -18,13 +18,13 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
+
+from repro.fileio import atomic_file, pid_lock
 
 logger = logging.getLogger(__name__)
 
@@ -56,16 +56,8 @@ class CapturedTrace:
             json.dumps(self.meta, sort_keys=True).encode(), dtype=np.uint8)
         payload = dict(self.arrays)
         payload[_META_KEY] = meta_blob
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".npz.tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, **payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_file(path, durable=False) as handle:
+            np.savez_compressed(handle, **payload)
 
     @classmethod
     def load(cls, path: Path) -> "CapturedTrace":
@@ -104,14 +96,11 @@ class TraceStore:
     (``integrity_failures``), never a silent wrong replay.  :meth:`put`
     holds a per-entry lockfile so two concurrent producers (parallel
     ``repro bench`` runs racing on a cold cache) cannot interleave the
-    payload and its digest.
+    payload and its digest.  Writes are atomic but not fsynced
+    (:func:`repro.fileio.atomic_file` with ``durable=False``): the store
+    is a cache, and an entry torn by a power cut is a counted miss.
     """
 
-    #: a lock older than this is presumed abandoned (crashed writer) and
-    #: is broken; trace captures run seconds, not minutes.  A lock whose
-    #: recorded pid is dead is broken immediately, whatever its age.
-    LOCK_STALE_SECONDS = 120.0
-    LOCK_TIMEOUT_SECONDS = 30.0
     #: a writer SIGKILLed mid-save leaves a ``*.tmp``; ones older than
     #: this are swept on a cache miss (a live writer finishes in seconds)
     TMP_STALE_SECONDS = 120.0
@@ -127,6 +116,10 @@ class TraceStore:
 
     def digest_path_for(self, descriptor: Dict[str, object]) -> Path:
         return self.path_for(descriptor).with_suffix(".sha256")
+
+    def lock_path_for(self, descriptor: Dict[str, object]) -> Path:
+        """The lockfile :meth:`put` holds while it writes an entry."""
+        return self.path_for(descriptor).with_suffix(".lock")
 
     def get(self, descriptor: Dict[str, object]) -> Optional[CapturedTrace]:
         path = self.path_for(descriptor)
@@ -170,10 +163,11 @@ class TraceStore:
     def _sweep_stale_tmp(self) -> None:
         """Age out ``*.tmp`` debris left by writers killed mid-save.
 
-        A SIGKILL between ``mkstemp`` and ``os.replace`` orphans the
-        temp file; it can never be mistaken for an entry (entries end in
-        ``.npz``), but it would accumulate forever.  Swept lazily on a
-        miss so the hot hit path never pays for it.
+        A SIGKILL inside :func:`~repro.fileio.atomic_file`, before its
+        ``os.replace``, orphans the temp file; it can never be mistaken
+        for an entry (entries end in ``.npz``), but it would accumulate
+        forever.  Swept lazily on a miss so the hot hit path never pays
+        for it.
         """
         try:
             candidates = list(self.root.glob("*.tmp"))
@@ -189,87 +183,15 @@ class TraceStore:
             except OSError:
                 pass                        # concurrent sweep or live writer
 
-    # ------------------------------------------------------------- locking
-    def _lock_path(self, path: Path) -> Path:
-        return path.with_suffix(".lock")
-
-    @staticmethod
-    def _lock_holder_dead(lock: Path) -> bool:
-        """True when the lock records a pid that no longer exists."""
-        try:
-            pid = int(lock.read_text().strip() or "0")
-        except (OSError, ValueError):
-            return False            # vanished, or pid not yet written
-        if pid <= 0:
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except PermissionError:
-            return False            # alive, owned by someone else
-        return False
-
-    def _acquire_lock(self, path: Path) -> Path:
-        lock = self._lock_path(path)
-        lock.parent.mkdir(parents=True, exist_ok=True)
-        deadline = time.monotonic() + self.LOCK_TIMEOUT_SECONDS
-        while True:
-            try:
-                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(fd, str(os.getpid()).encode())
-                os.close(fd)
-                return lock
-            except FileExistsError:
-                try:
-                    age = time.time() - lock.stat().st_mtime
-                except OSError:
-                    continue                    # holder just released it
-                if self._lock_holder_dead(lock):
-                    logger.warning("trace store: breaking lock %s (holder "
-                                   "pid is dead)", lock.name)
-                    try:
-                        lock.unlink()
-                    except OSError:
-                        pass
-                    continue
-                if age > self.LOCK_STALE_SECONDS:
-                    logger.warning("trace store: breaking stale lock %s "
-                                   "(%.0fs old)", lock.name, age)
-                    try:
-                        lock.unlink()
-                    except OSError:
-                        pass
-                    continue
-                if time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"trace store: could not acquire {lock} within "
-                        f"{self.LOCK_TIMEOUT_SECONDS:.0f}s") from None
-                time.sleep(0.05)
-
     def put(self, descriptor: Dict[str, object],
             trace: CapturedTrace) -> Path:
         path = self.path_for(descriptor)
-        lock = self._acquire_lock(path)
-        try:
+        with pid_lock(self.lock_path_for(descriptor)):
             trace.save(path)
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            digest_path = self.digest_path_for(descriptor)
-            fd, tmp = tempfile.mkstemp(dir=path.parent,
-                                       suffix=".sha256.tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    handle.write(digest + "\n")
-                os.replace(tmp, digest_path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-        finally:
-            try:
-                lock.unlink()
-            except OSError:
-                pass
+            with atomic_file(self.digest_path_for(descriptor),
+                             durable=False) as handle:
+                handle.write((digest + "\n").encode("ascii"))
         return path
 
     def get_or_capture(

@@ -27,7 +27,7 @@ from repro.analysis.reporting import format_table
 from repro.analysis.vax import VaxEstimator, compare_workload
 from repro.coproc.schemes import evaluate_schemes, mix_from_machine, schemes
 from repro.lang.parser import parse_program
-from repro.reorg.delay_slots import MIPSX_SCHEME, BranchScheme
+from repro.reorg.delay_slots import MIPSX_SCHEME
 from repro.traces.capture import BranchEvent
 from repro.workloads import get
 

@@ -11,7 +11,6 @@ from repro.asm import (
 )
 from repro.asm.assembler import expand_li
 from repro.isa import Opcode, decode
-from repro.isa import instruction as I
 
 
 class TestBasicAssembly:

@@ -9,27 +9,22 @@ The contract under test, end to end:
 * the JSON payload survives a serialization round trip (what lands on
   disk is what restores);
 * the :class:`~repro.checkpoint.store.SnapshotStore` generation ladder
-  is durable (sha256 sidecars, atomic writes, pid-stamped locks) and
+  is durable (sha256 sidecars, atomic writes, pid-stamped locks; the
+  two file primitives are tested in ``tests/test_fileio.py``) and
   **rejects** truncated, bit-flipped, mis-versioned, and wrong-config
   snapshots with named errors, falling back to older generations;
-* the :func:`~repro.checkpoint.run.run_with_checkpoints` watchdog
-  resumes a killed run from the latest valid generation, and the resumed
-  run's metrics/console match an unkilled reference -- proven here with
-  a real SIGKILL mid-run;
 * the fuzz oracle's checkpoint pair finds no divergence.
 """
 
 import dataclasses
 import json
 import multiprocessing
-import signal
 
 import pytest
 
 from repro.checkpoint import (FORMAT, SnapshotConfigError, SnapshotFormatError,
                               SnapshotIntegrityError, SnapshotStore,
-                              drain_machine, machine_state, restore_machine,
-                              run_with_checkpoints)
+                              drain_machine, machine_state, restore_machine)
 from repro.checkpoint.store import state_cycles
 from repro.core.config import MachineConfig
 from repro.core.processor import Machine
@@ -157,14 +152,11 @@ class TestStore:
         assert newest == store.generations("t")[-1]
         assert state_cycles(state) == machine.stats.cycles
 
-    def test_prune_keeps_newest(self, tmp_path):
-        store, machine = self._laddered_store(tmp_path)
-        machine.run(6_000)
-        store.save("t", machine_state(machine))
-        store.prune("t", keep=2)
-        assert len(store.generations("t")) == 2
-        state, _path = store.load_latest("t")
-        assert state_cycles(state) == machine.stats.cycles
+    def test_save_releases_its_lockfile(self, tmp_path):
+        store, _machine = self._laddered_store(tmp_path)
+        leftovers = [p.name for p in store.run_dir("t").iterdir()]
+        assert ".lock" not in leftovers
+        assert not any(name.endswith(".tmp") for name in leftovers)
 
     def test_dead_pid_lock_is_broken(self, tmp_path):
         store = SnapshotStore(root=tmp_path / "ckpt")
@@ -248,77 +240,6 @@ class TestRejection:
             restore_machine(machine, state)
 
 
-# -------------------------------------------------------------- watchdog
-class TestWatchdog:
-    def test_periodic_snapshots_and_clean_finish(self, tmp_path):
-        store = SnapshotStore(root=tmp_path / "ckpt")
-        machine = _fresh()
-        stats = run_with_checkpoints(machine, store, run_id="w",
-                                     max_cycles=10_000_000,
-                                     every_cycles=20_000, keep=100)
-        assert machine.halted
-        assert stats.snapshots >= 3
-        assert stats.resumes == 0
-        assert stats.bytes_written > 0
-        metrics = stats.as_metrics()
-        assert metrics["checkpoint.snapshots"] == stats.snapshots
-
-    def test_resume_from_latest_is_bit_identical(self, tmp_path):
-        straight = _run_to_completion(_fresh())
-
-        store = SnapshotStore(root=tmp_path / "ckpt")
-        partial = _fresh()
-        run_with_checkpoints(partial, store, run_id="w",
-                             max_cycles=40_000, every_cycles=20_000)
-        assert not partial.halted
-
-        resumed = _fresh()
-        stats = run_with_checkpoints(resumed, store, run_id="w",
-                                     max_cycles=10_000_000,
-                                     every_cycles=20_000)
-        assert stats.restores == 1
-        assert stats.resumes == 1
-        assert resumed.halted
-        assert _machine_signature(resumed) == _machine_signature(straight)
-
-    def test_resume_false_starts_cold(self, tmp_path):
-        store = SnapshotStore(root=tmp_path / "ckpt")
-        machine = _fresh()
-        run_with_checkpoints(machine, store, run_id="w",
-                             max_cycles=40_000, every_cycles=20_000)
-        cold = _fresh()
-        stats = run_with_checkpoints(cold, store, run_id="w",
-                                     max_cycles=40_000,
-                                     every_cycles=20_000, resume=False)
-        assert stats.restores == 0
-
-
-# ------------------------------------------------------ kill -9 recovery
-class TestKillResume:
-    def test_sigkilled_run_resumes_and_matches_reference(self, tmp_path):
-        from repro.checkpoint.campaign import (_chaos_reference,
-                                               checkpoint_point)
-
-        store_root = str(tmp_path / "ckpt")
-        worker = multiprocessing.Process(
-            target=checkpoint_point,
-            kwargs=dict(workload="sieve", run_id="kill",
-                        store_root=store_root, every_cycles=2_000,
-                        kill_at_snapshot=1))
-        worker.start()
-        worker.join(timeout=120)
-        assert worker.exitcode == -signal.SIGKILL
-
-        # generations survived the kill; the rerun resumes warm
-        payload = checkpoint_point(workload="sieve", run_id="kill",
-                                   store_root=store_root,
-                                   every_cycles=2_000)
-        assert payload["checkpoint"]["checkpoint.resumes"] == 1
-        reference = _chaos_reference("sieve")
-        assert payload["metrics"] == reference["metrics"]
-        assert payload["console"] == reference["console"]
-
-
 # ------------------------------------------------------------ fuzz oracle
 class TestOracleIntegration:
     def test_checkpoint_pair_finds_no_divergence(self):
@@ -334,18 +255,3 @@ class TestOracleIntegration:
                                               reference)
         assert report is None
 
-
-# ------------------------------------------------------------------- CLI
-class TestCli:
-    def test_workload_run_with_checkpointing(self, capsys):
-        from repro.tools import cli
-
-        run_id = "pytest-cli"
-        try:
-            cli.main(["workload", "sieve", "--checkpoint-every", "40000",
-                      "--checkpoint-id", run_id])
-            out = capsys.readouterr().out
-            assert "checkpoint:" in out
-            assert "snapshot(s)" in out
-        finally:
-            SnapshotStore().delete_run(run_id)

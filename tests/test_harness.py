@@ -462,62 +462,3 @@ class TestWorkerReuse:
         assert [r.attempts for r in results] == [1] * 20
         assert [r.value for r in results] == list(range(20))
 
-
-# --------------------------------------------------- durable atomic JSON
-def _doomed_json_write(path):
-    """Write a payload but SIGKILL ourselves between write and rename."""
-    import signal
-
-    from repro.harness import campaign
-
-    original = os.replace
-
-    def die(*args, **kwargs):
-        os.kill(os.getpid(), signal.SIGKILL)
-        return original(*args, **kwargs)  # pragma: no cover
-
-    os.replace = die
-    campaign.write_json_atomic(path, {"new": True})
-
-
-class TestWriteJsonAtomic:
-    def test_failure_before_rename_preserves_target(self, tmp_path,
-                                                    monkeypatch):
-        from repro.harness.campaign import write_json_atomic
-
-        target = tmp_path / "report.json"
-        write_json_atomic(target, {"generation": 1})
-
-        def boom(*args, **kwargs):
-            raise OSError("disk on fire")
-
-        monkeypatch.setattr(os, "replace", boom)
-        with pytest.raises(OSError, match="disk on fire"):
-            write_json_atomic(target, {"generation": 2})
-        monkeypatch.undo()
-        import json
-
-        assert json.loads(target.read_text()) == {"generation": 1}
-        assert not any(".tmp" in p.name for p in tmp_path.iterdir())
-
-    def test_kill9_between_write_and_rename_preserves_target(self,
-                                                             tmp_path):
-        # the hard variant: no Python cleanup runs at all
-        import json
-        import multiprocessing
-        import signal
-
-        from repro.harness.campaign import write_json_atomic
-
-        target = tmp_path / "report.json"
-        write_json_atomic(target, {"old": True})
-        worker = multiprocessing.Process(target=_doomed_json_write,
-                                         args=(target,))
-        worker.start()
-        worker.join()
-        assert worker.exitcode == -signal.SIGKILL
-        assert json.loads(target.read_text()) == {"old": True}
-        # debris is a .tmp that can never shadow the real file, and a
-        # clean write simply replaces the target
-        write_json_atomic(target, {"new": True})
-        assert json.loads(target.read_text()) == {"new": True}

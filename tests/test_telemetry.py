@@ -78,8 +78,8 @@ class TestCollectMachine:
         machine.run()
         snapshot = machine.metrics().snapshot()
         # multi.* counters come from the MultiMachine harvest
-        # (collect_multi) and checkpoint.* from the checkpoint watchdog
-        # (CheckpointStats.as_metrics) -- not from a single machine
+        # (collect_multi) and checkpoint.* from whoever saves snapshots
+        # (perfbench's os-boot workload) -- not from a single machine
         counters = {spec.name for spec in CATALOG
                     if spec.kind == "counter"
                     and not spec.name.startswith(("multi.",
@@ -95,7 +95,7 @@ class TestCollectMachine:
         system.run(2_000_000)
         assert system.all_halted
         snapshot = system.metrics().snapshot()
-        # checkpoint.* counters are the watchdog's, not the system's
+        # checkpoint.* counters are the snapshot writer's, not the system's
         counters = {spec.name for spec in CATALOG
                     if spec.kind == "counter"
                     and not spec.name.startswith("checkpoint.")}

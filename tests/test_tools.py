@@ -298,6 +298,25 @@ class TestCheckFuzzFile:
         assert any("failed its self-test" in f for f in failures)
 
 
+class TestCheckResultsSummary:
+    """``check_results``' last line names the gates that failed."""
+
+    def test_failing_campaign_is_not_a_paper_shape_regression(
+            self, tmp_path, monkeypatch, capsys):
+        import json
+
+        report = tmp_path / "faults.json"
+        report.write_text(json.dumps(
+            {"complete": True,
+             "summary": {"violated": 2, "unhandled_jobs": 0,
+                         "interrupted_jobs": 0}}))
+        monkeypatch.setattr(check_results, "CHECKS", [])  # campaign only
+        assert check_results.main(["--campaign", f"faults={report}"]) == 1
+        summary = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "paper-shape" not in summary
+        assert f"faults campaign report ({report}): 1" in summary
+
+
 def _ci_commands():
     """The shell commands of every ``run:`` step in the CI workflow, and
     of every matrix entry's ``commands:`` (which its step runs as

@@ -187,44 +187,21 @@ class TestTraceStoreIntegrity:
         assert not any(name.endswith(".lock") for name in leftovers)
         assert not any(".tmp" in name for name in leftovers)
 
-    def test_stale_lock_is_broken(self, tmp_path):
-        import os
-        import time
-
-        store = TraceStore(root=tmp_path)
-        lock = store._lock_path(store.path_for(self._descriptor()))
-        lock.write_text("12345")
-        old = time.time() - store.LOCK_STALE_SECONDS - 10
-        os.utime(lock, (old, old))
-        self._put_one(store)                     # must not time out
-        assert store.get(self._descriptor()) is not None
-        assert not lock.exists()
-
-    def test_held_lock_times_out(self, tmp_path):
-        import os
-
-        store = TraceStore(root=tmp_path)
-        store.LOCK_TIMEOUT_SECONDS = 0.2
-        lock = store._lock_path(store.path_for(self._descriptor()))
-        # our own (live) pid: genuinely held, not breakable as dead
-        lock.write_text(str(os.getpid()))
-        with pytest.raises(TimeoutError, match="could not acquire"):
-            self._put_one(store)
-
     def test_dead_holder_lock_is_broken_immediately(self, tmp_path):
         import multiprocessing
         import time
+
+        from repro import fileio
 
         worker = multiprocessing.Process(target=lambda: None)
         worker.start()
         worker.join()                            # pid now provably dead
         store = TraceStore(root=tmp_path)
-        store.LOCK_TIMEOUT_SECONDS = 30.0
-        lock = store._lock_path(store.path_for(self._descriptor()))
+        lock = store.lock_path_for(self._descriptor())
         lock.write_text(str(worker.pid))         # fresh mtime, dead pid
         start = time.monotonic()
         self._put_one(store)                     # must not wait for age-out
-        assert time.monotonic() - start < store.LOCK_STALE_SECONDS / 2
+        assert time.monotonic() - start < fileio.LOCK_STALE_SECONDS / 2
         assert store.get(self._descriptor()) is not None
         assert not lock.exists()
 
@@ -255,7 +232,7 @@ class TestTraceStoreIntegrity:
         worker.join()
         assert worker.exitcode == -signal.SIGKILL
         store = TraceStore(root=tmp_path)
-        lock = store._lock_path(store.path_for(descriptor))
+        lock = store.lock_path_for(descriptor)
         assert lock.exists()                     # the crash orphaned it
         assert store.get(descriptor) is None     # no entry, not garbage
         self._put_one(store)                     # dead lock broken, rewritten
