@@ -8,10 +8,8 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Per-benchmark wall-clock timings are folded into ``BENCH_pipeline.json``
-(section ``pytest_benchmarks``) at session end, alongside the ``repro
-bench`` telemetry, so the perf trajectory of the derivations themselves
-is tracked across PRs.
+Each derivation's numbers are the result; wall-clock timings of the
+simulator are measured by perfbench (``BENCHMARK.json``), not here.
 """
 
 import pathlib
@@ -19,24 +17,6 @@ import pathlib
 import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-_TIMINGS = {}
-
-
-def pytest_runtest_logreport(report):
-    if report.when == "call" and report.passed:
-        _TIMINGS[report.nodeid] = round(report.duration, 3)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _TIMINGS:
-        return
-    try:
-        from repro.harness.bench import merge_section
-
-        merge_section("pytest_benchmarks", dict(sorted(_TIMINGS.items())))
-    except Exception:
-        pass          # telemetry must never fail the benchmark run
 
 
 @pytest.fixture()

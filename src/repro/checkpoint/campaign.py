@@ -76,7 +76,7 @@ def _check_workload_case(name: str, jit: bool) -> Dict[str, Any]:
     """Snapshot a named workload halfway, restore fresh, finish, and
     compare against the uninterrupted run -- the oracle's signature
     comparison, without the fuzz generator."""
-    from repro.fuzz.oracle import _machine_signature
+    from repro.fuzz.oracle import machine_signature
 
     program = _workload_program(name)
     config = MachineConfig(jit=jit)
@@ -100,8 +100,8 @@ def _check_workload_case(name: str, jit: bool) -> Dict[str, Any]:
     if not second.halted:
         return {"status": "no-halt", "detail": f"{name} resumed run hung"}
 
-    want = _machine_signature(straight)
-    got = _machine_signature(second)
+    want = machine_signature(straight)
+    got = machine_signature(second)
     if want != got:
         keys = [key for key in want if want[key] != got[key]]
         return {"status": "diverged", "detail": f"signature keys {keys}"}
@@ -111,7 +111,7 @@ def _check_workload_case(name: str, jit: bool) -> Dict[str, Any]:
 
 def _check_multi_case(nodes: int) -> Dict[str, Any]:
     """Same round-trip for the parallel sieve on a MultiMachine."""
-    from repro.fuzz.oracle import _machine_signature
+    from repro.fuzz.oracle import machine_signature
     from repro.multi.system import MultiMachine
     from repro.workloads.parallel import parallel_program
 
@@ -119,7 +119,7 @@ def _check_multi_case(nodes: int) -> Dict[str, Any]:
 
     def multi_sig(system: MultiMachine) -> Dict[str, Any]:
         return {
-            "nodes": [_machine_signature(machine)
+            "nodes": [machine_signature(machine)
                       for machine in system.machines],
             "bus": dataclasses.asdict(system.bus),
             "cycles": system.cycles,

@@ -21,7 +21,7 @@ import logging
 import os
 import pathlib
 import time
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, Optional
 
 logger = logging.getLogger(__name__)
 
@@ -86,24 +86,63 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _orphaned(lock: pathlib.Path) -> bool:
-    """Whether a held lock may be broken: its holder's pid is dead, it
-    is older than :data:`LOCK_STALE_SECONDS`, or it is already gone."""
+def _orphaned(lock: pathlib.Path) -> Optional[str]:
+    """Why a held lock may be broken -- its holder's pid is dead, or it
+    is older than :data:`LOCK_STALE_SECONDS` -- or ``None`` if it may
+    not.  A lock that is gone (released while we looked) is not
+    orphaned: there is nothing to break, and the next ``O_EXCL``
+    attempt takes it."""
     try:
         holder = lock.read_text().strip()
         age = time.time() - lock.stat().st_mtime
-    except FileNotFoundError:
-        return True                 # released while we looked
     except (OSError, ValueError):
-        return False
+        return None
     if holder.isdigit() and not _pid_alive(int(holder)):
-        logger.warning("breaking lock %s: holder pid %s is dead",
-                       lock, holder)
-        return True
+        return f"holder pid {holder} is dead"
     if age > LOCK_STALE_SECONDS:
-        logger.warning("breaking stale lock %s (%.0fs old)", lock, age)
+        return f"{age:.0f}s old"
+    return None
+
+
+def _break(lock: pathlib.Path) -> bool:
+    """Unlink ``lock`` if it is still orphaned, as the only breaker;
+    return whether it was unlinked.
+
+    Waiters that each judged the lock orphaned must not each unlink it:
+    the second unlink would remove the lock the first had just taken.
+    So a breaker first takes ``<lock>.break`` with ``O_CREAT|O_EXCL``
+    and judges the lock again under it; a waiter that finds the breaker
+    taken leaves the lock alone and looks again after its poll.  While
+    the breaker is held, no other waiter unlinks the lock, and a dead
+    holder cannot release it or let anyone create a new one, so the
+    file judged is the file unlinked.  (A stale lock whose live holder
+    releases it between the judgment and the unlink is the one case
+    left.)  A breaker whose own holder died mid-break is removed when
+    it is found orphaned.
+    """
+    breaker = lock.with_name(lock.name + ".break")
+    try:
+        fd = os.open(breaker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        reason = _orphaned(breaker)
+        if reason:
+            logger.warning("breaking breaker %s: %s", breaker, reason)
+            with contextlib.suppress(FileNotFoundError):
+                breaker.unlink()
+        return False
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(str(os.getpid()))
+        reason = _orphaned(lock)
+        if not reason:
+            return False
+        logger.warning("breaking lock %s: %s", lock, reason)
+        with contextlib.suppress(FileNotFoundError):
+            lock.unlink()
         return True
-    return False
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            breaker.unlink()
 
 
 @contextlib.contextmanager
@@ -115,7 +154,9 @@ def pid_lock(lock: pathlib.Path) -> Iterator[pathlib.Path]:
     its pid is dead or it is older than :data:`LOCK_STALE_SECONDS`;
     otherwise it is looked at again every :data:`LOCK_POLL_SECONDS`,
     and :class:`TimeoutError` is raised after
-    :data:`LOCK_TIMEOUT_SECONDS`.  The lock is removed on exit.
+    :data:`LOCK_TIMEOUT_SECONDS`.  Breaking goes through
+    :func:`_break`, so of two waiters that find one orphan, only one
+    removes it.  The lock is removed on exit.
     """
     lock = pathlib.Path(lock)
     lock.parent.mkdir(parents=True, exist_ok=True)
@@ -125,9 +166,7 @@ def pid_lock(lock: pathlib.Path) -> Iterator[pathlib.Path]:
             fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             break
         except FileExistsError:
-            if _orphaned(lock):
-                with contextlib.suppress(FileNotFoundError):
-                    lock.unlink()
+            if _orphaned(lock) and _break(lock):
                 continue
             if time.monotonic() > deadline:
                 raise TimeoutError(

@@ -278,8 +278,12 @@ def check_trace_replay(machine: Machine, collector: TraceCollector,
     return None
 
 
-def _machine_signature(machine: Machine) -> Dict[str, object]:
-    """Everything the jit-vs-interpreter oracle compares, as one dict.
+def machine_signature(machine: Machine) -> Dict[str, object]:
+    """A halted machine's whole observable state, as one dict.
+
+    The one signature every fast-path equivalence check compares: the
+    jit and checkpoint oracles, the checkpoint campaign and ``repro
+    bench``'s jit section.
 
     Cycle-exactness is part of the contract, so the *full* pipeline
     stat struct is included -- a fast path that reaches the right
@@ -332,8 +336,8 @@ def check_jit_equivalence(program: Program, generated: GeneratedProgram,
             mismatches=[{"what": "pipeline",
                          "detail": f"jit run tripped the hazard checker "
                                    f"where the interpreter did not: {exc}"}])
-    want = _machine_signature(reference)
-    got = _machine_signature(jit_machine)
+    want = machine_signature(reference)
+    got = machine_signature(jit_machine)
     if want == got:
         return None
     mismatches: List[Dict[str, object]] = []
@@ -417,8 +421,8 @@ def check_checkpoint_equivalence(program: Program,
                                    f"{generated.max_cycles} cycles where "
                                    f"the straight run did "
                                    f"(seed {generated.seed})"}])
-    want = _machine_signature(reference)
-    got = _machine_signature(restored)
+    want = machine_signature(reference)
+    got = machine_signature(restored)
     if want == got:
         return None
     mismatches: List[Dict[str, object]] = []

@@ -10,9 +10,9 @@ those points in parallel:
   timeout, retry-once-on-crash, and deterministic result merging;
 * :mod:`repro.harness.experiments` -- the registry of experiment point
   functions and the sweep grids built from them;
-* :mod:`repro.harness.bench` -- benchmark telemetry: core ``cycles/sec``
-  and sweep wall-clock, persisted to ``BENCH_pipeline.json`` at the repo
-  root so every PR leaves a perf trajectory;
+* :mod:`repro.harness.bench` -- ``repro bench``: the grid's verdicts,
+  the jit, traced and multi sections and the timings a gate reads,
+  persisted to ``BENCH_pipeline.json`` at the repo root;
 * :mod:`repro.harness.campaign` -- the contract, registry and exit rule
   of the standing campaigns behind ``repro campaign <name>``, one of
   which, :mod:`repro.harness.devices`, boots the kernel-lite demos.

@@ -192,19 +192,19 @@ MULTI_BUS_LATENCY = 4
 
 
 def multi_scaling_jobs(quick: bool = False,
-                       nodes: Optional[Sequence[int]] = None,
                        timeout: Optional[float] = None) -> List[Job]:
     """The multi-scaling grid: workloads x nodes (+ psieve knob arms).
 
-    Every workload sweeps the node grid at bus latency 0 with
-    invalidation on; the sieve additionally sweeps the non-zero bus
-    latency and invalidation-off arms so the BENCH ``multi`` section
-    carries one contention curve and one coherence-cost curve.
+    ``quick`` runs the reduced sizes on :data:`MULTI_QUICK_NODES`, the
+    full grid :data:`MULTI_FULL_NODES`.  Every workload sweeps the node
+    grid at bus latency 0 with invalidation on; the sieve additionally
+    sweeps the non-zero bus latency and invalidation-off arms so the
+    BENCH ``multi`` section carries one contention curve and one
+    coherence-cost curve.
     """
     from repro.workloads.parallel import PARALLEL_WORKLOADS, QUICK_SIZES
 
-    node_list = [int(n) for n in nodes] if nodes else list(
-        MULTI_QUICK_NODES if quick else MULTI_FULL_NODES)
+    node_list = MULTI_QUICK_NODES if quick else MULTI_FULL_NODES
     grid = [(name, n, 0, True) for name in PARALLEL_WORKLOADS
             for n in node_list]
     grid += [("psieve", n, MULTI_BUS_LATENCY, True) for n in node_list]

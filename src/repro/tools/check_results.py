@@ -29,7 +29,7 @@ an aggregated ``METRICS_summary.json`` (see :mod:`repro.telemetry`):
 counter-derived CPI must equal the analysis-module CPI for every
 workload, and the counter accounting identities must hold on each
 snapshot and on the suite totals.  ``--multi PATH`` validates the
-``multi`` section a ``repro bench --multi`` run writes: every scaling
+``multi`` section a ``repro bench`` run writes: every scaling
 point self-checked, results bit-equal to the single-node reference,
 ``speedup(N=1) == 1.0``, bus contention monotone in the node count, and
 a psieve speedup floor at 4 nodes.  ``--jit PATH`` validates the
@@ -68,11 +68,12 @@ from repro.harness.campaign import load as load_campaign
 DEFAULT_TRACE_LENGTH = 150_000
 
 #: named sections a complete bench telemetry file must carry, with the
-#: keys each section needs for the summary/regression tooling
+#: keys each section needs for the summary/regression tooling (the
+#: ``jit`` and ``multi`` sections have gates of their own)
 BENCH_SECTIONS = {
-    "core": ("cycles_per_sec", "workloads"),
-    "sweep": ("jobs", "ok"),
+    "sweep": ("jobs", "ok", "speedup"),
     "experiments": (),
+    "traced": ("per_sweep",),
 }
 
 #: the parallel sweep must not be slower than the serial one on a host
@@ -144,10 +145,10 @@ def check_jit_section(path: pathlib.Path) -> List[str]:
 
     Three gates, in order of importance:
 
-    * **equivalence** -- every workload's jit run must report the same
-      cycle and retired-instruction counts as the interpretive run
-      (``equivalent: true``); the fast path is cycle-exact or it is
-      wrong, and no speedup excuses a wrong answer;
+    * **equivalence** -- every workload's jit run must halt with the
+      interpretive run's whole machine signature, every pipeline
+      counter included (``equivalent: true``); the fast path is
+      cycle-exact or it is wrong, and no speedup excuses a wrong answer;
     * **speedup floors** -- aggregate >= ``JIT_SPEEDUP_FLOOR``x and each
       workload >= ``JIT_WORKLOAD_SPEEDUP_FLOOR``x over the interpreter;
     * **coverage sanity** -- blocks compiled and entries taken are
@@ -178,7 +179,8 @@ def check_jit_section(path: pathlib.Path) -> List[str]:
             continue
         if not row.get("equivalent", False):
             failures.append(f"jit: workload '{name}' is not cycle-exact "
-                            "(jit vs interpreter counts diverged)")
+                            "(jit vs interpreter machine signatures "
+                            "differ)")
         row_speedup = row.get("speedup", 0.0)
         if row_speedup < JIT_WORKLOAD_SPEEDUP_FLOOR:
             failures.append(
@@ -307,7 +309,7 @@ def check_multi_file(path: pathlib.Path) -> List[str]:
         return [f"multi file {exc}"]
     if not isinstance(multi, dict):
         return ["multi file: section 'multi' is missing or not an object "
-                "(was the bench run started with --multi?)"]
+                "(partial or interrupted bench run?)"]
     failures = []
     for key in MULTI_KEYS:
         if key not in multi:

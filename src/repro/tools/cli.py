@@ -8,7 +8,7 @@ Usage::
     python -m repro.tools.cli workload sieve [--stats]
     python -m repro.tools.cli trace sieve [--output TRACE.json]
     python -m repro.tools.cli trace psieve --nodes 4 [--bus-latency L]
-    python -m repro.tools.cli bench [--quick] [--workers N] [--multi]
+    python -m repro.tools.cli bench [--quick] [--workers N] [--output PATH]
     python -m repro.tools.cli run examples/boot.s --devices
     python -m repro.tools.cli campaign faults [--seeds N] [--quick] [--chaos R]
     python -m repro.tools.cli campaign faults --multi-nodes 4 [--seeds N]
@@ -22,11 +22,11 @@ registered benchmark.  ``--trace N`` prints a pipeline diagram of the
 first N cycles.  ``trace`` runs a workload under the telemetry cycle
 tracer (:mod:`repro.telemetry`) and writes Chrome/Perfetto trace JSON
 for ``ui.perfetto.dev`` (see ``docs/OBSERVABILITY.md``).  ``bench``
-runs the benchmark telemetry suite (core
-cycles/sec plus the parallel experiment sweep) and writes
-``BENCH_pipeline.json`` at the repo root; ``bench --multi`` adds the
-multiprocessor scaling sweep (nodes x bus latency x invalidation) as the
-payload's ``multi`` section.  ``trace --nodes N`` runs a parallel
+runs the experiment grid (in parallel, then serially), the jit
+equivalence and speedup probe, the traced sweeps and the multiprocessor
+scaling sweep (nodes x bus latency x invalidation), and writes their
+results to ``BENCH_pipeline.json`` at the repo root (see
+:mod:`repro.harness.bench`).  ``trace --nodes N`` runs a parallel
 workload on an N-node :class:`~repro.multi.system.MultiMachine` and
 exports one Perfetto process per node so cross-node stall interleaving
 (including bus-wait spans) is visible on one timeline.
@@ -266,27 +266,13 @@ def cmd_trace(args) -> int:
 def cmd_bench(args) -> int:
     from repro.harness.bench import collect, format_summary
 
-    multi_nodes = None
-    if args.multi_nodes:
-        multi_nodes = tuple(int(part) for part
-                            in args.multi_nodes.split(","))
     payload = collect(quick=args.quick, workers=args.workers,
-                      parallel=not args.serial_only and not args.traced_only,
-                      serial_baseline=(not args.no_serial_baseline
-                                       and not args.traced_only
-                                       and not args.multi_only),
-                      timeout=args.timeout,
-                      output=args.output,
-                      traced=not args.no_traced,
-                      trace_reuse=not args.no_trace_reuse,
-                      metrics_output=args.metrics_output,
-                      multi=args.multi or bool(args.multi_nodes),
-                      multi_nodes=multi_nodes,
-                      multi_only=args.multi_only)
+                      timeout=args.timeout, output=args.output,
+                      metrics_output=args.metrics_output)
     print(format_summary(payload))
     failed = [job_id for job_id, row in payload["experiments"].items()
               if row["status"] != "ok"]
-    failed += payload.get("multi", {}).get("failures", [])
+    failed += payload["multi"]["failures"]
     if failed:
         print(f"failed jobs: {', '.join(sorted(failed))}", file=sys.stderr)
     return 1 if failed else 0
@@ -388,44 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=cmd_trace)
 
     p_bench = sub.add_parser(
-        "bench", help="benchmark telemetry: core cycles/sec + experiment "
-                      "sweep wall-clock, written to BENCH_pipeline.json")
+        "bench", help="experiment grid, jit, traced and multi results plus "
+                      "the timings check_results gates, written to "
+                      "BENCH_pipeline.json")
     p_bench.add_argument("--quick", action="store_true",
-                         help="reduced grid and shorter traces (CI smoke)")
+                         help="reduced grid, shorter traces and multi nodes "
+                              "1, 2, 4 (CI smoke)")
     p_bench.add_argument("--workers", type=int, default=None,
                          help="parallel worker processes (default: CPUs)")
-    p_bench.add_argument("--serial-only", action="store_true",
-                         help="skip the parallel sweep")
-    p_bench.add_argument("--no-serial-baseline", action="store_true",
-                         help="skip the serial sweep (no speedup figure)")
     p_bench.add_argument("--timeout", type=float, default=None,
                          help="per-job timeout in seconds")
-    p_bench.add_argument("--no-traced", action="store_true",
-                         help="skip the capture-once/replay-many trace "
-                              "sweeps")
-    p_bench.add_argument("--traced-only", action="store_true",
-                         help="run only the trace-replay sweeps (no live "
-                              "parallel/serial passes)")
-    p_bench.add_argument("--no-trace-reuse", action="store_true",
-                         help="ignore cached traces and re-capture "
-                              "(escape hatch)")
     p_bench.add_argument("--output", default=None, metavar="PATH",
                          help="telemetry file (default: BENCH_pipeline.json "
                               "at the repo root)")
     p_bench.add_argument("--metrics-output", default=None, metavar="PATH",
                          help="aggregated metrics file (default: "
                               "METRICS_summary.json at the repo root)")
-    p_bench.add_argument("--multi", action="store_true",
-                         help="also run the multiprocessor scaling sweep "
-                              "(nodes x bus latency x invalidation) and "
-                              "write it as the payload's 'multi' section")
-    p_bench.add_argument("--multi-nodes", default=None, metavar="N[,N]",
-                         help="comma-separated node counts for the multi "
-                              "sweep (default 1..10; implies --multi)")
-    p_bench.add_argument("--multi-only", action="store_true",
-                         help="run only the multi sweep (plus the core "
-                              "probe): skip the uniprocessor sweeps and "
-                              "trace replays")
     p_bench.set_defaults(func=cmd_bench)
 
     p_campaign = sub.add_parser(

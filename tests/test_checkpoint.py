@@ -28,7 +28,7 @@ from repro.checkpoint import (FORMAT, SnapshotConfigError, SnapshotFormatError,
 from repro.checkpoint.store import state_cycles
 from repro.core.config import MachineConfig
 from repro.core.processor import Machine
-from repro.fuzz.oracle import _machine_signature
+from repro.fuzz.oracle import machine_signature
 from repro.workloads import cached_program
 
 
@@ -84,7 +84,7 @@ class TestRoundTrip:
         restore_machine(second, state)
         _run_to_completion(second)
 
-        assert _machine_signature(second) == _machine_signature(straight)
+        assert machine_signature(second) == machine_signature(straight)
         assert list(second.console.values) == list(straight.console.values)
 
     def test_snapshot_is_pure_json(self):
@@ -117,7 +117,7 @@ class TestRoundTrip:
         assert second.all_halted
 
         for left, right in zip(straight.machines, second.machines):
-            assert _machine_signature(right) == _machine_signature(left)
+            assert machine_signature(right) == machine_signature(left)
         assert dataclasses.asdict(second.bus) == dataclasses.asdict(
             straight.bus)
         assert second.cycles == straight.cycles

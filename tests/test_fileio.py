@@ -4,8 +4,9 @@
   torn, whether the writer raises or is SIGKILLed before the rename, and
   fsyncs exactly when asked to be durable;
 * :func:`~repro.fileio.pid_lock` breaks a lock whose holder is dead at
-  once and a stale one by age, waits out a live holder until its
-  timeout, and releases its lock on the way out.
+  once and a stale one by age, lets only one of two waiters that judged
+  the same orphan break it, waits out a live holder until its timeout,
+  and releases its lock on the way out.
 
 Both stores and ``write_json_atomic`` go through these two helpers, so
 each behaviour is tested once here; the store tests check only that a
@@ -143,6 +144,49 @@ class TestPidLock:
         with pid_lock(lock):                  # must not time out
             pass
         assert not lock.exists()
+
+    def test_two_breakers_of_one_orphan_take_turns(self, tmp_path,
+                                                    monkeypatch):
+        """Waiters A and B both judge a dead holder's lock orphaned.  B
+        pauses right after its judgment while A breaks the lock and
+        takes it; B must then leave A's lock alone and wait for it."""
+        import threading
+
+        lock = tmp_path / "entry.lock"
+        lock.write_text(str(_dead_pid()))
+        judged, a_holds, b_holds = (threading.Event() for _ in range(3))
+        judge = fileio._orphaned
+        paused = []
+
+        def orphaned(path):
+            verdict = judge(path)
+            if threading.current_thread().name == "B" and not paused:
+                paused.append(path)
+                judged.set()
+                a_holds.wait(10)
+            return verdict
+
+        monkeypatch.setattr(fileio, "_orphaned", orphaned)
+
+        def waiter_b():
+            with pid_lock(lock):
+                b_holds.set()
+
+        b = threading.Thread(target=waiter_b, name="B")
+        b.start()
+        try:
+            assert judged.wait(10)
+            with pid_lock(lock):
+                a_holds.set()
+                # B's judgment is stale: it must not let B in
+                assert not b_holds.wait(0.5)
+                assert lock.exists()
+        finally:
+            a_holds.set()
+            b.join(10)
+        assert not b.is_alive() and b_holds.is_set()
+        assert not lock.exists()
+        assert not lock.with_name("entry.lock.break").exists()
 
     def test_held_lock_times_out(self, tmp_path, monkeypatch):
         monkeypatch.setattr(fileio, "LOCK_TIMEOUT_SECONDS", 0.2)

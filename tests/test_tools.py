@@ -161,9 +161,9 @@ class TestCheckBenchFile:
         return path
 
     def _complete(self):
-        return {"core": {"cycles_per_sec": 1000, "workloads": {}},
-                "sweep": {"jobs": 4, "ok": 4},
-                "experiments": {"e/1": {"status": "ok"}}}
+        return {"sweep": {"jobs": 4, "ok": 4, "speedup": 1.2},
+                "experiments": {"e/1": {"status": "ok"}},
+                "traced": {"per_sweep": {}}}
 
     def test_complete_file_passes(self, tmp_path):
         from repro.tools.check_results import check_bench_file
@@ -182,16 +182,16 @@ class TestCheckBenchFile:
         from repro.tools.check_results import check_bench_file
 
         payload = self._complete()
-        del payload["core"]["cycles_per_sec"]
+        del payload["sweep"]["ok"]
         failures = check_bench_file(self._write(tmp_path, payload))
-        assert any("section 'core' is missing key 'cycles_per_sec'" in f
+        assert any("section 'sweep' is missing key 'ok'" in f
                    for f in failures)
 
     def test_partial_write_is_not_a_keyerror(self, tmp_path):
         from repro.tools.check_results import check_bench_file
 
         path = tmp_path / "bench.json"
-        path.write_text('{"core": {"cycles_per')     # torn write
+        path.write_text('{"sweep": {"jobs')     # torn write
         failures = check_bench_file(path)            # must not raise
         assert failures and "not valid JSON" in failures[0]
 
@@ -199,7 +199,7 @@ class TestCheckBenchFile:
         from repro.tools.check_results import check_bench_file
 
         payload = self._complete()
-        payload["experiments"]["e/2"] = {"duration_s": 1.0}
+        payload["experiments"]["e/2"] = {"sweep": "e"}
         failures = check_bench_file(self._write(tmp_path, payload))
         assert any("row 'e/2' has no 'status'" in f for f in failures)
 
@@ -317,16 +317,31 @@ class TestCheckResultsSummary:
         assert f"faults campaign report ({report}): 1" in summary
 
 
-def _ci_commands():
-    """The shell commands of every ``run:`` step in the CI workflow, and
-    of every matrix entry's ``commands:`` (which its step runs as
-    ``run: ${{ matrix.commands }}``).
+def _ci_jobs():
+    """Each CI job's name -> the lines of ci.yml under it."""
+    lines = CI_FILE.read_text().splitlines()
+    jobs, name = {}, None
+    for line in lines[lines.index("jobs:") + 1:]:
+        match = re.match(r"^  ([\w-]+):\s*$", line)
+        if match:
+            name = match.group(1)
+            jobs[name] = []
+        elif name:
+            jobs[name].append(line)
+    return jobs
+
+
+def _ci_commands(lines=None):
+    """The shell commands of every ``run:`` step in the CI workflow (or
+    in ``lines`` of it), and of every matrix entry's ``commands:``
+    (which its step runs as ``run: ${{ matrix.commands }}``).
 
     A folded (``>``) or literal (``|``) block is the lines indented past
     its key; a trailing backslash continues a line, and each command is
     split at ``&&`` and newlines into argv.
     """
-    lines = CI_FILE.read_text().splitlines()
+    if lines is None:
+        lines = CI_FILE.read_text().splitlines()
     commands = []
     for index, line in enumerate(lines):
         match = re.match(r"^(\s*)(?:- )?(?:run|commands):\s*(.*)$", line)
@@ -374,7 +389,10 @@ class TestCiWorkflow:
 
     def test_check_results_flags_are_registered(self, capsys):
         calls = _ci_calls("repro.tools.check_results")
-        assert len(calls) >= 6
+        used = {arg for args in calls for arg in args}
+        gates = {"--bench-file", "--metrics-file", "--jit", "--multi",
+                 "--campaign"}
+        assert gates <= used, f"CI never runs {sorted(gates - used)}"
         for args in calls:
             _assert_parses(check_results.build_parser(), args, capsys)
 
@@ -387,6 +405,41 @@ class TestCiWorkflow:
                  for args in _ci_calls("repro.tools.check_results")
                  for i, arg in enumerate(args) if arg == "--campaign"}
         assert run == gated == set(CAMPAIGNS)
+
+    def test_bench_gates_read_what_bench_wrote(self):
+        """On every Python a CI matrix runs, each bench gate of
+        check_results reads a file that a ``repro bench`` call of the
+        same job wrote, so no gate checks a stale or absent file."""
+        from repro.harness.bench import (DEFAULT_METRICS_OUTPUT,
+                                         DEFAULT_OUTPUT)
+
+        reads = {"--bench-file": "output", "--jit": "output",
+                 "--multi": "output", "--metrics-file": "metrics_output"}
+        defaults = {"output": DEFAULT_OUTPUT.name,
+                    "metrics_output": DEFAULT_METRICS_OUTPUT.name}
+        ci_pythons = set()
+        gated = {flag: set() for flag in reads}
+        for lines in _ci_jobs().values():
+            pythons = {version for line in lines if "python-version" in line
+                       for version in re.findall(r'"(3\.\d+)"', line)}
+            ci_pythons |= pythons
+            written = {key: set() for key in defaults}
+            for argv in _ci_commands(lines):
+                args = (argv[argv.index("repro.tools.cli") + 1:]
+                        if "repro.tools.cli" in argv else [])
+                if args[:1] == ["bench"]:
+                    parsed = cli.build_parser().parse_args(args)
+                    for key, default in defaults.items():
+                        written[key].add(getattr(parsed, key) or default)
+                elif "repro.tools.check_results" in argv:
+                    for flag, path in zip(argv, argv[1:]):
+                        if flag in reads and path in written[reads[flag]]:
+                            gated[flag] |= pythons
+        assert ci_pythons
+        for flag, pythons in gated.items():
+            assert pythons == ci_pythons, (
+                f"check_results {flag} gates a file bench wrote only on "
+                f"{sorted(pythons)}, not on {sorted(ci_pythons)}")
 
     def test_pytest_targets_exist(self):
         targets = [arg for argv in _ci_commands() if "pytest" in argv

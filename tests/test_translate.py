@@ -22,8 +22,9 @@ from repro.asm import assemble
 from repro.core import Machine, MachineConfig, PswBit, perfect_memory_config
 from repro.core.config import EcacheConfig
 from repro.fuzz.gen import generate_program
-from repro.fuzz.oracle import (_machine_signature, _programs_for, check_all,
-                               check_jit_equivalence, run_pipeline)
+from repro.fuzz.oracle import (_programs_for, check_all,
+                               check_jit_equivalence, machine_signature,
+                               run_pipeline)
 from repro.isa import encode
 from repro.isa.opcodes import Funct
 from repro.workloads import LISP_SUITE, PASCAL_SUITE
@@ -46,7 +47,7 @@ def assert_bit_identical(program, **jit_overrides):
     """Run interpretive and jit machines; full signatures must match."""
     reference = run(program)
     jit = run(program, jit=True, **jit_overrides)
-    assert _machine_signature(reference) == _machine_signature(jit)
+    assert machine_signature(reference) == machine_signature(jit)
     return reference, jit
 
 
@@ -242,7 +243,7 @@ class TestSelfModifyingCode:
         jit.load_program(program)
         jit.run()
         reference = run(program)
-        assert _machine_signature(reference) == _machine_signature(jit)
+        assert machine_signature(reference) == machine_signature(jit)
         assert jit.regs[15] == 20 * 11 + 20 * 44        # t5
         assert (program.symbols["target"], True) in dropped
         translator = jit.pipeline._translator
@@ -387,7 +388,7 @@ class TestExceptionAtBlockBoundary:
             return machine
 
         reference, jit = run_cfg(False), run_cfg(True)
-        assert _machine_signature(reference) == _machine_signature(jit)
+        assert machine_signature(reference) == machine_signature(jit)
         trapcount = program.symbols["trapcount"]
         assert reference.memory.system.read(trapcount) == 1
         assert reference.stats.exceptions == 1
@@ -518,7 +519,7 @@ class TestMovtosMd:
             return machine
 
         reference, jit = boot(False), boot(True)
-        assert _machine_signature(reference) == _machine_signature(jit)
+        assert machine_signature(reference) == machine_signature(jit)
         assert reference.memory.system.read(system.symbols["traps"]) == 12
         translator = jit.pipeline._translator
         assert user.symbols["loop"] in translator.dead
@@ -610,7 +611,7 @@ class TestAdmissionBounds:
         jit.load_program(program)
         jit.run()
         reference = run(program)
-        assert _machine_signature(reference) == _machine_signature(jit)
+        assert machine_signature(reference) == machine_signature(jit)
         translator = jit.pipeline._translator
         assert translator.stats.evictions >= 1
         assert translator.stats.links > 0
@@ -713,7 +714,7 @@ class TestChaining:
         monkeypatch.undo()
         jit.run()
         reference.run()
-        assert _machine_signature(reference) == _machine_signature(jit)
+        assert machine_signature(reference) == machine_signature(jit)
 
 
 # ------------------------------------------------------- telemetry surface
@@ -952,7 +953,7 @@ class TestEcacheGeometry:
         program = cached_program(name)
         reference = run(program, ecache=ecache)
         jit = run(program, ecache=ecache, jit=True)
-        assert _machine_signature(reference) == _machine_signature(jit)
+        assert machine_signature(reference) == machine_signature(jit)
         stats = jit.pipeline._translator.stats
         assert stats.links > 0 and stats.cycles > 0
         assert jit.pipeline.ecache.stats.write_misses > 0
@@ -989,7 +990,7 @@ class TestEcacheGeometry:
             machine.run()
             assert machine.halted
             assert machine.ecache.fault_forced_events == 40
-        assert _machine_signature(reference) == _machine_signature(jit)
+        assert machine_signature(reference) == machine_signature(jit)
         assert translator.stats.entries > entries
 
 
@@ -1003,4 +1004,4 @@ class TestStallFlagAtExit:
         reference = run_pipeline(reorganized, generated)
         report = check_jit_equivalence(reorganized, generated, reference)
         assert report is None, report.summary()
-        assert "node" in _machine_signature(reference)
+        assert "node" in machine_signature(reference)
