@@ -4,10 +4,9 @@ Two sections, each a falsifiable claim about the checkpoint layer:
 
 * **equivalence** -- for every named workload (and a band of fuzz
   seeds), run to a mid-point, snapshot, JSON-round-trip, restore into a
-  *fresh* machine, finish, and require the full machine signature
-  (registers, MD/PSW, memory, console, caches, all pipeline metrics) to
-  be bit-identical to an uninterrupted run -- with the JIT both off and
-  on.
+  *fresh* machine, finish, and require the whole machine state
+  (``machine_signature``, or ``multi_state``) to be bit-identical to an
+  uninterrupted run, with the JIT both off and on.
 * **corruption** -- build a two-generation snapshot ladder, then
   truncate the newest, flip a byte under its sha, forge a bad format
   version, and attempt a wrong-config restore.  Each must raise its
@@ -37,8 +36,11 @@ from repro.checkpoint.state import (
     SnapshotConfigError,
     SnapshotFormatError,
     SnapshotIntegrityError,
+    machine_signature,
     machine_state,
+    multi_state,
     restore_machine,
+    state_diff,
 )
 from repro.checkpoint.store import SnapshotStore, state_cycles
 
@@ -76,8 +78,6 @@ def _check_workload_case(name: str, jit: bool) -> Dict[str, Any]:
     """Snapshot a named workload halfway, restore fresh, finish, and
     compare against the uninterrupted run -- the oracle's signature
     comparison, without the fuzz generator."""
-    from repro.fuzz.oracle import machine_signature
-
     program = _workload_program(name)
     config = MachineConfig(jit=jit)
 
@@ -100,31 +100,21 @@ def _check_workload_case(name: str, jit: bool) -> Dict[str, Any]:
     if not second.halted:
         return {"status": "no-halt", "detail": f"{name} resumed run hung"}
 
-    want = machine_signature(straight)
-    got = machine_signature(second)
+    want, got = machine_signature(straight), machine_signature(second)
     if want != got:
-        keys = [key for key in want if want[key] != got[key]]
-        return {"status": "diverged", "detail": f"signature keys {keys}"}
+        paths = [diff["path"] for diff in state_diff(want, got, 3)]
+        return {"status": "diverged", "detail": f"state differs at {paths}"}
     return {"status": "ok", "cycles": total,
             "snapshot_cycles": state_cycles(state)}
 
 
 def _check_multi_case(nodes: int) -> Dict[str, Any]:
-    """Same round-trip for the parallel sieve on a MultiMachine."""
-    from repro.fuzz.oracle import machine_signature
+    """Same round-trip for the parallel sieve on a MultiMachine; both
+    runs share one config, so their whole ``multi_state`` compares."""
     from repro.multi.system import MultiMachine
     from repro.workloads.parallel import parallel_program
 
     program = parallel_program("psieve", nodes)
-
-    def multi_sig(system: MultiMachine) -> Dict[str, Any]:
-        return {
-            "nodes": [machine_signature(machine)
-                      for machine in system.machines],
-            "bus": dataclasses.asdict(system.bus),
-            "cycles": system.cycles,
-            "console": (list(system.console.values), system.console.text),
-        }
 
     straight = MultiMachine(nodes)
     straight.load_program(program)
@@ -145,8 +135,10 @@ def _check_multi_case(nodes: int) -> Dict[str, Any]:
     second.run(10_000_000)
     if not second.all_halted:
         return {"status": "no-halt", "detail": "psieve resumed run hung"}
-    if multi_sig(straight) != multi_sig(second):
-        return {"status": "diverged", "detail": "multi signature mismatch"}
+    want, got = multi_state(straight), multi_state(second)
+    if want != got:
+        paths = [diff["path"] for diff in state_diff(want, got, 3)]
+        return {"status": "diverged", "detail": f"state differs at {paths}"}
     return {"status": "ok", "cycles": total,
             "snapshot_cycles": state_cycles(state)}
 

@@ -18,6 +18,9 @@ maps, decode memos, translated JIT blocks -- are *not* serialized; they
 are rebuilt or invalidated on restore, which is what makes restore safe
 under self-modifying code.
 
+The same capture minus its header, :func:`machine_signature`, is what
+every fast-path check compares; :func:`state_diff` names what differs.
+
 Restores are validating: a wrong format version raises
 :class:`SnapshotFormatError` and a wrong machine shape raises
 :class:`SnapshotConfigError` before any state is touched, so a failed
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 #: snapshot format version; bumped on any schema change so an old
 #: generation is rejected by name instead of mis-restored.
@@ -471,22 +474,63 @@ def _restore_node(machine, state: Dict[str, Any]) -> None:
 
 
 # --------------------------------------------------------- machine level
+def machine_signature(machine) -> Dict[str, Any]:
+    """One machine's whole state: :func:`machine_state`'s body, without
+    the format/kind/config header or the quiescence check, so it also
+    describes a machine mid-run.  Every fast-path check compares it
+    (the jit and checkpoint oracles, the checkpoint and devices
+    campaigns, ``repro bench``'s jit section); a fast path that ends
+    with the right registers but the wrong latch, LRU order, device
+    schedule or cycle count differs here."""
+    return {"memory": _memory_state(machine.memory), **_node_state(machine)}
+
+
+def state_diff(want: Any, got: Any, limit: int = 8) -> List[Dict[str, Any]]:
+    """The first ``limit`` paths where two states differ, in document
+    order, each as ``{"path", "want", "got"}``, e.g.
+    ``pipeline.pc.chain[1]`` or ``memory.system[412]`` (an ``(address,
+    word)`` pair: tuples are leaves).  Walks dicts with equal keys and
+    lists; a list longer on one side also reports its tail,
+    ``path[n:]``.  Call it only once ``want != got``, so the passing
+    path costs one ``==``."""
+    diffs: List[Dict[str, Any]] = []
+
+    def walk(path: str, left: Any, right: Any) -> None:
+        if len(diffs) >= limit or left == right:
+            return
+        if (isinstance(left, dict) and isinstance(right, dict)
+                and left.keys() == right.keys()):
+            for key in left:
+                walk(f"{path}.{key}" if path else key, left[key], right[key])
+        elif isinstance(left, list) and isinstance(right, list):
+            for index, pair in enumerate(zip(left, right)):
+                walk(f"{path}[{index}]", *pair)
+            common = min(len(left), len(right))
+            if len(left) != len(right) and len(diffs) < limit:
+                diffs.append({"path": f"{path}[{common}:]",
+                              "want": left[common:], "got": right[common:]})
+        else:
+            diffs.append({"path": path, "want": left, "got": right})
+
+    walk("", want, got)
+    return diffs
+
+
 def machine_state(machine) -> Dict[str, Any]:
     """Capture one quiescent :class:`~repro.core.processor.Machine` as a
-    JSON-serializable dict.  Raises :class:`CheckpointError` if the pipe
-    is not quiescent (call :func:`drain_machine` first, or use
+    JSON-serializable dict: a format/kind/config header, then
+    :func:`machine_signature`.  Raises :class:`CheckpointError` if the
+    pipe is not quiescent (call :func:`drain_machine` first, or use
     ``Machine.snapshot()`` which drains for you)."""
     if not machine.pipeline.quiescent:
         raise CheckpointError(
             "snapshot requires a quiescent pipeline; drain first")
-    state = {
+    return {
         "format": FORMAT,
         "kind": "machine",
         "config": config_fingerprint(machine.config),
-        "memory": _memory_state(machine.memory),
+        **machine_signature(machine),
     }
-    state.update(_node_state(machine))
-    return state
 
 
 def _validate_header(state: Dict[str, Any], kind: str, config) -> None:
@@ -588,6 +632,8 @@ __all__ = [
     "config_fingerprint",
     "drain_machine",
     "drain_multi",
+    "machine_signature",
+    "state_diff",
     "machine_state",
     "restore_machine",
     "multi_state",

@@ -17,20 +17,21 @@ Four model pairs, matching the repo's redundancy axes:
   trace models, which must reproduce the live cache statistics exactly.
 * **jit-vs-interpreter** (the translated-fast-path contract): the
   reorganized program runs again with the block translator enabled at a
-  low threshold, and *everything* must match the interpretive run
-  bit-for-bit -- every pipeline counter (cycles included: the fast path
-  is cycle-exact, not just architecturally equivalent), registers, MD,
-  memory, console, and cache statistics.
+  low threshold, and the whole machine state
+  (:func:`repro.checkpoint.state.machine_signature`) must match the
+  interpretive run bit-for-bit -- every pipeline counter (cycles
+  included: the fast path is cycle-exact), latches, caches, memory.
 * **checkpoint-vs-straight** (the snapshot/restore contract, see
   :mod:`repro.checkpoint`): the reorganized program runs again to a
   seeded random cycle, drains to quiescence, snapshots through a JSON
-  round trip, restores into a fresh machine and finishes; the full
-  machine signature must match the uninterrupted run bit-for-bit.
+  round trip, restores into a fresh machine and finishes; the same
+  whole-state signature must match the uninterrupted run bit-for-bit.
 
 Every check returns ``None`` for agreement or a structured
-:class:`DivergenceReport`; programs that fail to terminate or assemble
-raise, and the campaign layer records those as harness failures, not
-divergences.
+:class:`DivergenceReport` (the whole-state pairs name the first
+differing paths, :func:`repro.checkpoint.state.state_diff`); programs
+that fail to terminate or assemble raise, and the campaign layer
+records those as harness failures, not divergences.
 
 ``golden_mutator`` is a **dev-only hook**: tests (and nothing else) use
 it to plant a known semantic bug in the golden model and assert the
@@ -44,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.asm.assembler import parse as parse_asm
 from repro.asm.unit import Program
-from repro.checkpoint.state import _node_state
+from repro.checkpoint.state import machine_signature, state_diff
 from repro.core import Machine, MachineConfig
 from repro.core.golden import GoldenError, GoldenSimulator
 from repro.core.pipeline import HazardViolation
@@ -243,11 +244,6 @@ def check_program(generated: GeneratedProgram,
     return None
 
 
-def _icache_signature(stats) -> Tuple[int, ...]:
-    return (stats.accesses, stats.hits, stats.misses,
-            stats.words_filled, stats.tag_allocations)
-
-
 def check_trace_replay(machine: Machine, collector: TraceCollector,
                        ) -> Optional[DivergenceReport]:
     """Live-vs-replay oracle over one captured pipeline run."""
@@ -255,13 +251,11 @@ def check_trace_replay(machine: Machine, collector: TraceCollector,
     if machine.config.icache.enabled:
         replayed = icache_sim.replay(machine.config.icache,
                                      collector.fetch_array())
-        live = _icache_signature(machine.icache.stats)
-        traced = _icache_signature(replayed)
-        if live != traced:
+        if replayed != machine.icache.stats:
             mismatches.append({
                 "what": "icache",
                 "detail": f"icache replay diverged: live "
-                          f"acc/hit/miss/fill/tag {live}, replay {traced}"})
+                          f"{machine.icache.stats}, replay {replayed}"})
     if machine.config.ecache.enabled:
         kinds, addresses = collector.ecache_arrays()
         replayed_stats, _ = ecache_sim.replay(machine.config.ecache,
@@ -278,39 +272,6 @@ def check_trace_replay(machine: Machine, collector: TraceCollector,
     return None
 
 
-def machine_signature(machine: Machine) -> Dict[str, object]:
-    """A halted machine's whole observable state, as one dict.
-
-    The one signature every fast-path equivalence check compares: the
-    jit and checkpoint oracles, the checkpoint campaign and ``repro
-    bench``'s jit section.
-
-    Cycle-exactness is part of the contract, so the *full* pipeline
-    stat struct is included -- a fast path that reaches the right
-    registers in the wrong number of cycles is a finding.  ``node`` is
-    the checkpoint capture of everything but memory: latches, PC chain,
-    both FSMs and the stall state, Icache sets with LRU order, Ecache
-    tags and the coprocessors.
-    """
-    pipe = machine.pipeline
-    return {
-        "stats": dataclasses.asdict(pipe.stats),
-        "regs": list(pipe.regs._regs),
-        "md": pipe.md.value,
-        "psw": (pipe.psw.value, pipe.psw_old.value),
-        "console": (list(machine.console.values), machine.console.text),
-        "icache": dataclasses.asdict(machine.icache.stats),
-        "ecache": dataclasses.asdict(machine.ecache.stats),
-        "memory": (dict(pipe.memory.space(True)._words),
-                   dict(pipe.memory.space(False)._words)),
-        # devices are the observable output channel of os-mode programs
-        # (and deterministically idle for isa/lang ones)
-        "uart_tx": pipe.memory.uart.tx_text,
-        "devices": dict(pipe.memory.device_metrics()),
-        "node": _node_state(machine),
-    }
-
-
 def check_jit_equivalence(program: Program, generated: GeneratedProgram,
                           reference: Machine,
                           config: Optional[MachineConfig] = None,
@@ -320,7 +281,7 @@ def check_jit_equivalence(program: Program, generated: GeneratedProgram,
     ``reference`` is an already-completed interpretive run of
     ``program``.  The same program runs again with the translator
     enabled at threshold 2 (so even short fuzz programs get hot enough
-    to translate), and the full machine signatures must match.
+    to translate), and the whole-state signatures must match.
     """
     from repro.core.translate import Translator
 
@@ -340,15 +301,11 @@ def check_jit_equivalence(program: Program, generated: GeneratedProgram,
     got = machine_signature(jit_machine)
     if want == got:
         return None
-    mismatches: List[Dict[str, object]] = []
-    for key in want:
-        if want[key] != got[key]:
-            mismatches.append({
-                "what": key,
-                "detail": f"{key}: interpreter {want[key]!r} != jit "
-                          f"{got[key]!r}"})
-    return DivergenceReport(pair=PAIR_JIT_INTERP, kind="state",
-                            mismatches=mismatches)
+    return DivergenceReport(pair=PAIR_JIT_INTERP, kind="state", mismatches=[
+        {"what": diff["path"],
+         "detail": f"{diff['path']}: interpreter {diff['want']!r} != jit "
+                   f"{diff['got']!r}"}
+        for diff in state_diff(want, got)])
 
 
 def check_checkpoint_equivalence(program: Program,
@@ -362,9 +319,8 @@ def check_checkpoint_equivalence(program: Program,
     The program runs again to a seeded random cycle, drains to a
     quiescent boundary, snapshots, round-trips the snapshot through
     JSON (exactly what the on-disk store persists), restores it into a
-    *fresh* machine, and finishes.  The full machine signature -- every
-    pipeline counter, registers, MD, PSW, memory, console, cache stats
-    -- must match the uninterrupted ``reference`` run bit-for-bit.
+    *fresh* machine, and finishes.  The whole machine state must match
+    the uninterrupted ``reference`` run bit-for-bit.
 
     ``jit=True`` exercises the same contract with the block translator
     enabled (translated blocks must be invalidated on restore, never
@@ -425,15 +381,11 @@ def check_checkpoint_equivalence(program: Program,
     got = machine_signature(restored)
     if want == got:
         return None
-    mismatches: List[Dict[str, object]] = []
-    for key in want:
-        if want[key] != got[key]:
-            mismatches.append({
-                "what": key,
-                "detail": f"{key} (snapshot at cycle {cut}): straight "
-                          f"{want[key]!r} != restored {got[key]!r}"})
-    return DivergenceReport(pair=PAIR_CHECKPOINT, kind="state",
-                            mismatches=mismatches)
+    return DivergenceReport(pair=PAIR_CHECKPOINT, kind="state", mismatches=[
+        {"what": diff["path"],
+         "detail": f"{diff['path']} (snapshot at cycle {cut}): straight "
+                   f"{diff['want']!r} != restored {diff['got']!r}"}
+        for diff in state_diff(want, got)])
 
 
 def check_all(generated: GeneratedProgram,

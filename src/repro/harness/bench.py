@@ -29,6 +29,7 @@ import datetime
 import os
 import pathlib
 import platform
+import tempfile
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -47,24 +48,21 @@ def measure_jit_throughput(names: Sequence[str] = JIT_WORKLOADS,
                            repeats: int = 3) -> Dict[str, Any]:
     """Translated-fast-path speedup per workload: jit vs interpreter.
 
-    Each workload runs ``repeats`` times per configuration (programs
-    compiled once, outside the timed region).  Alongside the wall-clock
-    ratio, the section records what the timing means: ``equivalent``
-    asserts the jit run halts with the interpretive run's
-    :func:`~repro.fuzz.oracle.machine_signature` -- every pipeline
-    counter, registers, memory, console, devices, caches and the
-    checkpoint node state -- so the fast path is exact or it is broken;
-    ``compile_s`` is the wall time the block compiler spent,
-    ``entry_hit_rate`` is taken entries over dispatch hits -- a low rate
-    means guards keep bouncing blocks back to the interpreter -- and
-    ``links`` counts the entries made straight from a linked exit.
-    ``shapes`` splits blocks compiled, entries and translated cycles by
-    block shape (:data:`repro.core.translate.SHAPES`).
+    Each workload runs ``repeats`` alternating interpreter/jit pairs
+    (programs compiled once, outside the timed region) and each side's
+    wall is its fastest run.  ``equivalent`` asserts the jit run halts
+    in the interpretive run's whole machine state
+    (:func:`~repro.checkpoint.state.machine_signature`), so the fast
+    path is exact or it is broken; ``compile_s`` is the wall time the
+    block compiler spent, ``entry_hit_rate`` is taken entries over
+    dispatch hits -- a low rate means guards keep bouncing blocks back
+    to the interpreter -- and ``links`` counts the entries made
+    straight from a linked exit.  ``shapes`` splits blocks compiled,
+    entries and translated cycles by block shape
+    (:data:`repro.core.translate.SHAPES`).
     """
-    import dataclasses as _dc
-
+    from repro.checkpoint.state import machine_signature
     from repro.core import Machine, MachineConfig
-    from repro.fuzz.oracle import machine_signature
     from repro.workloads import cached_program
 
     per_workload: Dict[str, Any] = {}
@@ -73,46 +71,45 @@ def measure_jit_throughput(names: Sequence[str] = JIT_WORKLOADS,
     all_equivalent = True
     for name in names:
         program = cached_program(name)
-        row: Dict[str, Any] = {}
-        baseline = None
-        for jit in (False, True):
-            config = _dc.replace(MachineConfig(), jit=jit)
-            started = time.perf_counter()
-            cycles = 0
-            machine = None
-            for _ in range(repeats):
-                machine = Machine(config)
+        walls: Dict[bool, List[float]] = {False: [], True: []}
+        machines: Dict[bool, Any] = {}
+        for _ in range(repeats):
+            for jit in (False, True):
+                started = time.perf_counter()
+                machine = Machine(MachineConfig(jit=jit))
                 machine.load_program(program)
-                cycles += machine.run().cycles
-            wall = time.perf_counter() - started
-            key = "jit" if jit else "nojit"
-            row[f"{key}_wall_s"] = round(wall, 4)
-            row[f"{key}_cycles_per_sec"] = round(cycles / wall) if wall else 0
-            if not jit:
-                baseline = machine_signature(machine)
-                total_nojit += wall
-            else:
-                row["equivalent"] = machine_signature(machine) == baseline
-                all_equivalent &= row["equivalent"]
-                total_jit += wall
-                translator = machine.pipeline._translator
-                stats = translator.stats
-                hits = stats.entries + stats.entry_rejected
-                row["compile_s"] = round(translator.compile_s, 4)
-                row["blocks_compiled"] = stats.compiled
-                row["entry_hit_rate"] = (round(stats.entries / hits, 4)
-                                         if hits else 0.0)
-                row["links"] = stats.links
-                run_cycles = machine.pipeline.stats.cycles
-                row["cycle_coverage"] = (
-                    round(stats.cycles / run_cycles, 4) if run_cycles
-                    else 0.0)
-                row["shapes"] = {
-                    shape: dict(zip(("compiled", "entries", "cycles"),
-                                    counts))
-                    for shape, counts in stats.shapes.items()}
-        row["speedup"] = (round(row["nojit_wall_s"] / row["jit_wall_s"], 2)
-                          if row["jit_wall_s"] else 0.0)
+                machine.run()
+                walls[jit].append(time.perf_counter() - started)
+                machines[jit] = machine
+        nojit_wall, jit_wall = min(walls[False]), min(walls[True])
+        total_nojit += nojit_wall
+        total_jit += jit_wall
+        machine = machines[True]
+        translator = machine.pipeline._translator
+        stats = translator.stats
+        hits = stats.entries + stats.entry_rejected
+        run_cycles = machine.stats.cycles
+        row: Dict[str, Any] = {
+            "nojit_wall_s": round(nojit_wall, 4),
+            "nojit_cycles_per_sec": round(
+                machines[False].stats.cycles / nojit_wall),
+            "jit_wall_s": round(jit_wall, 4),
+            "jit_cycles_per_sec": round(run_cycles / jit_wall),
+            "equivalent": (machine_signature(machine)
+                           == machine_signature(machines[False])),
+            "compile_s": round(translator.compile_s, 4),
+            "blocks_compiled": stats.compiled,
+            "entry_hit_rate": (round(stats.entries / hits, 4)
+                               if hits else 0.0),
+            "links": stats.links,
+            "cycle_coverage": (round(stats.cycles / run_cycles, 4)
+                               if run_cycles else 0.0),
+            "shapes": {
+                shape: dict(zip(("compiled", "entries", "cycles"), counts))
+                for shape, counts in stats.shapes.items()},
+            "speedup": round(nojit_wall / jit_wall, 2),
+        }
+        all_equivalent &= row["equivalent"]
         per_workload[name] = row
     return {
         "workloads": per_workload,
@@ -246,17 +243,22 @@ def build_multi_section(results: Sequence[JobResult]) -> Dict[str, Any]:
 
 
 def _traced_section(quick: bool) -> Dict[str, Any]:
-    """Run the capture-once/replay-many sweeps: rows and store hits."""
+    """Run the capture-once/replay-many sweeps: rows and store hits,
+    from one store in a fresh temporary directory, so the counts depend
+    only on the source, never on what ``.trace_cache/`` holds."""
     from repro.harness.experiments import TRACED_SWEEPS
+    from repro.traces.store import TraceStore
 
     per_sweep: Dict[str, Any] = {}
-    for name, evaluate in TRACED_SWEEPS.items():
-        outcome = evaluate(quick=quick)
-        per_sweep[name] = {
-            "rows": len(outcome["rows"]),
-            "cache_hits": outcome["cache_hits"],
-            "cache_misses": outcome["cache_misses"],
-        }
+    with tempfile.TemporaryDirectory(prefix="bench-traces-") as root:
+        store = TraceStore(root=pathlib.Path(root))
+        for name, evaluate in TRACED_SWEEPS.items():
+            outcome = evaluate(quick=quick, store=store)
+            per_sweep[name] = {
+                "rows": len(outcome["rows"]),
+                "cache_hits": outcome["cache_hits"],
+                "cache_misses": outcome["cache_misses"],
+            }
     return {"per_sweep": per_sweep}
 
 
@@ -283,7 +285,7 @@ def collect(quick: bool = False,
 
     runner = Runner(max_workers=workers)
     jobs = default_jobs(quick=quick, timeout=timeout)
-    jit = measure_jit_throughput(repeats=1 if quick else 3)
+    jit = measure_jit_throughput()
     # Parallel first: forked workers must not inherit caches the serial
     # pass warmed in this process, or the speedup figure flatters itself.
     results, parallel_wall = _timed_run(runner, jobs, parallel=True)

@@ -8,11 +8,12 @@ demo in
   log equals the demo's pinned golden log, with at least one delivered
   interrupt (a "demo" that never preempts tests nothing);
 * **stay cycle-exact under the JIT** -- a second run with the block
-  translator enabled must produce the identical boot log, cycle count,
-  and retired-instruction count, and must actually compile blocks;
+  translator enabled must halt in the straight run's whole machine
+  state (:func:`repro.checkpoint.state.machine_signature`), and must
+  actually compile blocks;
 * **survive checkpoint/restore** -- a third run snapshots mid-boot
   (quiescent drain, JSON round-trip, restore into a fresh machine) and
-  finishes; log and counters must match the straight run bit-for-bit.
+  finishes in that same state.  Each leg records the paths that differ.
 
 :func:`run_devices_gate` writes the ``DEVICES_results.json`` report;
 :func:`gate` is its verdict: a failed comparison is a *finding*, a demo
@@ -27,6 +28,7 @@ import pathlib
 import random
 from typing import Any, Dict, List, Optional
 
+from repro.checkpoint.state import machine_signature, state_diff
 from repro.core import Machine, perfect_memory_config
 from repro.harness.campaign import (FINDING, HARNESS, REPO_ROOT, Failure,
                                     write_json_atomic)
@@ -47,16 +49,11 @@ ROW_KEYS = ("uart_log", "cycles", "interrupts", "expected_ok", "halted",
             "jit", "checkpoint", "ok")
 
 
-def _signature(run: KernelRun) -> Dict[str, Any]:
-    """The comparable outcome of one boot: log + audited counters."""
-    stats = run.stats
-    return {
-        "uart_log": run.uart_log,
-        "cycles": stats.cycles,
-        "instructions": stats.instructions,
-        "interrupts": stats.interrupts,
-        "device_metrics": dict(run.machine.memory.device_metrics()),
-    }
+def _compare(straight: Machine, other: Machine) -> Dict[str, Any]:
+    """One leg's verdict: whole machine state against the straight run."""
+    want, got = machine_signature(straight), machine_signature(other)
+    paths = [] if want == got else [diff["path"] for diff in state_diff(want, got)]
+    return {"ok": not paths, "mismatches": paths}
 
 
 def _boot(name: str, jit: bool = False) -> KernelRun:
@@ -88,13 +85,11 @@ def _checkpoint_boot(name: str, straight: KernelRun) -> Dict[str, Any]:
     state = json.loads(json.dumps(machine.snapshot()))
     restored = Machine(config)
     restored.restore(state)
-    stats = restored.run(MAX_CYCLES)
-    run = KernelRun(demo=demo, machine=restored,
-                    uart_log=restored.memory.uart.tx_text, stats=stats)
+    restored.run(MAX_CYCLES)
     return {
         "snapshot_cycle": cut,
         "snapshot_format": state["format"],
-        "ok": _signature(run) == _signature(straight),
+        **_compare(straight.machine, restored),
         "halted": restored.halted,
     }
 
@@ -102,16 +97,21 @@ def _checkpoint_boot(name: str, straight: KernelRun) -> Dict[str, Any]:
 def _gate_demo(name: str) -> Dict[str, Any]:
     """Boot one demo three ways; every comparison lands in the row."""
     straight = _boot(name)
+    stats = straight.stats
     row: Dict[str, Any] = {
         "description": KERNEL_DEMOS[name].description,
-        **_signature(straight),
+        "uart_log": straight.uart_log,
+        "cycles": stats.cycles,
+        "instructions": stats.instructions,
+        "interrupts": stats.interrupts,
+        "device_metrics": dict(straight.machine.memory.device_metrics()),
         "expected_ok": straight.matches_expected,
         "halted": straight.machine.halted,
     }
     jit_run = _boot(name, jit=True)
     translator = jit_run.machine.pipeline._translator
     row["jit"] = {
-        "ok": _signature(jit_run) == _signature(straight),
+        **_compare(straight.machine, jit_run.machine),
         "halted": jit_run.machine.halted,
         "blocks_compiled": translator.stats.compiled if translator else 0,
         "entries_taken": translator.stats.entries if translator else 0,
@@ -159,10 +159,10 @@ def add_arguments(parser) -> None:
     parser.description = (
         "Boot each kernel-lite demo (see docs/SOFTWARE.md) three ways and "
         "compare: the UART boot log must match its pinned golden log "
-        "with interrupts delivered, the JIT run must be bit-exact (log, "
-        "cycles, instructions) with blocks compiled, and a mid-boot "
-        "snapshot/restore must finish bit-identical to the straight "
-        "run.  A finding is a failed comparison.")
+        "with interrupts delivered, the JIT run must halt in the straight "
+        "run's whole machine state with blocks compiled, and a mid-boot "
+        "snapshot/restore must finish in that same state.  A finding is "
+        "a failed comparison.")
     parser.add_argument("--quick", action="store_true",
                         help="skip the long timer-sliced demo (CI smoke)")
 
@@ -178,10 +178,10 @@ def gate(payload: Dict[str, Any]) -> List[Failure]:
     * **boot** -- the demo halted and its UART log equals the pinned
       golden log, with at least one delivered interrupt (a boot that
       never preempts tests nothing);
-    * **jit** -- the translated-fast-path run was bit-exact (log,
-      cycles, instructions) and compiled at least one block;
-    * **checkpoint** -- the mid-boot snapshot/restore run finished
-      bit-identical to the straight run.
+    * **jit** -- the translated-fast-path run halted in the straight
+      run's whole machine state and compiled at least one block;
+    * **checkpoint** -- the mid-boot snapshot/restore run finished in
+      the straight run's whole machine state.
     """
     demos = payload.get("demos")
     summary = payload.get("summary")
@@ -221,16 +221,18 @@ def gate(payload: Dict[str, Any]) -> List[Failure]:
         if not jit.get("ok"):
             failures.append(Failure(
                 FINDING, f"demo '{name}' diverged under the translated "
-                         "fast path"))
+                         f"fast path at {jit.get('mismatches')}"))
         if not jit.get("blocks_compiled"):
             failures.append(Failure(
                 FINDING, f"demo '{name}' compiled no blocks under the JIT "
                          "(fast path never engaged)"))
-        if not row["checkpoint"].get("ok"):
+        checkpoint = row["checkpoint"]
+        if not checkpoint.get("ok"):
             failures.append(Failure(
                 FINDING, f"demo '{name}' diverged across checkpoint/"
                          "restore (snapshot at cycle "
-                         f"{row['checkpoint'].get('snapshot_cycle')})"))
+                         f"{checkpoint.get('snapshot_cycle')}) at "
+                         f"{checkpoint.get('mismatches')}"))
     return failures
 
 

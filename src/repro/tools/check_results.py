@@ -131,10 +131,11 @@ def check_bench_file(path: pathlib.Path) -> List[str]:
 
 
 #: floors for the translated fast path: aggregate and per-workload
-#: wall-clock speedup of the jit over the interpreter.  Six fresh
-#: ``repro bench --quick`` runs on a 2-CPU Xeon read 5.09-7.43x
-#: aggregate, sieve 5.05-7.60x and bubble 5.04-8.38x (``jit_gate`` in
-#: BENCH_probe.json), so the floors catch a fast path that quietly
+#: wall-clock speedup of the jit over the interpreter.  Five ``repro
+#: bench --quick`` runs on a 2-CPU Xeon, each side timed as the fastest
+#: of three alternating runs, read 6.52-9.12x aggregate, sieve
+#: 5.02-9.79x and bubble 6.64-9.34x (``jit_gate`` in
+#: BENCH_signature.json), so the floors catch a fast path that quietly
 #: stopped being fast without failing a healthy one.
 JIT_SPEEDUP_FLOOR = 5.0
 JIT_WORKLOAD_SPEEDUP_FLOOR = 3.0

@@ -27,11 +27,6 @@ from repro.icache.cache import simulate
 from repro.traces.store import TraceStore
 
 
-def icache_signature(stats):
-    return (stats.accesses, stats.hits, stats.misses,
-            stats.words_filled, stats.tag_allocations)
-
-
 geometries = st.sampled_from([
     (4, 8, 16),   # the paper's organization
     (2, 4, 8),
@@ -66,7 +61,7 @@ class TestIcacheReplayEquivalence:
         live = simulate(config, addresses)
         replayed = icache_sim.replay(
             config, np.asarray(addresses, dtype=np.int64))
-        assert icache_signature(replayed) == icache_signature(live)
+        assert replayed == live
 
     @settings(max_examples=20, deadline=None)
     @given(addresses=st.lists(st.integers(0, 2047),
@@ -78,7 +73,7 @@ class TestIcacheReplayEquivalence:
         live = simulate(config, looped)
         replayed = icache_sim.replay(
             config, np.asarray(looped, dtype=np.int64))
-        assert icache_signature(replayed) == icache_signature(live)
+        assert replayed == live
 
     # One-line sets, where a fetch-back spill can evict the block being
     # walked, and one-word blocks with fetch-back past the set count,
@@ -95,8 +90,7 @@ class TestIcacheReplayEquivalence:
                               fetchback=fetchback, replacement=policy)
         replayed = icache_sim.replay(
             config, np.asarray(addresses, dtype=np.int64))
-        assert (icache_signature(replayed)
-                == icache_signature(simulate(config, addresses)))
+        assert replayed == simulate(config, addresses)
 
     @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
     def test_hits_after_a_spill_touch_the_walked_block(self, policy):
@@ -108,8 +102,7 @@ class TestIcacheReplayEquivalence:
         addresses = [2, 3, 8, 2]
         replayed = icache_sim.replay(
             config, np.asarray(addresses, dtype=np.int64))
-        assert (icache_signature(replayed)
-                == icache_signature(simulate(config, addresses)))
+        assert replayed == simulate(config, addresses)
 
     def test_empty_trace(self):
         stats = icache_sim.replay(IcacheConfig(),
@@ -169,8 +162,7 @@ class TestPipelineCapturedStreams:
         machine, collector = captured
         replayed = icache_sim.replay(machine.config.icache,
                                      collector.fetch_array())
-        assert (icache_signature(replayed)
-                == icache_signature(machine.icache.stats))
+        assert replayed == machine.icache.stats
 
     def test_ecache_stream_replays_to_ecache_stats(self, captured):
         machine, collector = captured

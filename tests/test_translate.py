@@ -19,12 +19,12 @@ import dataclasses
 import pytest
 
 from repro.asm import assemble
+from repro.checkpoint.state import machine_signature
 from repro.core import Machine, MachineConfig, PswBit, perfect_memory_config
 from repro.core.config import EcacheConfig
 from repro.fuzz.gen import generate_program
 from repro.fuzz.oracle import (_programs_for, check_all,
-                               check_jit_equivalence, machine_signature,
-                               run_pipeline)
+                               check_jit_equivalence, run_pipeline)
 from repro.isa import encode
 from repro.isa.opcodes import Funct
 from repro.workloads import LISP_SUITE, PASCAL_SUITE
@@ -672,7 +672,6 @@ class TestChaining:
             self, monkeypatch):
         import sys
 
-        from repro.checkpoint.state import _node_state
         from repro.core import translate
 
         program = assemble(_chained_source(outer=5000, phases=1,
@@ -709,8 +708,7 @@ class TestChaining:
         reference = Machine(MachineConfig())
         reference.load_program(program)
         reference.pipeline.run(budget)
-        assert _node_state(reference) == _node_state(jit)
-        assert _memory(reference) == _memory(jit)
+        assert machine_signature(reference) == machine_signature(jit)
         monkeypatch.undo()
         jit.run()
         reference.run()
@@ -810,15 +808,10 @@ def _lang_generated(seed: int):
     return generate_program(seed, GenConfig(mode="lang", quick=True))
 
 
-def _memory(machine):
-    space = machine.pipeline.memory.space
-    return dict(space(True)._words), dict(space(False)._words)
-
-
 def lockstep_exits(program, monkeypatch, chunk=None, jit=None):
     """Run ``program`` translated; at every exit site and every link
-    step an interpreter to the same cycle and compare node state and
-    both memory spaces.  A link leaves the latches, PC chain and fetch
+    step an interpreter to the same cycle and compare the whole machine
+    state.  A link leaves the latches, PC chain and fetch
     PC unbuilt, so the check builds them as a full exit would, compares,
     and puts the unbuilt state back: the chain computes what it would
     unobserved.  ``chunk`` runs the translated machine in budgets of
@@ -827,7 +820,6 @@ def lockstep_exits(program, monkeypatch, chunk=None, jit=None):
     Returns the tally of exit kinds and links."""
     from collections import Counter
 
-    from repro.checkpoint.state import _node_state
     from repro.core import translate
 
     if jit is None:
@@ -850,8 +842,7 @@ def lockstep_exits(program, monkeypatch, chunk=None, jit=None):
         reference.pipeline.run(cycle)
         where = (sum(tally.values()), kind, site.kind, cycle)
         assert reference.stats.cycles == cycle, where
-        assert _node_state(reference) == _node_state(jit), where
-        assert _memory(reference) == _memory(jit), where
+        assert machine_signature(reference) == machine_signature(jit), where
         if nxt is not None:
             pipe.s, pc_unit.chain.entries, pc_unit.fetch_pc = unbuilt
         tally[kind] += 1
@@ -1004,4 +995,4 @@ class TestStallFlagAtExit:
         reference = run_pipeline(reorganized, generated)
         report = check_jit_equivalence(reorganized, generated, reference)
         assert report is None, report.summary()
-        assert "node" in machine_signature(reference)
+        assert "stall_is_icache" in machine_signature(reference)["pipeline"]
