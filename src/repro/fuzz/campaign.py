@@ -1,48 +1,36 @@
 """The fuzz campaign: seeded programs cross-checked across the models.
 
 Fans seeded generate->check->shrink jobs across the hardened parallel
-:class:`repro.harness.runner.Runner` (same timeout/retry/chaos machinery
-as the faults campaign), aggregates a deterministic report, and writes it
-atomically to ``FUZZ_campaign.json`` at the repo root.
-
-Campaigns are **resumable**: every finished job is appended to a JSONL
-journal next to the report, and a rerun of the same command skips every
-seed already journaled.  The final report is computed *only* from the
-journal, contains no timing fields, and is sorted deterministically --
-so an interrupted campaign, resumed, produces a byte-identical
-``FUZZ_campaign.json`` to an uninterrupted one.  A journal whose header
-does not match the requested configuration is discarded (different
-campaign, not a resume).
-
-``--max-seconds`` is a wall-clock budget: jobs are submitted in batches
-and submission stops once the budget is spent (finished work is already
-journaled, so the next invocation picks up where this one stopped).
+:class:`repro.harness.runner.Runner` in one ``run`` call (the same
+driver shape as the faults campaign), aggregates the results in memory
+into a deterministic report -- no timing fields, rows sorted by job
+id, so serial and parallel runs write byte-identical reports -- and
+writes it atomically to ``FUZZ_campaign.json`` at the repo root.  There
+is no resume: a rerun runs every job again on the code as it stands.
 
 Verdict (:func:`gate`): an unexplained model divergence is a
 *finding*; a job that died in the harness (error/timeout/crashed --
-infrastructure, not a finding) is a *harness* failure; a campaign the
-budget stopped is *incomplete*.  Divergences produced by a planted
-``--mutate`` bug are self-test findings, not real ones; they are
-reported but pass -- and inversely, a completed mutation campaign that
-caught *nothing* is a finding, because the oracle just missed a bug it
-was planted to find.
+infrastructure, not a finding) is a *harness* failure; a campaign whose
+jobs were interrupted (SIGINT/SIGTERM) is *incomplete*.  Divergences
+produced by a planted ``--mutate`` bug are self-test findings, not real
+ones; they are reported but pass -- and inversely, a completed mutation
+campaign that caught *nothing* is a finding, because the oracle just
+missed a bug it was planted to find.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import pathlib
-import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.fuzz.gen import GenConfig, generate_program
 from repro.fuzz.oracle import PAIR_GOLDEN_PIPELINE, check_all
 from repro.fuzz.shrink import count_instructions, shrink
 from repro.harness.campaign import (FINDING, HARNESS, INCOMPLETE, REPO_ROOT,
-                                    Failure, add_runner_arguments,
-                                    write_json_atomic)
-from repro.harness.runner import ChaosMonkey, Job, Runner
+                                    Failure, OptionError,
+                                    add_runner_arguments, write_json_atomic)
+from repro.harness.runner import Job, JobResult, Runner
 
 DEFAULT_REPORT = REPO_ROOT / "FUZZ_campaign.json"
 
@@ -109,95 +97,62 @@ def campaign_jobs(seeds: int, modes: Sequence[str] = MODES,
     return jobs
 
 
-# ----------------------------------------------------------------- journal
-def journal_path_for(output: pathlib.Path) -> pathlib.Path:
-    return output.with_name(output.stem + ".journal.jsonl")
+def _check_options(seeds: int, modes: Sequence[str],
+                   mutation: Optional[str]) -> None:
+    """Raise :class:`OptionError` for options no job could run with."""
+    if seeds < 1:
+        raise OptionError(f"seeds must be at least 1, got {seeds}")
+    if (not modes or len(set(modes)) != len(modes)
+            or not set(modes) <= set(MODES)):
+        raise OptionError(f"modes must be distinct names from "
+                          f"{', '.join(MODES)}, got {','.join(modes)!r}")
+    if mutation is not None:
+        from repro.fuzz.mutation import MUTATIONS
 
-
-def _journal_header(seeds: int, modes: Sequence[str], quick: bool,
-                    mutation: Optional[str]) -> Dict[str, Any]:
-    return {"journal": 1, "seeds": seeds, "modes": list(modes),
-            "quick": quick, "mutation": mutation}
-
-
-def _load_journal(path: pathlib.Path,
-                  header: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Rows already completed, keyed by job id.
-
-    Returns empty (and forgets the file) when the journal is missing or
-    belongs to a differently-configured campaign.  A torn final line
-    (killed mid-append) is dropped; everything before it is kept.
-    """
-    if not path.is_file():
-        return {}
-    rows: Dict[str, Dict[str, Any]] = {}
-    with path.open() as stream:
-        for index, line in enumerate(stream):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail from an interrupted append
-            if index == 0:
-                if record != header:
-                    return {}
-                continue
-            if isinstance(record, dict) and "id" in record:
-                rows.setdefault(record["id"], record)
-    return rows
-
-
-def _append_journal(path: pathlib.Path, records: List[Dict[str, Any]],
-                    header: Dict[str, Any], fresh: bool) -> None:
-    mode = "w" if fresh else "a"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open(mode) as stream:
-        if fresh:
-            stream.write(json.dumps(header, sort_keys=True) + "\n")
-        for record in records:
-            stream.write(json.dumps(record, sort_keys=True) + "\n")
-        stream.flush()
+        if mutation not in MUTATIONS:
+            raise OptionError(f"unknown mutation {mutation!r} (valid: "
+                              f"{', '.join(sorted(MUTATIONS))})")
 
 
 # ------------------------------------------------------------- aggregation
-def _aggregate(job_ids: List[str], rows: Dict[str, Dict[str, Any]],
+def _aggregate(results: List[JobResult],
                config: Dict[str, Any]) -> Dict[str, Any]:
-    """The campaign report: a pure, order-stable function of the journal."""
-    ok = 0
+    """The campaign report: a pure, order-stable function of the results
+    (an interrupted job is not a verdict and leaves the report
+    incomplete)."""
+    ok = completed = 0
     divergences: List[Dict[str, Any]] = []
     harness: Dict[str, Any] = {}
-    for job_id in sorted(job_ids):
-        record = rows.get(job_id)
-        if record is None:
+    for result in sorted(results, key=lambda r: r.job_id):
+        verdict = result.value
+        if result.status == "interrupted":
             continue
-        if record["status"] in ("ok", "retried-ok"):
-            verdict = record.get("value") or {}
-            if verdict.get("status") == "ok":
-                ok += 1
-            else:
-                divergences.append({
-                    "seed": verdict.get("seed"),
-                    "mode": verdict.get("mode"),
-                    "reports": verdict.get("reports", []),
-                    "shrunk_instructions":
-                        verdict.get("shrunk_instructions"),
-                    "shrunk_source": verdict.get("shrunk_source"),
-                })
+        completed += 1
+        if not result.ok:
+            harness[result.job_id] = {"status": result.status,
+                                      "error_kind": result.error_kind,
+                                      "error": result.error}
+        elif verdict["status"] == "ok":
+            ok += 1
         else:
-            harness[job_id] = {"status": record["status"],
-                               "error_kind": record.get("error_kind"),
-                               "error": record.get("error")}
-    completed = sum(1 for job_id in job_ids if job_id in rows)
+            divergences.append({
+                "seed": verdict["seed"],
+                "mode": verdict["mode"],
+                "reports": verdict["reports"],
+                "shrunk_instructions": verdict["shrunk_instructions"],
+                "shrunk_source": verdict["shrunk_source"],
+            })
     payload: Dict[str, Any] = {
         "schema": 1,
         "config": config,
         "totals": {
-            "jobs": len(job_ids),
+            "jobs": len(results),
             "completed": completed,
             "ok": ok,
             "diverged": len(divergences),
             "harness_failures": len(harness),
         },
-        "complete": completed == len(job_ids),
+        "complete": completed == len(results),
         "divergences": divergences,
     }
     if harness:
@@ -211,64 +166,25 @@ def run_campaign(seeds: int = 50,
                  quick: bool = False,
                  workers: Optional[int] = None,
                  parallel: bool = True,
-                 max_seconds: Optional[float] = None,
-                 chaos_rate: float = 0.0,
-                 chaos_seed: int = 0,
                  mutation: Optional[str] = None,
                  output: Optional[pathlib.Path] = None,
                  corpus_dir: Optional[pathlib.Path] = None,
                  write_corpus: bool = True) -> Dict[str, Any]:
-    """Run (or resume) a campaign and persist the structured report."""
-    output = pathlib.Path(output) if output else DEFAULT_REPORT
-    journal_file = journal_path_for(output)
-    header = _journal_header(seeds, modes, quick, mutation)
+    """Run the campaign and persist the structured report.
+
+    Raises :class:`OptionError` before any job runs for fewer than one
+    seed or mode, an unknown or repeated mode, or an unknown mutation.
+    """
+    modes = tuple(modes)
+    _check_options(seeds, modes, mutation)
     jobs = campaign_jobs(seeds, modes=modes, quick=quick, mutation=mutation)
-    job_ids = [job.id for job in jobs]
-
-    rows = _load_journal(journal_file, header)
-    fresh = not rows
-    pending = [job for job in jobs if job.id not in rows]
-
-    runner = Runner(max_workers=workers,
-                    default_timeout=JOB_TIMEOUT,
-                    chaos=ChaosMonkey(rate=chaos_rate, seed=chaos_seed))
-    batch_size = max(4, (runner.max_workers or 4) * 4)
-    started = time.monotonic()
-    exhausted = False
-    index = 0
-    while index < len(pending):
-        if (max_seconds is not None and index > 0
-                and time.monotonic() - started >= max_seconds):
-            exhausted = True
-            break
-        batch = pending[index:index + batch_size]
-        index += len(batch)
-        results = runner.run(batch, parallel=parallel)
-        records = []
-        for result in results:
-            if result.status == "interrupted":
-                # not a verdict: leave the job out of the journal so a
-                # resumed campaign re-runs it
-                continue
-            record: Dict[str, Any] = {"id": result.job_id,
-                                      "status": result.status}
-            if result.ok:
-                record["value"] = result.value
-            else:
-                record["error_kind"] = result.error_kind
-                record["error"] = result.error
-            records.append(record)
-            rows[result.job_id] = record
-        if records:
-            _append_journal(journal_file, records, header, fresh)
-            fresh = False
-        if runner.interrupted:
-            exhausted = True
-            break
+    runner = Runner(max_workers=workers, default_timeout=JOB_TIMEOUT)
+    results = runner.run(jobs, parallel=parallel)
 
     config = {"seeds": seeds, "modes": list(modes), "quick": quick,
-              "mutation": mutation, "chaos_rate": chaos_rate}
-    payload = _aggregate(job_ids, rows, config)
+              "mutation": mutation}
+    payload = _aggregate(results, config)
+    output = pathlib.Path(output) if output else DEFAULT_REPORT
     write_json_atomic(output, payload)
 
     if write_corpus and mutation is None:
@@ -291,8 +207,6 @@ def run_campaign(seeds: int = 50,
                                    note="auto-filed by repro campaign fuzz")
 
     payload["report_path"] = str(output)
-    payload["journal_path"] = str(journal_file)
-    payload["budget_exhausted"] = exhausted
     return payload
 
 
@@ -307,9 +221,7 @@ def add_arguments(parser) -> None:
         "instead cross-check the interpreter, the JIT, and a "
         "checkpoint/restore run cycle-exactly.  Divergent programs are "
         "auto-shrunk to a minimal repro and filed under fuzz_corpus/.  "
-        "Campaigns journal every finished seed and resume from the "
-        "journal when rerun.  A finding is an unexplained model "
-        "divergence.")
+        "A finding is an unexplained model divergence.")
     parser.add_argument("--seeds", type=int, default=50,
                         help="seeds per mode (default 50)")
     parser.add_argument("--modes", default=None, metavar="M[,M]",
@@ -318,14 +230,6 @@ def add_arguments(parser) -> None:
     parser.add_argument("--quick", action="store_true",
                         help="smaller generated programs (CI smoke)")
     add_runner_arguments(parser)
-    parser.add_argument("--max-seconds", type=float, default=None,
-                        help="wall-clock budget; finished seeds are "
-                             "journaled, rerun the same command to resume")
-    parser.add_argument("--chaos", type=float, default=0.0, metavar="RATE",
-                        help="kill this fraction of first-attempt workers "
-                             "mid-job (chaos test of the runner)")
-    parser.add_argument("--chaos-seed", type=int, default=0,
-                        help="seed for the chaos kill selection")
     parser.add_argument("--mutate", default=None, metavar="NAME",
                         help="dev-only: plant a known golden-model bug "
                              "(see repro.fuzz.mutation); divergences are "
@@ -338,12 +242,10 @@ def add_arguments(parser) -> None:
 
 
 def run(args) -> Dict[str, Any]:
-    """Run (or resume) the campaign from parsed command-line options."""
+    """Run the campaign from parsed command-line options."""
     modes = tuple(args.modes.split(",")) if args.modes else MODES
     return run_campaign(seeds=args.seeds, modes=modes, quick=args.quick,
                         workers=args.workers, parallel=not args.serial,
-                        max_seconds=args.max_seconds,
-                        chaos_rate=args.chaos, chaos_seed=args.chaos_seed,
                         mutation=args.mutate, output=args.output,
                         corpus_dir=args.corpus_dir,
                         write_corpus=not args.no_corpus)
@@ -366,8 +268,9 @@ def gate(payload: Dict[str, Any]) -> List[Failure]:
     if not complete:
         failures.append(Failure(
             INCOMPLETE, f"campaign incomplete ({totals['completed']}/"
-                        f"{totals['jobs']} jobs; resume it by rerunning "
-                        "the same `repro campaign fuzz` command)"))
+                        f"{totals['jobs']} jobs: jobs were interrupted; "
+                        "finish it by rerunning the same `repro campaign "
+                        "fuzz` command)"))
     mutation = payload.get("config", {}).get("mutation")
     if totals["diverged"] and not mutation:
         failures.append(Failure(
@@ -402,9 +305,6 @@ def format_summary(payload: Dict[str, Any]) -> str:
         f"  diverged        {totals['diverged']}",
         f"  harness         {totals['harness_failures']} failed jobs",
     ]
-    if payload.get("budget_exhausted"):
-        lines.append("  budget exhausted -- rerun the same command to "
-                     "resume from the journal")
     for divergence in payload["divergences"][:10]:
         first = divergence["reports"][0] if divergence["reports"] else {}
         mismatches = first.get("mismatches", [])

@@ -7,6 +7,8 @@ A campaign is a module that defines
   CLI adds ``--output`` to every campaign);
 * ``run(args) -> payload`` -- run the campaign, write the report with
   :func:`write_json_atomic`, and return it with ``report_path`` added;
+  an option value no job could run with raises :class:`OptionError`
+  before any job runs (the CLI prints it and exits 1, no report);
 * ``gate(payload) -> failures`` -- the campaign's verdict: one
   :class:`Failure` per problem, an empty list when the campaign held;
 * ``format_summary(payload)`` -- a one-screen summary for the terminal.
@@ -43,14 +45,14 @@ CAMPAIGNS = {
 #: failure kinds, in the order :func:`exit_code` ranks them
 FINDING = "finding"          # the models or the machine are wrong
 HARNESS = "harness"          # the infrastructure broke; nothing is known
-INCOMPLETE = "incomplete"    # a budget ran out or jobs were interrupted
+INCOMPLETE = "incomplete"    # jobs were interrupted
 
 #: the exit rule, as every campaign's ``--help`` states it
 EXIT_RULE = ("Exit codes: 0 = the campaign held (an incomplete campaign "
              "also exits 0: rerun the same command to finish it), 1 = a "
-             "harness failure (a job errored, timed out or crashed), 2 = "
-             "a finding.  A run with both a finding and a harness failure "
-             "exits 2.")
+             "harness failure (a job errored, timed out or crashed) or an "
+             "option value no job could run with, 2 = a finding.  A run "
+             "with both a finding and a harness failure exits 2.")
 
 
 class Failure(NamedTuple):
@@ -58,6 +60,11 @@ class Failure(NamedTuple):
 
     kind: str
     message: str
+
+
+class OptionError(ValueError):
+    """An option value a campaign cannot run with, raised by ``run``
+    before any job runs."""
 
 
 class ReportError(ValueError):

@@ -35,7 +35,8 @@ Design:
   of the same jobs produce identical merged output;
 * **chaos mode**: :class:`ChaosMonkey` deterministically ``os._exit``\\ s
   a seeded subset of first-attempt workers mid-job, so the retry/merge
-  path is itself under test (the fault campaigns double as this test).
+  path is itself under test (the faults campaign's ``--chaos`` run
+  doubles as this test).
 
 Status taxonomy (``JobResult.status``):
 
@@ -58,9 +59,9 @@ job still produced its value.
 handlers (main thread only) for the duration of a run.  On a signal it
 stops dispatching new work, lets the busy workers finish and deliver,
 marks everything still queued ``"interrupted"``, stops every worker, and
-restores the previous handlers -- so a Ctrl-C'd campaign still journals
-every completed job and leaves no orphan processes or stale lockfiles
-behind.
+restores the previous handlers -- so a Ctrl-C'd campaign still reports
+every completed job (and marks itself incomplete) and leaves no orphan
+processes or stale lockfiles behind.
 Callers can test :attr:`Runner.interrupted` after ``run`` returns.
 """
 
@@ -73,7 +74,6 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import signal
-import threading
 import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -122,25 +122,17 @@ class ChaosMonkey:
 
     ``rate`` of the jobs (selected by a stable hash of ``seed`` and the
     job id -- never Python's salted ``hash()``) are killed with
-    ``os._exit`` *mid-job* on attempts <= ``kill_attempts``.  With
-    ``kill_attempts=1`` (the default) every doomed job succeeds on its
-    retry, so a chaos run must produce values identical to a serial run.
-
-    ``kill_after`` switches the kill from "between resolve and call" to
-    a genuine asynchronous mid-run SIGKILL: a doomed worker arms a
-    daemon timer that ``SIGKILL``\\ s its own process ``kill_after``
-    seconds into the job, exactly the power-loss-style death the
-    checkpoint/resume path (see :mod:`repro.checkpoint`) must survive.
+    ``os._exit`` *mid-job* on their first attempt.  Every doomed job
+    succeeds on its retry, so a chaos run must produce values identical
+    to a serial run.
     """
 
     rate: float = 0.0
     seed: int = 0
-    kill_attempts: int = 1
-    kill_after: Optional[float] = None
 
     def dooms(self, job_id: str, attempt: int) -> bool:
         """Whether this (job, attempt) is selected for a chaos kill."""
-        if self.rate <= 0.0 or attempt > self.kill_attempts:
+        if self.rate <= 0.0 or attempt > 1:
             return False
         digest = hashlib.sha256(
             f"{self.seed}:{job_id}".encode()).digest()
@@ -156,44 +148,31 @@ def resolve(fn_spec: str) -> Callable:
     return getattr(importlib.import_module(module_name), fn_name)
 
 
-def _run_job(fn_spec: str, params: Dict[str, Any], chaos_kill: bool,
-             kill_after: Optional[float]) -> tuple:
+def _run_job(fn_spec: str, params: Dict[str, Any],
+             chaos_kill: bool) -> tuple:
     """Run one job in a worker: the ``(status, value, error, error_kind)``
     reply for the pipe.
 
     ``chaos_kill`` kills the worker *after* the function started doing
     real work (module resolved, call under way is approximated by
     killing between resolve and call) -- the parent sees a silent death,
-    exactly like a segfault or an OOM kill.  With ``kill_after`` set the
-    kill is instead a delayed SIGKILL fired from a daemon timer while
-    the job runs, so death can land anywhere in the computation.  The
-    timer is cancelled when the job returns: it must never fire into a
-    later job the same worker serves.
+    exactly like a segfault or an OOM kill.
     """
-    timer = None
     try:
         fn = resolve(fn_spec)
         if chaos_kill:
-            if kill_after is None:
-                os._exit(CHAOS_EXIT_CODE)
-            timer = threading.Timer(
-                kill_after, os.kill, args=(os.getpid(), signal.SIGKILL))
-            timer.daemon = True
-            timer.start()
+            os._exit(CHAOS_EXIT_CODE)
         return ("ok", fn(**params), "", "")
     except BaseException as exc:
         return ("error", None, traceback.format_exc(), type(exc).__name__)
-    finally:
-        if timer is not None:
-            timer.cancel()
 
 
 def _worker_main(conn) -> None:
     """Worker process entry point: serve jobs from ``conn`` until stopped.
 
-    Each message is one job, ``(fn_spec, params, chaos_kill,
-    kill_after)``, answered by one reply; ``None``, or EOF when the
-    scheduler is gone, stops the worker.
+    Each message is one job, ``(fn_spec, params, chaos_kill)``,
+    answered by one reply; ``None``, or EOF when the scheduler is gone,
+    stops the worker.
     """
     # The fork inherits the parent's graceful-shutdown handlers, under
     # which SIGTERM merely sets a flag -- that would make workers immune
@@ -325,8 +304,7 @@ class Runner:
         worker.started = time.monotonic()
         try:
             worker.conn.send((job.fn, job.params,
-                              self.chaos.dooms(job.id, attempt),
-                              self.chaos.kill_after))
+                              self.chaos.dooms(job.id, attempt)))
         except OSError:
             pass        # the worker died idle: collected as a crash
         except Exception as exc:         # params that do not pickle

@@ -12,7 +12,7 @@ Usage::
     python -m repro.tools.cli run examples/boot.s --devices
     python -m repro.tools.cli campaign faults [--seeds N] [--quick] [--chaos R]
     python -m repro.tools.cli campaign faults --multi-nodes 4 [--seeds N]
-    python -m repro.tools.cli campaign fuzz [--seeds N] [--quick] [--max-seconds S]
+    python -m repro.tools.cli campaign fuzz [--seeds N] [--quick] [--mutate NAME]
     python -m repro.tools.cli campaign checkpoint [--fuzz-seeds N] [--quick]
     python -m repro.tools.cli campaign devices [--quick]
 
@@ -50,10 +50,11 @@ its report, and applies the campaign's own gate, the one
 options.  One exit rule covers all four
 (:func:`repro.harness.campaign.exit_code`):
 
-* **0** -- the campaign held, or it is incomplete (a budget ran out or
-  jobs were interrupted: rerun the same command to finish it);
+* **0** -- the campaign held, or it is incomplete (jobs were
+  interrupted: rerun the same command to finish it);
 * **1** -- harness failure: a job errored/timed out/crashed (the
-  infrastructure broke, nothing is known about the models);
+  infrastructure broke, nothing is known about the models), or an
+  option value no job could run with (one ``error:`` line, no report);
 * **2** -- a finding: an invariant violation (``faults``), an
   unexplained model divergence (``fuzz``), a failed recovery gate
   (``checkpoint``) or a failed boot comparison (``devices``).  A run
@@ -280,10 +281,14 @@ def cmd_bench(args) -> int:
 
 def cmd_campaign(args) -> int:
     """``campaign NAME``: run one campaign, summarise it, apply its gate."""
-    from repro.harness.campaign import exit_code
+    from repro.harness.campaign import OptionError, exit_code
 
     campaign = args.campaign_module
-    payload = campaign.run(args)
+    try:
+        payload = campaign.run(args)
+    except OptionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(campaign.format_summary(payload))
     print(f"report written to {payload['report_path']}")
     failures = campaign.gate(payload)

@@ -67,7 +67,7 @@ def _devices(finding=False, harness=False):
 
 
 #: a payload builder per campaign; ``incomplete`` only where the
-#: campaign can stop short (a budget, or interrupted jobs)
+#: campaign can stop short (interrupted jobs)
 PAYLOADS = {"faults": _faults, "fuzz": _fuzz,
             "checkpoint": _checkpoint, "devices": _devices}
 
@@ -111,7 +111,7 @@ def test_incomplete_campaign_prints_how_to_resume(monkeypatch, capsys):
     payload = {**_fuzz(incomplete=True), "report_path": "report.json"}
     monkeypatch.setattr(module, "run", lambda args: payload)
     monkeypatch.setattr(module, "format_summary", lambda payload: "")
-    assert cli.main(["campaign", "fuzz", "--max-seconds", "1"]) == 0
+    assert cli.main(["campaign", "fuzz"]) == 0
     assert "rerunning the same `repro campaign fuzz`" in (
         capsys.readouterr().err)
 

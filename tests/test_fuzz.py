@@ -10,8 +10,8 @@ Covers the contracts the fuzzing subsystem promises:
   fails the same way;
 * the committed ``fuzz_corpus/`` replays clean (regression pin for every
   bug the fuzzer ever found);
-* campaigns are deterministic serial-vs-parallel and resume from their
-  journal to a byte-identical report;
+* campaigns are deterministic serial-vs-parallel, and a rerun reports
+  the code as it stands, not an earlier run's verdicts;
 * the documented exit-code taxonomy (0 ok / 1 harness / 2 divergence)
   holds.
 """
@@ -21,12 +21,8 @@ import json
 
 import pytest
 
-from repro.fuzz.campaign import (
-    fuzz_point,
-    gate,
-    journal_path_for,
-    run_campaign,
-)
+from repro.fuzz import campaign as fuzz_campaign
+from repro.fuzz.campaign import fuzz_point, gate, run_campaign
 from repro.fuzz.corpus import iter_corpus, load_entry, replay_entry, write_entry
 from repro.fuzz.gen import GenConfig, generate_program
 from repro.fuzz.mutation import MUTATIONS, get_mutator
@@ -151,8 +147,7 @@ class TestCorpus:
 
 def _strip_volatile(payload):
     return {key: value for key, value in payload.items()
-            if key not in ("report_path", "journal_path",
-                           "budget_exhausted")}
+            if key != "report_path"}
 
 
 class TestCampaign:
@@ -171,38 +166,32 @@ class TestCampaign:
         assert ((tmp_path / "serial.json").read_bytes()
                 == (tmp_path / "parallel.json").read_bytes())
 
-    def test_interrupted_campaign_resumes_to_identical_report(self,
-                                                              tmp_path):
-        # workers=1 -> batches of 4 jobs, so 5 seeds span two batches and
-        # a zero-second budget stops the campaign between them, mid-run
-        seeds = 5
-        kwargs = dict(seeds=seeds, modes=("isa",), quick=True,
-                      parallel=False, workers=1, write_corpus=False)
-        whole = run_campaign(output=tmp_path / "whole.json", **kwargs)
-        assert whole["complete"]
-
-        partial = run_campaign(output=tmp_path / "resumed.json",
-                               max_seconds=0.0, **kwargs)
-        assert partial["budget_exhausted"]
-        assert not partial["complete"]
-        journal = journal_path_for(tmp_path / "resumed.json")
-        journaled = sum(1 for _ in journal.open()) - 1  # minus header
-        assert 0 < journaled < seeds
-
-        resumed = run_campaign(output=tmp_path / "resumed.json", **kwargs)
-        assert resumed["complete"]
-        assert not resumed["budget_exhausted"]
-        assert ((tmp_path / "whole.json").read_bytes()
-                == (tmp_path / "resumed.json").read_bytes())
-
-    def test_journal_of_other_config_is_discarded(self, tmp_path):
-        kwargs = dict(modes=("isa",), quick=True, parallel=False,
+    def test_rerun_reports_the_code_as_it_stands(self, tmp_path,
+                                                 monkeypatch):
+        # A rerun with the same output must run every job again: a
+        # report carried over from an earlier run would hide a
+        # divergence the code now has.
+        kwargs = dict(seeds=1, modes=("isa",), quick=True, parallel=False,
                       write_corpus=False, output=tmp_path / "out.json")
-        run_campaign(seeds=1, **kwargs)
-        widened = run_campaign(seeds=2, **kwargs)
-        assert widened["complete"]
-        assert widened["totals"]["jobs"] == 2
-        assert widened["totals"]["completed"] == 2
+        first = run_campaign(**kwargs)
+        assert first["totals"]["diverged"] == 0
+
+        def diverged(seed, mode, **_ignored):
+            return {"seed": seed, "mode": mode, "status": "diverged",
+                    "reports": [{"pair": PAIR_GOLDEN_PIPELINE,
+                                 "kind": "state", "mismatches": []}],
+                    "shrunk_source": "halt", "shrunk_instructions": 1}
+
+        monkeypatch.setattr(fuzz_campaign, "fuzz_point", diverged)
+        rerun = run_campaign(**kwargs)
+        assert rerun["complete"]
+        assert rerun["totals"]["diverged"] == 1
+        assert rerun["divergences"][0]["seed"] == 0
+        assert exit_code(rerun) == 2
+        written = json.loads((tmp_path / "out.json").read_text())
+        assert written["totals"]["diverged"] == 1
+        # nothing but the report is left next to it
+        assert [path.name for path in tmp_path.iterdir()] == ["out.json"]
 
     def test_mutation_campaign_reports_but_does_not_fail(self, tmp_path):
         payload = run_campaign(seeds=1, modes=("isa",), quick=True,
@@ -242,6 +231,36 @@ class TestCampaign:
     def test_fuzz_point_ok_row_is_minimal(self):
         row = fuzz_point(seed=1, mode="isa", quick=True)
         assert row == {"seed": 1, "mode": "isa", "status": "ok"}
+
+
+class TestOptionErrors:
+    """A typo in an option is an ``error:`` line and exit 1, before any
+    job runs and without a report -- never a finding (exit 2)."""
+
+    @pytest.mark.parametrize("argv,named", [
+        (["--mutate", "nosuch"], ["'nosuch'", "sra-logical"]),
+        (["--modes", "bogus"], ["'bogus'", "isa, lang, os"]),
+        (["--modes", "isa,isa"], ["'isa,isa'", "distinct"]),
+        (["--seeds", "0"], ["seeds", "at least 1"]),
+    ], ids=["mutation", "mode", "repeated-mode", "seeds"])
+    def test_rejected_before_any_job_runs(self, argv, named, tmp_path,
+                                          monkeypatch, capsys):
+        from repro.tools import cli
+
+        def no_job(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(fuzz_campaign.Runner, "run", no_job)
+        output = tmp_path / "fuzz.json"
+        code = cli.main(["campaign", "fuzz", "--seeds", "1", "--modes",
+                         "isa", "--quick", "--serial", "--no-corpus",
+                         "--output", str(output)] + argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for word in named:
+            assert word in err
+        assert not output.exists()
 
 
 class TestExitTaxonomy:

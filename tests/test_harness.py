@@ -31,9 +31,8 @@ import pytest
 
 from repro.harness.experiments import (EXPERIMENT_SWEEPS, default_jobs,
                                        sweep_jobs)
-from repro.harness.runner import (CHAOS_EXIT_CODE, CRASH_RETRY_DELAY,
-                                  ChaosMonkey, Job, JobResult, Runner,
-                                  merge_values, resolve)
+from repro.harness.runner import (CRASH_RETRY_DELAY, ChaosMonkey, Job,
+                                  JobResult, Runner, merge_values, resolve)
 
 HERE = "tests.test_harness"
 
@@ -228,15 +227,6 @@ class TestChaosMode:
         # only the first attempt is killed: retries always run
         assert not any(chaos.dooms(f"job/{i}", 2) for i in range(32))
 
-    def test_chaos_exit_code_is_visible_in_final_crash(self):
-        # kill_attempts=2 dooms the retry too: the job ends "crashed"
-        # and the recorded exit code is the chaos sentinel.
-        chaos = ChaosMonkey(rate=1.0, seed=0, kill_attempts=2)
-        jobs = [Job(id="victim", fn=f"{HERE}:_square", params={"x": 1})]
-        (result,) = Runner(max_workers=1, chaos=chaos).run(jobs)
-        assert result.status == "crashed"
-        assert str(CHAOS_EXIT_CODE) in result.error
-
     def test_backoff_schedule(self):
         # one retry, CRASH_RETRY_DELAY after the first death
         assert CRASH_RETRY_DELAY == pytest.approx(0.05)
@@ -309,18 +299,13 @@ def test_job_result_ok_property():
         assert not JobResult("x", status).ok
 
 
-# ----------------------------------------------- graceful shutdown, chaos
+# ------------------------------------------------------ graceful shutdown
 def _signal_parent_then_return(pid, value):
     """Interrupt the parent mid-run, then finish normally ourselves."""
     import signal
 
     os.kill(pid, signal.SIGINT)
     time.sleep(0.4)                  # let the parent field the signal
-    return value
-
-
-def _slow_value(value):
-    time.sleep(0.6)
     return value
 
 
@@ -354,27 +339,6 @@ class TestGracefulShutdown:
 
     def test_interrupted_is_not_ok(self):
         assert not JobResult("x", "interrupted").ok
-
-
-class TestChaosKillAfter:
-    def test_kill_after_sigkills_mid_run_and_retry_succeeds(self):
-        # kill_after arms an asynchronous SIGKILL *inside* the running
-        # worker -- a mid-computation crash, not a pre-call exit.  The
-        # retry is never doomed and must deliver the value.
-        chaos = ChaosMonkey(rate=1.0, seed=0, kill_after=0.1)
-        jobs = [Job(id="victim", fn=f"{HERE}:_slow_value",
-                    params={"value": 7})]
-        (result,) = Runner(max_workers=1, chaos=chaos).run(jobs)
-        assert result.status == "retried-ok"
-        assert result.value == 7
-        assert result.attempts == 2
-
-    def test_kill_after_unset_keeps_legacy_exit_kill(self):
-        chaos = ChaosMonkey(rate=1.0, seed=0, kill_attempts=2)
-        jobs = [Job(id="victim", fn=f"{HERE}:_square", params={"x": 2})]
-        (result,) = Runner(max_workers=1, chaos=chaos).run(jobs)
-        assert result.status == "crashed"
-        assert str(CHAOS_EXIT_CODE) in result.error
 
 
 # ---------------------------------------------------------- worker reuse
@@ -448,17 +412,3 @@ class TestWorkerReuse:
         assert runner.interrupted
         assert results[0].status == "ok"
         assert multiprocessing.active_children() == []
-
-    def test_kill_after_timer_dies_with_its_job(self):
-        # Every job is doomed, but each returns long before its timer
-        # would fire: the cancelled timer must not kill a later job that
-        # the same worker serves.
-        chaos = ChaosMonkey(rate=1.0, seed=0, kill_after=0.5)
-        jobs = [Job(id=f"short/{i}", fn=f"{HERE}:_sleep_then_return",
-                    params={"seconds": 0.05, "value": i})
-                for i in range(20)]
-        results = Runner(max_workers=1, chaos=chaos).run(jobs)
-        assert [r.status for r in results] == ["ok"] * 20
-        assert [r.attempts for r in results] == [1] * 20
-        assert [r.value for r in results] == list(range(20))
-

@@ -245,7 +245,7 @@ class TestCheckFuzzFile:
     def _clean(self):
         return {"schema": 1,
                 "config": {"seeds": 2, "modes": ["isa"], "quick": True,
-                           "mutation": None, "chaos_rate": 0.0},
+                           "mutation": None},
                 "totals": {"jobs": 2, "completed": 2, "ok": 2,
                            "diverged": 0, "harness_failures": 0},
                 "complete": True,
@@ -269,7 +269,9 @@ class TestCheckFuzzFile:
         payload["complete"] = False
         payload["totals"]["completed"] = 1
         failures = check_fuzz_file(self._write(tmp_path, payload))
-        assert any("incomplete" in f and "resume" in f for f in failures)
+        assert any("incomplete" in f
+                   and "rerunning the same `repro campaign fuzz`" in f
+                   for f in failures)
 
     def test_unexplained_divergence_fails(self, tmp_path):
         payload = self._clean()
