@@ -100,8 +100,8 @@ class CpiBreakdown:
         ``snapshot`` is the flat ``{metric name: value}`` mapping of
         :meth:`repro.telemetry.Metrics.snapshot` -- the audited catalog
         names, not raw stat attributes.  This makes the analysis module
-        and the ``check_results.py --metrics-file`` gate read the *same*
-        numbers by construction.
+        and the bench campaign's metrics gate read the *same* numbers by
+        construction.
         """
         def value(metric: str) -> int:
             return int(snapshot.get(metric, 0))

@@ -479,7 +479,7 @@ def machine_signature(machine) -> Dict[str, Any]:
     the format/kind/config header or the quiescence check, so it also
     describes a machine mid-run.  Every fast-path check compares it
     (the jit and checkpoint oracles, the checkpoint and devices
-    campaigns, ``repro bench``'s jit section); a fast path that ends
+    campaigns, the bench campaign's jit section); a fast path that ends
     with the right registers but the wrong latch, LRU order, device
     schedule or cycle count differs here."""
     return {"memory": _memory_state(machine.memory), **_node_state(machine)}

@@ -30,8 +30,8 @@ from repro.faults.invariants import differential_for_seed
 from repro.faults.multi import MULTI_FAULT_CLASSES, multi_campaign_jobs
 from repro.faults.plan import FAULT_CLASSES
 from repro.harness.campaign import (FINDING, HARNESS, INCOMPLETE, REPO_ROOT,
-                                    Failure, add_runner_arguments,
-                                    write_json_atomic)
+                                    Failure, OptionError,
+                                    add_runner_arguments, write_json_atomic)
 from repro.harness.runner import ChaosMonkey, Job, JobResult, Runner
 
 DEFAULT_REPORT = REPO_ROOT / "FAULTS_campaign.json"
@@ -115,8 +115,11 @@ def run_campaign(seeds: int = 32,
 
     ``multi_nodes`` > 0 runs the node-level grid of
     :mod:`repro.faults.multi` on systems of that many nodes; the driver,
-    the report shape and the gate are the same.
+    the report shape and the gate are the same.  Raises
+    :class:`OptionError` before any job runs for fewer than one seed.
     """
+    if seeds < 1:
+        raise OptionError(f"seeds must be at least 1, got {seeds}")
     if multi_nodes:
         jobs = multi_campaign_jobs(seeds, nodes=multi_nodes, quick=quick)
         fault_classes: Sequence[str] = MULTI_FAULT_CLASSES

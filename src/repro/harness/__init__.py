@@ -10,12 +10,13 @@ those points in parallel:
   timeout, retry-once-on-crash, and deterministic result merging;
 * :mod:`repro.harness.experiments` -- the registry of experiment point
   functions and the sweep grids built from them;
-* :mod:`repro.harness.bench` -- ``repro bench``: the grid's verdicts,
-  the jit, traced and multi sections and the timings a gate reads,
-  persisted to ``BENCH_pipeline.json`` at the repo root;
 * :mod:`repro.harness.campaign` -- the contract, registry and exit rule
-  of the standing campaigns behind ``repro campaign <name>``, one of
-  which, :mod:`repro.harness.devices`, boots the kernel-lite demos.
+  of the standing campaigns behind ``repro campaign <name>``; two of
+  them live here: :mod:`repro.harness.devices` boots the kernel-lite
+  demos, and :mod:`repro.harness.bench` (``repro campaign bench``)
+  writes the grid's verdicts, the jit, traced, multi and metrics
+  sections and the timings its gate reads to ``BENCH_pipeline.json``
+  at the repo root.
 
 The package re-exports nothing: import the submodule you need, so a
 Runner worker or a campaign does not pay for the experiment registry.

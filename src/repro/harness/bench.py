@@ -1,25 +1,28 @@
-"""``repro bench``: the experiment results, and the timings a gate reads.
+"""The bench campaign: the experiment results, and the timings a gate reads.
 
-``collect()`` runs every section on every call and writes
-``BENCH_pipeline.json`` at the repo root:
+``repro campaign bench`` runs every section on every call and writes
+one report, ``BENCH_pipeline.json`` at the repo root:
 
 * ``experiments`` -- each job of the experiment grid
   (:func:`repro.harness.experiments.default_jobs`) and its verdict;
 * ``sweep`` -- the grid's wall time through the parallel
-  :class:`~repro.harness.runner.Runner` and serially, which
-  ``check_results --bench-file`` holds to its sweep speedup floor;
+  :class:`~repro.harness.runner.Runner` and serially, held to
+  :data:`SWEEP_SPEEDUP_FLOOR`;
 * ``jit`` -- the translated fast path against the interpreter: whole
-  machine equivalence, coverage and the speedups ``check_results
-  --jit`` holds to its floors;
+  machine equivalence, coverage and the speedups held to
+  :data:`JIT_SPEEDUP_FLOOR` and :data:`JIT_WORKLOAD_SPEEDUP_FLOOR`;
 * ``traced`` -- the capture-once/replay-many sweeps: rows and trace
   store hits;
 * ``multi`` -- the multiprocessor scaling grid (:func:`build_multi_section`);
-* ``metrics`` -- the suite totals of the workload-cpi sweep's telemetry
-  snapshots, which :func:`build_metrics_summary` aggregates in full into
-  ``METRICS_summary.json`` -- the file ``check_results --metrics-file``
-  audits for counter/analysis CPI consistency.
+* ``metrics`` -- the workload-cpi sweep's telemetry snapshots, the
+  analysis CPI beside each and the suite totals
+  (:func:`build_metrics_summary`), audited for the CPI and counter
+  accounting identities.
 
-No other wall time is recorded: perfbench (``BENCHMARK.json``) measures
+:func:`gate` is the campaign's verdict on those sections: a failed job
+or a missing or malformed section is a *harness* failure; a wrong
+result, a broken identity or a missed floor is a *finding*.  No other
+wall time is recorded: perfbench (``BENCHMARK.json``) measures
 throughput under its own scaled protocol.
 """
 
@@ -31,13 +34,13 @@ import pathlib
 import platform
 import tempfile
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.harness.campaign import REPO_ROOT, write_json_atomic
+from repro.harness.campaign import (FINDING, HARNESS, REPO_ROOT, Failure,
+                                    write_json_atomic)
 from repro.harness.runner import JobResult, Runner
 
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_pipeline.json"
-DEFAULT_METRICS_OUTPUT = REPO_ROOT / "METRICS_summary.json"
+DEFAULT_REPORT = REPO_ROOT / "BENCH_pipeline.json"
 
 #: workloads the jit section times: one loop-heavy integer program and
 #: one branchy one, both in the Pascal suite
@@ -136,11 +139,10 @@ def build_metrics_summary(results: Sequence[JobResult]) -> Dict[str, Any]:
     Pure and deterministic: no timestamps, counters summed across jobs,
     derived gauges recomputed from the summed counters (never averaged)
     -- so a parallel sweep aggregates **byte-identically** to a serial
-    one (pinned by ``tests/test_telemetry.py``).  The payload is what
-    ``METRICS_summary.json`` holds and what ``check_results.py
-    --metrics-file`` audits: each workload's full snapshot, the analysis
-    CPI reported alongside it (the identity under test), and the suite
-    totals.
+    one (pinned by ``tests/test_telemetry.py``).  The payload is the
+    bench report's ``metrics`` section, which :func:`gate` audits: each
+    workload's full snapshot, the analysis CPI reported alongside it
+    (the identity under test), and the suite totals.
     """
     per_workload: Dict[str, Any] = {}
     analysis: Dict[str, Any] = {}
@@ -268,37 +270,51 @@ def _timed_run(runner: Runner, jobs, parallel: bool):
     return results, time.perf_counter() - started
 
 
-def collect(quick: bool = False,
-            workers: Optional[int] = None,
-            timeout: Optional[float] = None,
-            output: Optional[pathlib.Path] = None,
-            metrics_output: Optional[pathlib.Path] = None) -> Dict[str, Any]:
+def add_arguments(parser) -> None:
+    """The bench campaign's description and options."""
+    parser.description = (
+        "Run the experiment grid (in parallel, then serially), the jit "
+        "equivalence and speedup probe, the traced sweeps and the "
+        "multiprocessor scaling sweep, and write their results, with the "
+        "workload-cpi telemetry, to one report.  A finding is a wrong "
+        "result, a broken CPI or counter identity, or a missed speedup "
+        "floor.")
+    parser.add_argument("--quick", action="store_true",
+                        help="reduced grid, shorter traces and multi nodes "
+                             "1, 2, 4 (CI smoke)")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="parallel worker processes (default: CPUs)")
+    parser.add_argument("--timeout", type=float, default=None,
+                        help="per-job timeout in seconds")
+
+
+def run(args) -> Dict[str, Any]:
     """Run every section and persist ``BENCH_pipeline.json``.
 
-    ``quick`` selects the reduced experiment grid, the shorter traces
+    ``--quick`` selects the reduced experiment grid, the shorter traces
     and the multi node counts (1, 2, 4); the full run sweeps 1..10
-    nodes.  The workload-cpi sweep's telemetry snapshots go to
-    ``METRICS_summary.json`` (see :func:`build_metrics_summary`) and
-    their suite totals into the payload's ``metrics`` section.
+    nodes.  The workload-cpi sweep's telemetry snapshots become the
+    ``metrics`` section (:func:`build_metrics_summary`).
     """
     from repro.harness.experiments import default_jobs, multi_scaling_jobs
 
-    runner = Runner(max_workers=workers)
-    jobs = default_jobs(quick=quick, timeout=timeout)
+    runner = Runner(max_workers=args.workers)
+    jobs = default_jobs(quick=args.quick, timeout=args.timeout)
     jit = measure_jit_throughput()
     # Parallel first: forked workers must not inherit caches the serial
     # pass warmed in this process, or the speedup figure flatters itself.
     results, parallel_wall = _timed_run(runner, jobs, parallel=True)
     _, serial_wall = _timed_run(runner, jobs, parallel=False)
-    traced = _traced_section(quick)
+    traced = _traced_section(args.quick)
     multi = build_multi_section(runner.run(
-        multi_scaling_jobs(quick=quick, timeout=timeout), parallel=True))
+        multi_scaling_jobs(quick=args.quick, timeout=args.timeout),
+        parallel=True))
 
     payload: Dict[str, Any] = {
         "schema": 1,
         "generated": datetime.datetime.now(datetime.timezone.utc)
                      .strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "quick": quick,
+        "quick": args.quick,
         "host": {
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
@@ -315,20 +331,328 @@ def collect(quick: bool = False,
         "jit": jit,
         "traced": traced,
         "multi": multi,
+        "metrics": build_metrics_summary(results),
     }
-    metrics_summary = build_metrics_summary(results)
-    if metrics_summary["per_workload"]:
-        payload["metrics"] = {
-            "workloads": metrics_summary["workloads"],
-            "totals": metrics_summary["totals"],
-            "derived": metrics_summary["derived"],
-        }
-        metrics_path = (pathlib.Path(metrics_output) if metrics_output
-                        else DEFAULT_METRICS_OUTPUT)
-        write_json_atomic(metrics_path, metrics_summary)
-    path = pathlib.Path(output) if output else DEFAULT_OUTPUT
+    path = pathlib.Path(args.output) if args.output else DEFAULT_REPORT
     write_json_atomic(path, payload)
+    payload["report_path"] = str(path)
     return payload
+
+
+#: the parallel sweep must not be slower than the serial one on a host
+#: that gave it two or more workers
+SWEEP_SPEEDUP_FLOOR = 1.0
+
+#: floors for the translated fast path: aggregate and per-workload
+#: wall-clock speedup of the jit over the interpreter.  Five ``repro
+#: bench --quick`` runs on a 2-CPU Xeon, each side timed as the fastest
+#: of three alternating runs, read 6.52-9.12x aggregate, sieve
+#: 5.02-9.79x and bubble 6.64-9.34x (``jit_gate`` in
+#: BENCH_signature.json), so the floors catch a fast path that quietly
+#: stopped being fast without failing a healthy one.
+JIT_SPEEDUP_FLOOR = 5.0
+JIT_WORKLOAD_SPEEDUP_FLOOR = 3.0
+
+#: minimum psieve speedup at 4 nodes (measured: ~1.56 at the quick size,
+#: ~2.25 at the full size -- below 1.2 the bus or barrier regressed)
+MULTI_PSIEVE_N4_SPEEDUP = 1.2
+
+#: keys each plain section of a complete report must carry (``jit``,
+#: ``multi`` and ``metrics`` have checks of their own)
+SECTION_KEYS = {
+    "sweep": ("jobs", "ok", "speedup"),
+    "experiments": (),
+    "traced": ("per_sweep",),
+}
+
+#: keys a complete ``metrics`` section must hold as objects
+METRICS_KEYS = ("per_workload", "analysis", "totals", "derived")
+
+#: keys a complete ``multi`` section must carry
+MULTI_KEYS = ("jobs", "ok", "failures", "rows", "curves")
+
+#: keys every multi row must carry
+MULTI_ROW_KEYS = ("workload", "nodes", "bus_latency", "invalidation",
+                  "cycles", "bus", "result", "result_ok")
+
+
+def gate(payload: Dict[str, Any]) -> List[Failure]:
+    """The campaign's verdict, section by section.
+
+    * **sections** -- ``sweep``, ``experiments`` and ``traced`` are
+      present with their keys, every experiment job ended ok, and on a
+      host that gave the sweep two or more workers the parallel sweep
+      is not slower than the serial one (:data:`SWEEP_SPEEDUP_FLOOR`);
+    * **jit** -- :func:`_gate_jit`;
+    * **metrics** -- :func:`_gate_metrics`;
+    * **multi** -- :func:`_gate_multi`.
+
+    Every problem names its section, so a partial report reads as
+    "section 'sweep' is missing", never as a ``KeyError``.
+    """
+    failures: List[Failure] = []
+    for section, keys in SECTION_KEYS.items():
+        value = payload.get(section)
+        if not isinstance(value, dict):
+            failures.append(Failure(
+                HARNESS, f"section '{section}' is missing or not an object "
+                         "(partial or interrupted bench run?)"))
+            continue
+        for key in keys:
+            if key not in value:
+                failures.append(Failure(
+                    HARNESS, f"section '{section}' is missing key '{key}'"))
+    experiments = payload.get("experiments")
+    for job_id, row in sorted((experiments if isinstance(experiments, dict)
+                               else {}).items()):
+        if not isinstance(row, dict) or "status" not in row:
+            failures.append(Failure(
+                HARNESS, f"section 'experiments' row '{job_id}' has no "
+                         "'status' field"))
+        elif row["status"] not in ("ok", "retried-ok"):
+            failures.append(Failure(
+                HARNESS, f"experiment job '{job_id}' ended "
+                         f"'{row['status']}'"))
+    sweep, host = payload.get("sweep"), payload.get("host")
+    if isinstance(sweep, dict) and isinstance(host, dict):
+        speedup, workers = sweep.get("speedup"), host.get("workers")
+        if (isinstance(speedup, (int, float)) and isinstance(workers, int)
+                and workers >= 2 and speedup < SWEEP_SPEEDUP_FLOOR):
+            failures.append(Failure(
+                FINDING, f"section 'sweep' speedup {speedup} on {workers} "
+                         f"workers is below {SWEEP_SPEEDUP_FLOOR} (the "
+                         "parallel sweep is slower than the serial one)"))
+    return (failures + _gate_jit(payload.get("jit"))
+            + _gate_metrics(payload.get("metrics"))
+            + _gate_multi(payload.get("multi")))
+
+
+def _gate_jit(section: Any) -> List[Failure]:
+    """The ``jit`` section, in order of importance:
+
+    * **equivalence** -- every workload's jit run must halt with the
+      interpretive run's whole machine signature, every pipeline
+      counter included (``equivalent: true``); the fast path is
+      cycle-exact or it is wrong, and no speedup excuses a wrong answer;
+    * **speedup floors** -- aggregate >= :data:`JIT_SPEEDUP_FLOOR` and
+      each workload >= :data:`JIT_WORKLOAD_SPEEDUP_FLOOR` times the
+      interpreter;
+    * **coverage sanity** -- blocks compiled and cycle coverage are
+      non-zero (a jit that never fires "passes" equivalence trivially).
+    """
+    if not isinstance(section, dict):
+        return [Failure(HARNESS, "section 'jit' is missing or not an "
+                                 "object (partial or interrupted bench "
+                                 "run?)")]
+    failures: List[Failure] = []
+    if not section.get("equivalent", False):
+        failures.append(Failure(
+            FINDING, "jit: aggregate 'equivalent' flag is false -- the "
+                     "translated fast path diverged from the interpreter"))
+    speedup = section.get("speedup", 0.0)
+    if not isinstance(speedup, (int, float)) or speedup < JIT_SPEEDUP_FLOOR:
+        failures.append(Failure(
+            FINDING, f"jit: aggregate speedup {speedup!r} is below the "
+                     f"{JIT_SPEEDUP_FLOOR}x floor"))
+    workloads = section.get("workloads")
+    if not isinstance(workloads, dict) or not workloads:
+        failures.append(Failure(HARNESS, "jit: section has no per-workload "
+                                         "rows"))
+        return failures
+    for name, row in sorted(workloads.items()):
+        if not isinstance(row, dict):
+            failures.append(Failure(HARNESS, f"jit: workload '{name}' row "
+                                             "is not an object"))
+            continue
+        if not row.get("equivalent", False):
+            failures.append(Failure(
+                FINDING, f"jit: workload '{name}' is not cycle-exact (jit "
+                         "vs interpreter machine signatures differ)"))
+        row_speedup = row.get("speedup", 0.0)
+        if row_speedup < JIT_WORKLOAD_SPEEDUP_FLOOR:
+            failures.append(Failure(
+                FINDING, f"jit: workload '{name}' speedup {row_speedup} "
+                         f"is below the {JIT_WORKLOAD_SPEEDUP_FLOOR}x "
+                         "floor"))
+        if not row.get("blocks_compiled"):
+            failures.append(Failure(
+                FINDING, f"jit: workload '{name}' compiled no blocks (the "
+                         "fast path never engaged)"))
+        if not row.get("cycle_coverage"):
+            failures.append(Failure(
+                FINDING, f"jit: workload '{name}' reports zero cycle "
+                         "coverage"))
+    return failures
+
+
+def _gate_metrics(section: Any) -> List[Failure]:
+    """The ``metrics`` section (:func:`build_metrics_summary`) and its
+    identities:
+
+    * **CPI identity** -- each workload's counter-derived CPI
+      (``pipeline.cycles / pipeline.instructions.retired``) must equal
+      the analysis-module CPI recorded alongside it;
+    * **accounting identities** -- per workload and on the suite totals,
+      the counters must satisfy the invariants of
+      :func:`repro.telemetry.metrics.check_counter_consistency` (stall
+      cycles bounded by total cycles, retired+squashed bounded by
+      fetched, late-miss retries equal to read+ifetch misses, ...);
+    * **derived gauges** -- ``derived`` must match what the summed
+      counters derive to (no hand-edited gauges).
+    """
+    from repro.telemetry.metrics import (check_counter_consistency,
+                                         derived_from_counters)
+
+    if not isinstance(section, dict):
+        return [Failure(HARNESS, "section 'metrics' is missing or not an "
+                                 "object (partial or interrupted bench "
+                                 "run?)")]
+    failures = [Failure(HARNESS, f"metrics: key '{key}' is missing or not "
+                                 "an object")
+                for key in METRICS_KEYS
+                if not isinstance(section.get(key), dict)]
+    if failures:
+        return failures
+    if not section["per_workload"]:
+        failures.append(Failure(HARNESS, "metrics: 'per_workload' is empty "
+                                         "(the workload-cpi sweep produced "
+                                         "no snapshots)"))
+    analysis = section["analysis"]
+    for name, snapshot in sorted(section["per_workload"].items()):
+        if not isinstance(snapshot, dict):
+            failures.append(Failure(HARNESS, f"metrics: workload '{name}' "
+                                             "snapshot is not an object"))
+            continue
+        counters = {key: value for key, value in snapshot.items()
+                    if isinstance(value, int)}
+        row = analysis.get(name)
+        if not isinstance(row, dict) or "cpi" not in row:
+            failures.append(Failure(HARNESS, f"metrics: workload '{name}' "
+                                             "has no analysis CPI to check "
+                                             "against"))
+            analysis_cpi = None
+        else:
+            analysis_cpi = row["cpi"]
+        for issue in check_counter_consistency(counters, analysis_cpi):
+            failures.append(Failure(
+                FINDING, f"metrics: workload '{name}' failed {issue.name}: "
+                         f"{issue.message}"))
+    totals = section["totals"]
+    for issue in check_counter_consistency(totals):
+        failures.append(Failure(
+            FINDING, f"metrics: suite totals failed {issue.name}: "
+                     f"{issue.message}"))
+    for name, expected in derived_from_counters(totals).items():
+        recorded = section["derived"].get(name)
+        if recorded is None or abs(recorded - expected) > 1e-9:
+            failures.append(Failure(
+                FINDING, f"metrics: derived gauge '{name}' is {recorded!r}, "
+                         f"but the summed counters derive to {expected!r}"))
+    return failures
+
+
+def _gate_multi(multi: Any) -> List[Failure]:
+    """The ``multi`` section (:func:`build_multi_section`):
+
+    * **job failures** -- every scaling point must have completed;
+    * **self-check** -- every row's ``result_ok`` (the workload's
+      console output against the independently computed expectation);
+    * **node-count invariance** -- the parallel workloads report the
+      same result at every node count, so all rows of one workload must
+      be bit-equal to the single-node reference;
+    * **speedup identity** -- each curve's baseline (smallest node
+      count) must have speedup exactly 1.0, and an ``N=1`` row can only
+      be that baseline;
+    * **contention monotonicity** -- at fixed bus latency, bus
+      contention cycles must not decrease as nodes are added;
+    * **measured scaling** -- when a psieve curve (bus latency 0,
+      invalidation on) reaches 4 nodes, its speedup must clear
+      :data:`MULTI_PSIEVE_N4_SPEEDUP`.
+    """
+    if not isinstance(multi, dict):
+        return [Failure(HARNESS, "section 'multi' is missing or not an "
+                                 "object (partial or interrupted bench "
+                                 "run?)")]
+    failures = [Failure(HARNESS, f"section 'multi' is missing key '{key}'")
+                for key in MULTI_KEYS if key not in multi]
+    if failures:
+        return failures
+    for job_id in multi["failures"]:
+        failures.append(Failure(HARNESS, f"multi: scaling point '{job_id}' "
+                                         "failed in the harness"))
+    rows = multi["rows"]
+    if not isinstance(rows, dict) or not rows:
+        failures.append(Failure(HARNESS, "multi: section has no rows "
+                                         "(empty sweep?)"))
+        return failures
+    by_workload: Dict[str, List[tuple]] = {}
+    for job_id, row in sorted(rows.items()):
+        if not isinstance(row, dict):
+            failures.append(Failure(HARNESS, f"multi: row '{job_id}' is not "
+                                             "an object"))
+            continue
+        missing = [key for key in MULTI_ROW_KEYS if key not in row]
+        if missing:
+            failures.append(Failure(HARNESS, f"multi: row '{job_id}' is "
+                                             f"missing {missing}"))
+            continue
+        if not row["result_ok"]:
+            failures.append(Failure(
+                FINDING, f"multi: row '{job_id}' failed its self-check "
+                         f"(result {row['result']!r})"))
+        by_workload.setdefault(row["workload"], []).append((job_id, row))
+    for workload, entries in sorted(by_workload.items()):
+        entries.sort(key=lambda pair: pair[1]["nodes"])
+        reference_id, reference = entries[0]
+        for job_id, row in entries[1:]:
+            if row["result"] != reference["result"]:
+                failures.append(Failure(
+                    FINDING, f"multi: row '{job_id}' result "
+                             f"{row['result']!r} differs from the "
+                             f"'{reference_id}' reference "
+                             f"{reference['result']!r} (results must be "
+                             "node-count invariant)"))
+    for label, curve in sorted(multi["curves"].items()):
+        if not isinstance(curve, dict):
+            failures.append(Failure(HARNESS, f"multi: curve '{label}' is "
+                                             "not an object"))
+            continue
+        nodes = curve.get("nodes", [])
+        speedup = curve.get("speedup", [])
+        contention = curve.get("contention_cycles", [])
+        if not nodes or not (len(nodes) == len(speedup)
+                             == len(contention)):
+            failures.append(Failure(HARNESS, f"multi: curve '{label}' "
+                                             "arrays are empty or "
+                                             "misaligned"))
+            continue
+        if list(nodes) != sorted(set(nodes)):
+            failures.append(Failure(
+                HARNESS, f"multi: curve '{label}' node counts {nodes} are "
+                         "not strictly increasing"))
+        if speedup[0] != 1.0:
+            failures.append(Failure(
+                FINDING, f"multi: curve '{label}' baseline speedup is "
+                         f"{speedup[0]!r}, must be exactly 1.0"))
+        if 1 in nodes and nodes.index(1) != 0:
+            failures.append(Failure(
+                FINDING, f"multi: curve '{label}' has an N=1 row that is "
+                         "not the baseline"))
+        if any(b < a for a, b in zip(contention, contention[1:])):
+            failures.append(Failure(
+                FINDING, f"multi: curve '{label}' contention cycles "
+                         f"{contention} decrease with node count"))
+        if (curve.get("workload") == "psieve"
+                and curve.get("bus_latency") == 0
+                and curve.get("invalidation") and 4 in nodes):
+            measured = speedup[nodes.index(4)]
+            if measured < MULTI_PSIEVE_N4_SPEEDUP:
+                failures.append(Failure(
+                    FINDING, f"multi: curve '{label}' speedup at 4 nodes "
+                             f"is {measured}, below the "
+                             f"{MULTI_PSIEVE_N4_SPEEDUP} floor (bus or "
+                             "barrier regression)"))
+    return failures
 
 
 def format_summary(payload: Dict[str, Any]) -> str:
@@ -351,12 +675,10 @@ def format_summary(payload: Dict[str, Any]) -> str:
                     f"    {shape:<14} {counts['compiled']} blocks, "
                     f"{counts['entries']:,} entries, "
                     f"{counts['cycles']:,} cycles")
-    metrics = payload.get("metrics")
-    if metrics:
-        lines.append(
-            f"metrics           {len(metrics['workloads'])} "
-            f"workloads aggregated, suite CPI "
-            f"{metrics['derived'].get('pipeline.cpi', 0.0):.3f}")
+    metrics = payload["metrics"]
+    lines.append(f"metrics           {len(metrics['workloads'])} "
+                 f"workloads aggregated, suite CPI "
+                 f"{metrics['derived'].get('pipeline.cpi', 0.0):.3f}")
     sweep = payload["sweep"]
     lines.append(f"sweep             {sweep['ok']}/{sweep['jobs']} jobs ok")
     lines.append(f"  serial          {sweep['serial_wall_s']}s")

@@ -40,6 +40,7 @@ CAMPAIGNS = {
     "fuzz": "repro.fuzz.campaign",
     "checkpoint": "repro.checkpoint.campaign",
     "devices": "repro.harness.devices",
+    "bench": "repro.harness.bench",
 }
 
 #: failure kinds, in the order :func:`exit_code` ranks them

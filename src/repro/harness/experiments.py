@@ -114,8 +114,8 @@ def workload_cpi_point(name: str) -> dict:
 
     The row carries the full telemetry snapshot of the run (catalogued
     counter names, see :mod:`repro.telemetry.catalog`) so the harness
-    can aggregate ``METRICS_summary.json`` and ``check_results.py
-    --metrics-file`` can audit counter-derived CPI against the analysis
+    can aggregate the bench report's ``metrics`` section and the bench
+    campaign's gate can audit counter-derived CPI against the analysis
     CPI reported here.
     """
     from repro.analysis.cpi import measure_with_metrics, scaled_memory_config
@@ -315,9 +315,9 @@ def _coproc_jobs(quick: bool) -> List[Job]:
 
 
 #: the CPI workloads by simulated cycles, most first (``pipeline.cycles``
-#: in METRICS_summary.json).  Their points are the grid's longest jobs, and
-#: one submitted last would set its makespan; results still merge in
-#: submission order, by job id.
+#: in BENCH_pipeline.json's ``metrics``).  Their points are the grid's
+#: longest jobs, and one submitted last would set its makespan; results
+#: still merge in submission order, by job id.
 CPI_LONGEST_FIRST = ("queens", "towers", "bubble", "assoc", "quick", "perm",
                      "intmm", "sieve", "treefold", "ackermann", "fib",
                      "listops")

@@ -6,8 +6,8 @@ The observability pillar of the repo (see ``docs/OBSERVABILITY.md``):
   name, its unit, and the paper table/claim it feeds;
 * :mod:`repro.telemetry.metrics` -- counters/gauges/histograms, the
   :func:`collect_machine` harvest of a run into catalogued names, and
-  the accounting-identity checks behind ``check_results.py
-  --metrics-file``;
+  the accounting-identity checks behind the bench campaign's gate
+  (:func:`repro.harness.bench.gate`);
 * :mod:`repro.telemetry.tracer` -- the ring-buffer cycle tracer that
   records instruction lifecycles per pipestage and stall spans;
 * :mod:`repro.telemetry.perfetto` -- Chrome/Perfetto ``trace_event``

@@ -9,8 +9,8 @@ contract between the machine components and every consumer:
   catalogued names (pinned by ``tests/test_telemetry.py``);
 * ``docs/OBSERVABILITY.md`` documents **every** catalogued name (pinned
   by ``tests/test_docs.py``);
-* ``tools/check_results.py --metrics-file`` validates counter
-  consistency using the catalogued names.
+* the bench campaign's gate (:func:`repro.harness.bench.gate`)
+  validates counter consistency using the catalogued names.
 
 Names are hierarchical, dot-separated, ``component.noun[.qualifier]``:
 ``pipeline.stall.icache_miss``, ``ecache.late_miss.retries``.  A name

@@ -10,8 +10,8 @@ those into one hierarchical registry after (or during) a run:
 * :func:`collect_machine` snapshots every component of a
   :class:`~repro.core.processor.Machine` into canonical catalogued names
   (``pipeline.stall.icache_miss``, ``ecache.late_miss.retries``, ...) --
-  the audited source of truth the harness, the CLI, and the
-  ``check_results.py --metrics-file`` gate all read;
+  the audited source of truth the harness, the CLI, and the bench
+  campaign's gate all read;
 * the :class:`~repro.telemetry.tracer.CycleTracer` feeds histograms
   (stall lengths, instruction lifetimes) into the same registry, using
   the attach-a-hook pattern the fault injector uses: when no tracer is
@@ -332,8 +332,9 @@ def check_counter_consistency(
         analysis_cpi: Optional[float] = None) -> List[ConsistencyIssue]:
     """Audit the accounting identities a machine snapshot must satisfy.
 
-    These are the cross-checks behind ``check_results.py
-    --metrics-file``: the counter-derived CPI must equal the analysis
+    These are the cross-checks behind the bench campaign's gate
+    (:func:`repro.harness.bench.gate`): the counter-derived CPI must
+    equal the analysis
     module's CPI, stall cycles cannot exceed total cycles, retirement
     cannot exceed fetch, and the late-miss retry counter must equal the
     read+ifetch miss counters it is defined from.

@@ -8,28 +8,24 @@ Usage::
     python -m repro.tools.cli workload sieve [--stats]
     python -m repro.tools.cli trace sieve [--output TRACE.json]
     python -m repro.tools.cli trace psieve --nodes 4 [--bus-latency L]
-    python -m repro.tools.cli bench [--quick] [--workers N] [--output PATH]
     python -m repro.tools.cli run examples/boot.s --devices
     python -m repro.tools.cli campaign faults [--seeds N] [--quick] [--chaos R]
     python -m repro.tools.cli campaign faults --multi-nodes 4 [--seeds N]
     python -m repro.tools.cli campaign fuzz [--seeds N] [--quick] [--mutate NAME]
     python -m repro.tools.cli campaign checkpoint [--fuzz-seeds N] [--quick]
     python -m repro.tools.cli campaign devices [--quick]
+    python -m repro.tools.cli campaign bench [--quick] [--workers N]
 
 ``run`` executes assembly on the paper-configuration machine; ``compile``
 sends SPL source through the compiler + reorganizer; ``workload`` runs a
 registered benchmark.  ``--trace N`` prints a pipeline diagram of the
 first N cycles.  ``trace`` runs a workload under the telemetry cycle
 tracer (:mod:`repro.telemetry`) and writes Chrome/Perfetto trace JSON
-for ``ui.perfetto.dev`` (see ``docs/OBSERVABILITY.md``).  ``bench``
-runs the experiment grid (in parallel, then serially), the jit
-equivalence and speedup probe, the traced sweeps and the multiprocessor
-scaling sweep (nodes x bus latency x invalidation), and writes their
-results to ``BENCH_pipeline.json`` at the repo root (see
-:mod:`repro.harness.bench`).  ``trace --nodes N`` runs a parallel
-workload on an N-node :class:`~repro.multi.system.MultiMachine` and
-exports one Perfetto process per node so cross-node stall interleaving
-(including bus-wait spans) is visible on one timeline.
+for ``ui.perfetto.dev`` (see ``docs/OBSERVABILITY.md``).  ``trace
+--nodes N`` runs a parallel workload on an N-node
+:class:`~repro.multi.system.MultiMachine` and exports one Perfetto
+process per node so cross-node stall interleaving (including bus-wait
+spans) is visible on one timeline.
 
 ``run``/``compile``/``workload`` accept ``--devices`` to feed the
 canonical UART boot stimulus (:data:`repro.workloads.kernel.
@@ -43,11 +39,14 @@ examples/boot.s --devices`` boots the kernel-lite echo demo (see
 injection, or node-level faults with ``--multi-nodes N``), ``fuzz``
 (differential fuzzing of the golden, pipeline, trace-replay, JIT and
 checkpoint models), ``checkpoint`` (restore equivalence and snapshot
-corruption) and ``devices`` (every kernel-lite demo booted
-interpretive, under the JIT, and across checkpoint/restore) -- writes
-its report, and applies the campaign's own gate, the one
-``check_results --campaign`` applies.  Each campaign declares its own
-options.  One exit rule covers all four
+corruption), ``devices`` (every kernel-lite demo booted interpretive,
+under the JIT, and across checkpoint/restore) and ``bench`` (the
+experiment grid in parallel and serially, the jit equivalence and
+speedup probe, the traced sweeps, the multiprocessor scaling sweep and
+the workload-cpi telemetry, in one ``BENCH_pipeline.json``; see
+:mod:`repro.harness.bench`) -- writes its report, and applies the
+campaign's own gate, the one ``check_results --campaign`` applies.
+Each campaign declares its own options.  One exit rule covers all five
 (:func:`repro.harness.campaign.exit_code`):
 
 * **0** -- the campaign held, or it is incomplete (jobs were
@@ -57,7 +56,8 @@ options.  One exit rule covers all four
   option value no job could run with (one ``error:`` line, no report);
 * **2** -- a finding: an invariant violation (``faults``), an
   unexplained model divergence (``fuzz``), a failed recovery gate
-  (``checkpoint``) or a failed boot comparison (``devices``).  A run
+  (``checkpoint``), a failed boot comparison (``devices``) or a wrong
+  result, broken identity or missed speedup floor (``bench``).  A run
   with both a finding and a harness failure exits 2.
 """
 
@@ -264,21 +264,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.harness.bench import collect, format_summary
-
-    payload = collect(quick=args.quick, workers=args.workers,
-                      timeout=args.timeout, output=args.output,
-                      metrics_output=args.metrics_output)
-    print(format_summary(payload))
-    failed = [job_id for job_id, row in payload["experiments"].items()
-              if row["status"] != "ok"]
-    failed += payload["multi"]["failures"]
-    if failed:
-        print(f"failed jobs: {', '.join(sorted(failed))}", file=sys.stderr)
-    return 1 if failed else 0
-
-
 def cmd_campaign(args) -> int:
     """``campaign NAME``: run one campaign, summarise it, apply its gate."""
     from repro.harness.campaign import OptionError, exit_code
@@ -378,29 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--max-cycles", type=int, default=10_000_000)
     p_trace.set_defaults(func=cmd_trace)
 
-    p_bench = sub.add_parser(
-        "bench", help="experiment grid, jit, traced and multi results plus "
-                      "the timings check_results gates, written to "
-                      "BENCH_pipeline.json")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="reduced grid, shorter traces and multi nodes "
-                              "1, 2, 4 (CI smoke)")
-    p_bench.add_argument("--workers", type=int, default=None,
-                         help="parallel worker processes (default: CPUs)")
-    p_bench.add_argument("--timeout", type=float, default=None,
-                         help="per-job timeout in seconds")
-    p_bench.add_argument("--output", default=None, metavar="PATH",
-                         help="telemetry file (default: BENCH_pipeline.json "
-                              "at the repo root)")
-    p_bench.add_argument("--metrics-output", default=None, metavar="PATH",
-                         help="aggregated metrics file (default: "
-                              "METRICS_summary.json at the repo root)")
-    p_bench.set_defaults(func=cmd_bench)
-
     p_campaign = sub.add_parser(
         "campaign",
-        help="run a standing campaign (faults, fuzz, checkpoint, devices), "
-             "write its report and apply its gate",
+        help=f"run a standing campaign ({', '.join(CAMPAIGNS)}), write "
+             "its report and apply its gate",
         description="Run one standing campaign, write its JSON report at "
                     "the repo root (or --output), and apply the same gate "
                     "check_results --campaign applies to that report.  "

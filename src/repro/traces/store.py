@@ -95,8 +95,8 @@ class TraceStore:
     truncated, or sidecar-less entry is a counted-and-logged **miss**
     (``integrity_failures``), never a silent wrong replay.  :meth:`put`
     holds a per-entry lockfile so two concurrent producers (parallel
-    ``repro bench`` runs racing on a cold cache) cannot interleave the
-    payload and its digest.  Writes are atomic but not fsynced
+    sweeps racing on a cold cache) cannot interleave the payload and its
+    digest.  Writes are atomic but not fsynced
     (:func:`repro.fileio.atomic_file` with ``durable=False``): the store
     is a cache, and an entry torn by a power cut is a counted miss.
     """

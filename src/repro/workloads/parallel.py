@@ -27,7 +27,7 @@ All three bake their constants (node count, problem size) into the
 generated source and write results to the console **only from node 0
 after a barrier**, so the output is deterministic and -- by
 construction -- identical across node counts, which is what the
-``check_results.py --multi`` bit-equality gate leans on.
+bench campaign's multi bit-equality gate leans on.
 
 Programs are compiled with the multiprocessor prologue
 (``node_stack_words``), giving each node a private stack below the

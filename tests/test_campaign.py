@@ -7,7 +7,8 @@ in its registry:
   harness failure, and an incomplete campaign alone exits 0;
 * each committed report passes its own campaign's gate through
   ``check_results --campaign``, and a tampered report fails it with a
-  named message;
+  named message of the right kind (the bench report's jit, multi and
+  job checks included);
 * the faults driver counts interrupted jobs the same way on one node
   and on N nodes;
 * the fuzz campaign module, which every perfbench fuzz worker imports,
@@ -66,10 +67,21 @@ def _devices(finding=False, harness=False):
                         else []}}
 
 
+def _bench(finding=False, harness=False):
+    payload = json.loads((REPO_ROOT / "BENCH_pipeline.json").read_text())
+    if finding:
+        payload["jit"]["equivalent"] = False
+    if harness:
+        payload["experiments"]["cpi/sieve"]["status"] = "timeout"
+        payload["multi"]["failures"] = ["multi/psieve-n08-bus0-inv"]
+    return payload
+
+
 #: a payload builder per campaign; ``incomplete`` only where the
 #: campaign can stop short (interrupted jobs)
 PAYLOADS = {"faults": _faults, "fuzz": _fuzz,
-            "checkpoint": _checkpoint, "devices": _devices}
+            "checkpoint": _checkpoint, "devices": _devices,
+            "bench": _bench}
 
 SCENARIOS = [
     ("clean", {}, 0),
@@ -121,7 +133,8 @@ COMMITTED = [("faults", "FAULTS_campaign.json"),
              ("faults", "FAULTS_multi.json"),
              ("fuzz", "FUZZ_campaign.json"),
              ("checkpoint", "CHECKPOINT_campaign.json"),
-             ("devices", "DEVICES_results.json")]
+             ("devices", "DEVICES_results.json"),
+             ("bench", "BENCH_pipeline.json")]
 
 
 @pytest.mark.parametrize("name,report", COMMITTED)
@@ -198,6 +211,54 @@ class TestCheckpointGate:
         assert failures == ["harness: section 'corruption' is missing or "
                             "not an object (partial or interrupted "
                             "campaign?)"]
+
+
+class TestBenchGate:
+    """Each tampered field of the committed bench report fails the gate
+    with one named failure of its kind."""
+
+    @pytest.mark.parametrize("path,value,expected", [
+        (("jit", "equivalent"), False,
+         "finding: jit: aggregate 'equivalent' flag is false -- the "
+         "translated fast path diverged from the interpreter"),
+        (("jit", "workloads", "bubble", "equivalent"), False,
+         "finding: jit: workload 'bubble' is not cycle-exact (jit vs "
+         "interpreter machine signatures differ)"),
+        (("jit", "speedup"), 4.9,
+         "finding: jit: aggregate speedup 4.9 is below the 5.0x floor"),
+        (("jit", "workloads", "sieve", "speedup"), 2.9,
+         "finding: jit: workload 'sieve' speedup 2.9 is below the 3.0x "
+         "floor"),
+        (("jit", "workloads", "sieve", "blocks_compiled"), 0,
+         "finding: jit: workload 'sieve' compiled no blocks (the fast "
+         "path never engaged)"),
+        (("jit", "workloads", "sieve", "cycle_coverage"), 0.0,
+         "finding: jit: workload 'sieve' reports zero cycle coverage"),
+        # nodes run 1..10, so index 3 is N=4
+        (("multi", "curves", "psieve/bus0/inv", "speedup", 3), 1.1,
+         "finding: multi: curve 'psieve/bus0/inv' speedup at 4 nodes is "
+         "1.1, below the 1.2 floor (bus or barrier regression)"),
+        (("jit",), None,
+         "harness: section 'jit' is missing or not an object (partial or "
+         "interrupted bench run?)"),
+        (("multi", "failures"), ["multi/psieve-n08-bus0-inv"],
+         "harness: multi: scaling point 'multi/psieve-n08-bus0-inv' "
+         "failed in the harness"),
+        (("experiments", "cpi/sieve", "status"), "crashed",
+         "harness: experiment job 'cpi/sieve' ended 'crashed'"),
+    ], ids=["jit-equivalent", "jit-workload-equivalent", "jit-speedup",
+            "jit-workload-speedup", "jit-no-blocks", "jit-no-coverage",
+            "psieve-n4-speedup", "jit-missing", "multi-job-failed",
+            "experiment-job-failed"])
+    def test_tampered_field(self, tmp_path, path, value, expected):
+        def tamper(payload):
+            *parents, leaf = path
+            for key in parents:
+                payload = payload[key]
+            payload[leaf] = value
+
+        assert _tampered(tmp_path, "bench", "BENCH_pipeline.json",
+                         tamper) == [expected]
 
 
 # ---------------------------------------------------------- faults driver

@@ -267,3 +267,29 @@ class TestCampaign:
         for job in jobs:
             assert callable(resolve(job.fn))
             assert job.params["max_events"] == 3
+
+
+class TestOptionErrors:
+    """A seed count below one is an ``error:`` line and exit 1, before
+    any job runs and without a report -- never a campaign that held."""
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    @pytest.mark.parametrize("multi_nodes", ["0", "2"])
+    def test_rejected_before_any_job_runs(self, seeds, multi_nodes,
+                                          tmp_path, monkeypatch, capsys):
+        from repro.faults import campaign as faults_campaign
+        from repro.tools import cli
+
+        def no_job(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(faults_campaign.Runner, "run", no_job)
+        output = tmp_path / "faults.json"
+        code = cli.main(["campaign", "faults", "--seeds", seeds, "--quick",
+                         "--serial", "--multi-nodes", multi_nodes,
+                         "--output", str(output)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"seeds must be at least 1, got {seeds}" in err
+        assert not output.exists()

@@ -5,11 +5,15 @@ classic sequential-consistency algorithms (Peterson's lock, flag
 handoffs), exactly what 1987-era shared-memory software would have run.
 """
 
+import pathlib
+
 import pytest
 
 from repro.asm import assemble
 from repro.core import MachineConfig, perfect_memory_config
 from repro.multi import MultiMachine
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 PETERSON = """
 ; two CPUs increment a shared counter ITER times under Peterson's lock;
@@ -416,12 +420,13 @@ class TestMultiBenchSection:
         assert curve["nodes"] == [1, 2]
         assert curve["speedup"][0] == 1.0
 
-    def test_check_multi_gate_failure_modes(self, tmp_path):
-        """The --multi gate reports named failures, never KeyErrors."""
+    def test_check_multi_gate_failure_modes(self):
+        """The bench gate's multi checks report named failures, never
+        KeyErrors."""
         import copy
         import json
 
-        from repro.tools.check_results import check_multi_file
+        from repro.harness import bench
 
         rows = {
             f"multi/psieve-n{n:02d}-bus0-inv": {
@@ -448,12 +453,13 @@ class TestMultiBenchSection:
             }},
         }}
 
+        committed = json.loads(
+            (REPO_ROOT / "BENCH_pipeline.json").read_text())
+
         def verdict(mutate):
-            payload = copy.deepcopy(good)
+            payload = copy.deepcopy({**committed, **good})
             mutate(payload)
-            path = tmp_path / "bench.json"
-            path.write_text(json.dumps(payload))
-            return check_multi_file(path)
+            return [failure.message for failure in bench.gate(payload)]
 
         assert verdict(lambda p: None) == []
         assert verdict(lambda p: p.pop("multi"))

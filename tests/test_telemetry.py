@@ -15,14 +15,15 @@ equivalence style for the zero-overhead argument:
 * the Perfetto export validates against its own schema checker and the
   checker rejects malformed events;
 * harness aggregation is deterministic -- a parallel sweep and a serial
-  sweep build byte-identical ``METRICS_summary.json`` payloads -- and
-  ``check_results.py --metrics-file`` catches every tampering mode
-  (bent analysis CPI, hand-edited gauges, broken counter identities,
-  missing sections).
+  sweep build byte-identical ``metrics`` sections of the bench report
+  -- and the bench campaign's gate catches every tampering mode (bent
+  analysis CPI, hand-edited gauges, broken counter identities, missing
+  sections).
 """
 
 import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -32,6 +33,8 @@ from repro.telemetry import (CATALOG, CATALOG_BY_NAME, CycleTracer, Metrics,
                              derived_from_counters, merge_counter_snapshots,
                              trace_events, validate_trace_events, write_trace)
 from repro.workloads import get
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _machine(config=None) -> Machine:
@@ -240,7 +243,7 @@ class TestAggregationDeterminism:
         assert json.dumps(serial, sort_keys=True) == \
             json.dumps(parallel, sort_keys=True)
         assert serial["workloads"] == ["fib", "listops"]
-        assert check_metrics_payload_clean(serial)
+        assert _gate_metrics(serial) == []
 
     def test_totals_are_sums_and_gauges_rederive(self):
         from repro.harness.bench import build_metrics_summary
@@ -252,20 +255,17 @@ class TestAggregationDeterminism:
             summary["totals"])
 
 
-def check_metrics_payload_clean(summary) -> bool:
-    """True when ``check_metrics_file`` passes the payload verbatim."""
-    import pathlib
-    import tempfile
+def _gate_metrics(summary):
+    """The bench gate's messages for the committed ``BENCH_pipeline.json``
+    with ``summary`` as its ``metrics`` section."""
+    from repro.harness import bench
 
-    from repro.tools.check_results import check_metrics_file
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "METRICS_summary.json"
-        path.write_text(json.dumps(summary))
-        return check_metrics_file(path) == []
+    payload = json.loads((REPO_ROOT / "BENCH_pipeline.json").read_text())
+    payload["metrics"] = summary
+    return [failure.message for failure in bench.gate(payload)]
 
 
-# -------------------------------------------------- check_results failures
+# -------------------------------------------------------- bench gate failures
 class TestMetricsFileGate:
     @pytest.fixture(scope="class")
     def summary(self):
@@ -273,46 +273,39 @@ class TestMetricsFileGate:
 
         return build_metrics_summary(_cpi_results(parallel=False))
 
-    def _check(self, tmp_path, payload):
-        from repro.tools.check_results import check_metrics_file
-
-        path = tmp_path / "METRICS_summary.json"
-        path.write_text(json.dumps(payload))
-        return check_metrics_file(path)
-
-    def test_clean_summary_passes(self, tmp_path, summary):
-        assert self._check(tmp_path, summary) == []
+    def test_clean_summary_passes(self, summary):
+        assert _gate_metrics(summary) == []
 
     def test_missing_file_and_bad_json_fail(self, tmp_path):
-        from repro.tools.check_results import check_metrics_file
+        from repro.tools.check_results import check_campaign_file
 
-        assert check_metrics_file(tmp_path / "absent.json")
+        assert check_campaign_file("bench", tmp_path / "absent.json")
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         assert any("not valid JSON" in msg
-                   for msg in check_metrics_file(bad))
+                   for msg in check_campaign_file("bench", bad))
 
-    def test_bent_analysis_cpi_fails_the_identity(self, tmp_path, summary):
+    def test_bent_analysis_cpi_fails_the_identity(self, summary):
         tampered = json.loads(json.dumps(summary))
         tampered["analysis"]["fib"]["cpi"] += 0.1
-        failures = self._check(tmp_path, tampered)
+        failures = _gate_metrics(tampered)
         assert any("fib" in msg and "cpi" in msg.lower()
                    for msg in failures)
 
-    def test_hand_edited_gauge_fails(self, tmp_path, summary):
+    def test_hand_edited_gauge_fails(self, summary):
         tampered = json.loads(json.dumps(summary))
         tampered["derived"]["pipeline.cpi"] = 1.0
-        failures = self._check(tmp_path, tampered)
+        failures = _gate_metrics(tampered)
         assert any("derived" in msg for msg in failures)
 
-    def test_broken_counter_identity_fails(self, tmp_path, summary):
+    def test_broken_counter_identity_fails(self, summary):
         tampered = json.loads(json.dumps(summary))
         tampered["totals"]["ecache.late_miss.retries"] += 5
-        failures = self._check(tmp_path, tampered)
+        failures = _gate_metrics(tampered)
         assert any("late" in msg for msg in failures)
 
-    def test_missing_section_is_named(self, tmp_path, summary):
+    def test_missing_section_is_named(self, summary):
         tampered = json.loads(json.dumps(summary))
         del tampered["totals"]
-        failures = self._check(tmp_path, tampered)
+        failures = _gate_metrics(tampered)
         assert any("'totals'" in msg for msg in failures)

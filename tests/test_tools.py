@@ -153,81 +153,67 @@ class TestCli:
 
 
 class TestCheckBenchFile:
-    def _write(self, tmp_path, payload):
-        import json
-
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(payload))
-        return path
+    """The bench gate on the sections of a report: the committed
+    ``BENCH_pipeline.json`` with one section tampered."""
 
     def _complete(self):
-        return {"sweep": {"jobs": 4, "ok": 4, "speedup": 1.2},
-                "experiments": {"e/1": {"status": "ok"}},
-                "traced": {"per_sweep": {}}}
+        import json
 
-    def test_complete_file_passes(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
+        return json.loads((REPO_ROOT / "BENCH_pipeline.json").read_text())
 
-        assert check_bench_file(self._write(tmp_path, self._complete())) == []
+    def _gate(self, payload):
+        from repro.harness import bench
 
-    def test_missing_section_is_named(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
+        return [failure.message for failure in bench.gate(payload)]
 
+    def test_complete_file_passes(self):
+        assert self._gate(self._complete()) == []
+
+    def test_missing_section_is_named(self):
         payload = self._complete()
         del payload["sweep"]
-        failures = check_bench_file(self._write(tmp_path, payload))
+        failures = self._gate(payload)
         assert any("section 'sweep' is missing" in f for f in failures)
 
-    def test_missing_key_is_named(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
-
+    def test_missing_key_is_named(self):
         payload = self._complete()
         del payload["sweep"]["ok"]
-        failures = check_bench_file(self._write(tmp_path, payload))
+        failures = self._gate(payload)
         assert any("section 'sweep' is missing key 'ok'" in f
                    for f in failures)
 
     def test_partial_write_is_not_a_keyerror(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
-
         path = tmp_path / "bench.json"
         path.write_text('{"sweep": {"jobs')     # torn write
-        failures = check_bench_file(path)            # must not raise
+        failures = check_results.check_campaign_file("bench", path)
         assert failures and "not valid JSON" in failures[0]
 
-    def test_experiment_rows_need_status(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
-
+    def test_experiment_rows_need_status(self):
         payload = self._complete()
         payload["experiments"]["e/2"] = {"sweep": "e"}
-        failures = check_bench_file(self._write(tmp_path, payload))
+        failures = self._gate(payload)
         assert any("row 'e/2' has no 'status'" in f for f in failures)
 
     def test_missing_file_is_reported(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
-
-        failures = check_bench_file(tmp_path / "nope.json")
+        failures = check_results.check_campaign_file(
+            "bench", tmp_path / "nope.json")
         assert failures and "does not exist" in failures[0]
 
-    def test_slow_parallel_sweep_fails_on_two_workers(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
-
+    def test_slow_parallel_sweep_fails_on_two_workers(self):
         payload = self._complete()
         payload["host"] = {"cpu_count": 2, "workers": 2}
         payload["sweep"]["speedup"] = 1.31
-        assert check_bench_file(self._write(tmp_path, payload)) == []
+        assert self._gate(payload) == []
         payload["sweep"]["speedup"] = 0.39          # tampered
-        failures = check_bench_file(self._write(tmp_path, payload))
+        failures = self._gate(payload)
         assert any("section 'sweep' speedup 0.39 on 2 workers" in f
                    for f in failures)
 
-    def test_one_worker_sweep_has_no_speedup_floor(self, tmp_path):
-        from repro.tools.check_results import check_bench_file
-
+    def test_one_worker_sweep_has_no_speedup_floor(self):
         payload = self._complete()
         payload["host"] = {"cpu_count": 1, "workers": 1}
         payload["sweep"]["speedup"] = 0.39
-        assert check_bench_file(self._write(tmp_path, payload)) == []
+        assert self._gate(payload) == []
 
 
 def check_fuzz_file(path):
@@ -392,8 +378,7 @@ class TestCiWorkflow:
     def test_check_results_flags_are_registered(self, capsys):
         calls = _ci_calls("repro.tools.check_results")
         used = {arg for args in calls for arg in args}
-        gates = {"--bench-file", "--metrics-file", "--jit", "--multi",
-                 "--campaign"}
+        gates = {"--campaign"}
         assert gates <= used, f"CI never runs {sorted(gates - used)}"
         for args in calls:
             _assert_parses(check_results.build_parser(), args, capsys)
@@ -409,39 +394,36 @@ class TestCiWorkflow:
         assert run == gated == set(CAMPAIGNS)
 
     def test_bench_gates_read_what_bench_wrote(self):
-        """On every Python a CI matrix runs, each bench gate of
-        check_results reads a file that a ``repro bench`` call of the
-        same job wrote, so no gate checks a stale or absent file."""
-        from repro.harness.bench import (DEFAULT_METRICS_OUTPUT,
-                                         DEFAULT_OUTPUT)
+        """On every Python a CI matrix runs, each ``--campaign
+        bench=PATH`` of check_results reads a file that a ``campaign
+        bench`` call of the same job wrote, so the gate never checks a
+        stale or absent file."""
+        from repro.harness.bench import DEFAULT_REPORT
 
-        reads = {"--bench-file": "output", "--jit": "output",
-                 "--multi": "output", "--metrics-file": "metrics_output"}
-        defaults = {"output": DEFAULT_OUTPUT.name,
-                    "metrics_output": DEFAULT_METRICS_OUTPUT.name}
-        ci_pythons = set()
-        gated = {flag: set() for flag in reads}
+        ci_pythons, gated = set(), set()
         for lines in _ci_jobs().values():
             pythons = {version for line in lines if "python-version" in line
                        for version in re.findall(r'"(3\.\d+)"', line)}
             ci_pythons |= pythons
-            written = {key: set() for key in defaults}
+            written = set()
             for argv in _ci_commands(lines):
                 args = (argv[argv.index("repro.tools.cli") + 1:]
                         if "repro.tools.cli" in argv else [])
-                if args[:1] == ["bench"]:
+                if args[:2] == ["campaign", "bench"]:
                     parsed = cli.build_parser().parse_args(args)
-                    for key, default in defaults.items():
-                        written[key].add(getattr(parsed, key) or default)
+                    written.add(parsed.output or DEFAULT_REPORT.name)
                 elif "repro.tools.check_results" in argv:
-                    for flag, path in zip(argv, argv[1:]):
-                        if flag in reads and path in written[reads[flag]]:
-                            gated[flag] |= pythons
+                    for flag, arg in zip(argv, argv[1:]):
+                        if flag == "--campaign" and arg.startswith("bench="):
+                            path = arg.partition("=")[2]
+                            assert path in written, (
+                                f"check_results gates {path}, which no "
+                                "campaign bench call of its job wrote")
+                            gated |= pythons
         assert ci_pythons
-        for flag, pythons in gated.items():
-            assert pythons == ci_pythons, (
-                f"check_results {flag} gates a file bench wrote only on "
-                f"{sorted(pythons)}, not on {sorted(ci_pythons)}")
+        assert gated == ci_pythons, (
+            f"check_results --campaign bench= gates a file campaign bench "
+            f"wrote only on {sorted(gated)}, not on {sorted(ci_pythons)}")
 
     def test_pytest_targets_exist(self):
         targets = [arg for argv in _ci_commands() if "pytest" in argv
