@@ -5,48 +5,14 @@ programs have static code sizes in the range of 50 KBytes to 270 KBytes so
 we cannot get exact numbers ... because most of the benchmarks fit
 entirely", so they turned to much larger (ATUM) traces.  We do the same
 with the synthetic large-program generator: data and instruction streams
-with footprints well beyond 64K words, swept over Ecache sizes and write
-policies, plus the late-miss cost accounting.
+with footprints well beyond 64K words, under both write policies and on
+the instruction side.  The size sweep is a row set of the bench report
+(``repro campaign bench``), whose gate checks its shape.
 """
-
-
 
 from repro.core import EcacheConfig
 from repro.ecache import Ecache
 from repro.traces.synthetic import SyntheticProgram, paper_regime_program
-
-
-def _data_study(sizes=(4096, 16384, 65536, 262144)):
-    program = SyntheticProgram(data_words=400_000, seed=0xBADCAFE)
-    refs = list(program.data_trace(400_000))
-    rows = []
-    for size in sizes:
-        cache = Ecache(EcacheConfig(size_words=size))
-        stall = 0
-        for address, is_store in refs:
-            if is_store:
-                stall += cache.write(address, True)
-            else:
-                stall += cache.read(address, True)
-        rows.append((size, cache.stats.miss_rate, stall / len(refs)))
-    return rows
-
-
-def test_ecache_size_sweep(benchmark, report):
-    report.name = "ecache_sweep"
-    rows = benchmark.pedantic(_data_study, rounds=1, iterations=1)
-    report.table(["ecache words", "miss rate", "stall cycles/ref"],
-                 [(size, round(miss, 3), round(stall, 3))
-                  for size, miss, stall in rows],
-                 "E15: Ecache size sweep on the large synthetic trace "
-                 "(footprint 400K words)")
-    rates = [miss for _, miss, _ in rows]
-    # monotone improvement with size, and the 64K-word design point
-    # already captures most of the locality
-    assert all(a >= b for a, b in zip(rates, rates[1:]))
-    assert rates[2] < 0.5 * rates[0]
-    by_size = dict((size, miss) for size, miss, _ in rows)
-    assert by_size[65536] < 0.12
 
 
 def _write_policy_study():

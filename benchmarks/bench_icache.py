@@ -1,97 +1,14 @@
-"""E4/E5 -- the instruction cache studies.
+"""E18 -- the instruction cache under multiprogramming.
 
-Paper results reproduced here:
+Smith's trace-switching methodology (reference [15], the paper's source
+for memory-system effects): interleaving the workload fetch traces every
+Q references, the Icache miss ratio falls toward the warm no-switching
+floor as the quantum grows.
 
-* initial simulations (single-word fetch-back) showed miss rates "over
-  20%"; fetching back two words "almost halves the miss ratio";
-* with the double fetch-back the large-benchmark miss rate averages 12%,
-  an average instruction fetch cost of 1.24 cycles;
-* the cache is more sensitive to miss *service time* than miss *ratio*:
-  tags-in-datapath (2-cycle miss) beats any organization at 3 cycles.
+The fetch-back, service-time and organization studies (E4/E5) are rows
+of the bench report (``repro campaign bench``); its gate checks their
+shapes and ``tests/test_experiments_doc.py`` their printed values.
 """
-
-import pytest
-
-from repro.core import IcacheConfig
-from repro.icache.explorer import (
-    evaluate,
-    fetchback_study,
-    service_time_study,
-    sweep_organizations,
-)
-from repro.traces.synthetic import paper_regime_program
-
-
-def _trace():
-    return list(paper_regime_program().instruction_trace(400_000))
-
-
-@pytest.fixture(scope="module")
-def trace():
-    return _trace()
-
-
-def test_fetchback_halves_miss_ratio(benchmark, report, trace):
-    report.name = "icache_fetchback"
-    results = benchmark.pedantic(fetchback_study, args=(trace,),
-                                 rounds=1, iterations=1)
-    rows = [(r.label, round(r.miss_ratio, 3), r.config.miss_cycles,
-             round(r.fetch_cost, 3)) for r in results]
-    report.table(["fetch-back", "miss ratio", "service cycles",
-                  "avg fetch cost"], rows,
-                 "E4: fetch-back count vs miss ratio (paper: 2 words "
-                 "almost halves the single-word ratio)")
-
-    by_count = {r.config.fetchback: r for r in results}
-    single, double = by_count[1], by_count[2]
-    # paper: initial (single-word) simulations over 20% missing
-    assert single.miss_ratio > 0.20
-    # double fetch-back "almost halves the miss ratio"
-    assert 0.40 < double.miss_ratio / single.miss_ratio < 0.62
-    # the paper's operating point: ~12% miss, ~1.24 cycles per fetch
-    assert 0.09 < double.miss_ratio < 0.16
-    assert 1.18 < double.fetch_cost < 1.33
-    # beyond 2 words the extra service cycles eat the ratio gains
-    assert by_count[3].fetch_cost >= double.fetch_cost - 0.01
-    assert by_count[4].fetch_cost >= double.fetch_cost - 0.01
-
-
-def test_service_time_dominates_miss_ratio(benchmark, report, trace):
-    report.name = "icache_service_time"
-    results = benchmark.pedantic(service_time_study, args=(trace,),
-                                 rounds=1, iterations=1)
-    rows = [(r.label, round(r.miss_ratio, 3), r.config.miss_cycles,
-             round(r.fetch_cost, 3)) for r in results]
-    report.table(["organization", "miss ratio", "service cycles",
-                  "avg fetch cost"], rows,
-                 "E5: miss service time vs miss ratio (paper: 2-cycle "
-                 "service beats better-ratio organizations at 3)")
-
-    paper_2cycle, paper_3cycle, best_ratio_3cycle = results[:3]
-    # the same organization is strictly worse at 3-cycle service
-    assert paper_3cycle.fetch_cost > paper_2cycle.fetch_cost
-    # even the best miss ratio achievable cannot buy back the extra
-    # service cycle: implementation beats organization
-    assert best_ratio_3cycle.miss_ratio <= paper_2cycle.miss_ratio
-    assert best_ratio_3cycle.fetch_cost > paper_2cycle.fetch_cost
-
-
-def test_organization_sweep_under_fixed_area(benchmark, report, trace):
-    report.name = "icache_organizations"
-    results = benchmark.pedantic(
-        sweep_organizations, args=(trace,), rounds=1, iterations=1)
-    results = sorted(results, key=lambda r: r.fetch_cost)[:12]
-    rows = [(r.describe(), round(r.miss_ratio, 3), round(r.fetch_cost, 3))
-            for r in results]
-    report.table(["organization (512 words)", "miss ratio", "fetch cost"],
-                 rows, "Best organizations of the fixed 512-word budget")
-
-    paper = evaluate(IcacheConfig(), trace)
-    best = results[0]
-    # the paper's organization is within a whisker of the best point of
-    # the whole design space (the paper: organization mattered less than
-    # implementation)
-    assert paper.fetch_cost < best.fetch_cost * 1.10
 
 
 def _quantum_experiment():

@@ -1,16 +1,14 @@
-"""E6/E7 -- no-op fractions and overall CPI/throughput.
+"""E6 -- no-op fractions on the perfect-memory machine.
 
-Paper results:
-
-* 15.6% of Pascal instructions and 18.3% of Lisp instructions are no-ops
-  "due to unused branch delays or other pipeline interlocks that cannot
-  be optimized away" (Lisp is worse because of jumps and the load-load
-  interlocks of car/cdr chains);
-* with memory overhead included, the average instruction takes about 1.7
-  cycles -- a sustained throughput above 11 MIPS at 20 MHz.
+Paper result: 15.6% of Pascal instructions and 18.3% of Lisp
+instructions are no-ops "due to unused branch delays or other pipeline
+interlocks that cannot be optimized away" (Lisp is worse because of
+jumps and the load-load interlocks of car/cdr chains).  The overall CPI
+and throughput with memory overhead (E7) come from the bench report's
+workload-cpi rows (``repro campaign bench``).
 """
 
-from repro.analysis.cpi import measure, scaled_memory_config, suite
+from repro.analysis.cpi import suite
 from repro.core import perfect_memory_config
 from repro.workloads import LISP_SUITE, PASCAL_SUITE
 
@@ -43,41 +41,3 @@ def test_noop_fractions(benchmark, report):
     # magnitudes near the paper's 15.6% / 18.3%
     assert 0.10 < pascal.mean_noop_fraction < 0.20
     assert 0.13 < lisp.mean_noop_fraction < 0.27
-
-
-def _cpi_experiment():
-    config = scaled_memory_config()
-    names = list(PASCAL_SUITE) + list(LISP_SUITE)
-    return suite(names, config), [measure(name, config) for name in names]
-
-
-def test_overall_cpi_and_throughput(benchmark, report):
-    report.name = "cpi_throughput"
-    summary, breakdowns = benchmark.pedantic(_cpi_experiment, rounds=1,
-                                             iterations=1)
-    rows = [(b.name, round(b.cpi, 2), round(b.base_cpi, 2),
-             round(b.memory_overhead_cpi, 2),
-             round(b.icache_miss_rate, 3),
-             round(b.average_fetch_cost, 2),
-             round(b.sustained_mips, 1)) for b in breakdowns]
-    report.table(["workload", "CPI", "pipe CPI", "memory CPI",
-                  "icache miss", "fetch cost", "MIPS"], rows,
-                 "E7: CPI decomposition on the scaled memory system")
-    report.table(
-        ["metric", "measured", "paper"],
-        [
-            ("suite CPI", round(summary.cpi, 2), 1.7),
-            ("sustained MIPS @20MHz", round(summary.sustained_mips, 1),
-             "above 11"),
-            ("icache miss rate", round(summary.icache_miss_rate, 3), 0.12),
-        ],
-        "Suite summary",
-    )
-
-    # the paper's operating point: CPI ~1.7, sustained MIPS above 11
-    assert 1.4 < summary.cpi < 2.0
-    assert summary.sustained_mips > 10.0
-    assert 0.08 < summary.icache_miss_rate < 0.17
-    # decomposition sanity: base + memory = total
-    for b in breakdowns:
-        assert abs(b.base_cpi + b.memory_overhead_cpi - b.cpi) < 1e-9

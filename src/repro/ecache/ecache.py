@@ -46,7 +46,7 @@ class EcacheStats:
         ``ecache.late_miss.retries`` counts late-miss protocol
         invocations: every read or ifetch miss re-executes phase 2 of
         MEM until the data arrives, so it equals their sum by
-        construction (``check_results.py`` audits this identity).
+        construction (the bench campaign's gate audits this identity).
         """
         return {
             "ecache.reads": self.reads,

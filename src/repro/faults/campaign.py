@@ -113,13 +113,18 @@ def run_campaign(seeds: int = 32,
                  multi_nodes: int = 0) -> Dict[str, Any]:
     """Run the campaign and persist the structured report.
 
-    ``multi_nodes`` > 0 runs the node-level grid of
+    ``multi_nodes`` >= 2 runs the node-level grid of
     :mod:`repro.faults.multi` on systems of that many nodes; the driver,
-    the report shape and the gate are the same.  Raises
-    :class:`OptionError` before any job runs for fewer than one seed.
+    the report shape and the gate are the same (one node would leave no
+    other node to stay golden).  Raises :class:`OptionError` before any
+    job runs for fewer than one seed, or for ``multi_nodes`` other than
+    0 (off) or at least 2.
     """
     if seeds < 1:
         raise OptionError(f"seeds must be at least 1, got {seeds}")
+    if multi_nodes == 1 or multi_nodes < 0:
+        raise OptionError(f"multi-nodes must be 0 (off) or at least 2, got "
+                          f"{multi_nodes}")
     if multi_nodes:
         jobs = multi_campaign_jobs(seeds, nodes=multi_nodes, quick=quick)
         fault_classes: Sequence[str] = MULTI_FAULT_CLASSES
@@ -197,7 +202,8 @@ def add_arguments(parser) -> None:
                         help="seed for the chaos kill selection")
     parser.add_argument("--multi-nodes", type=int, default=0, metavar="N",
                         help="run the node-level multiprocessor campaign "
-                             "on N-node systems instead (flip one node's "
+                             "on N-node systems (N >= 2) instead (flip one "
+                             "node's "
                              "Icache valid bits / corrupt its Ecache "
                              "tags mid-run; report: FAULTS_multi.json)")
 

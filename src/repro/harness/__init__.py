@@ -14,9 +14,10 @@ those points in parallel:
   of the standing campaigns behind ``repro campaign <name>``; two of
   them live here: :mod:`repro.harness.devices` boots the kernel-lite
   demos, and :mod:`repro.harness.bench` (``repro campaign bench``)
-  writes the grid's verdicts, the jit, traced, multi and metrics
-  sections and the timings its gate reads to ``BENCH_pipeline.json``
-  at the repo root.
+  writes the grid's verdicts and values, the jit, traced, multi and
+  metrics sections and the timings its gate reads to
+  ``BENCH_pipeline.json`` at the repo root, and gates the paper's
+  shapes on those rows.
 
 The package re-exports nothing: import the submodule you need, so a
 Runner worker or a campaign does not pay for the experiment registry.

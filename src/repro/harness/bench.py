@@ -3,25 +3,32 @@
 ``repro campaign bench`` runs every section on every call and writes
 one report, ``BENCH_pipeline.json`` at the repo root:
 
-* ``experiments`` -- each job of the experiment grid
-  (:func:`repro.harness.experiments.default_jobs`) and its verdict;
+* ``experiments`` -- each job of the full experiment grid
+  (:func:`repro.harness.experiments.default_jobs`), its verdict and the
+  value its point function returned: the Table 1 rows, the Icache
+  organizations and fetch-back study, the Ecache sizes, the coprocessor
+  schemes and the workload CPIs behind EXPERIMENTS.md;
 * ``sweep`` -- the grid's wall time through the parallel
   :class:`~repro.harness.runner.Runner` and serially, held to
-  :data:`SWEEP_SPEEDUP_FLOOR`;
+  :data:`SWEEP_SPEEDUP_FLOOR`, and the jobs whose serial value differed
+  from their parallel one;
 * ``jit`` -- the translated fast path against the interpreter: whole
   machine equivalence, coverage and the speedups held to
   :data:`JIT_SPEEDUP_FLOOR` and :data:`JIT_WORKLOAD_SPEEDUP_FLOOR`;
-* ``traced`` -- the capture-once/replay-many sweeps: rows and trace
-  store hits;
+* ``traced`` -- the capture-once/replay-many sweeps: their rows and
+  trace store hits;
 * ``multi`` -- the multiprocessor scaling grid (:func:`build_multi_section`);
 * ``metrics`` -- the workload-cpi sweep's telemetry snapshots, the
   analysis CPI beside each and the suite totals
   (:func:`build_metrics_summary`), audited for the CPI and counter
   accounting identities.
 
-:func:`gate` is the campaign's verdict on those sections: a failed job
-or a missing or malformed section is a *harness* failure; a wrong
-result, a broken identity or a missed floor is a *finding*.  No other
+:func:`gate` is the campaign's verdict on those sections, the paper's
+shapes included: a failed job or a missing or malformed section is a
+*harness* failure; a wrong result, a broken paper shape or identity or a
+missed floor is a *finding*.  The report is the one place each paper
+number is derived; ``tests/test_experiments_doc.py`` holds EXPERIMENTS.md's
+measured column to the committed report's rows.  No other
 wall time is recorded: perfbench (``BENCHMARK.json``) measures
 throughput under its own scaled protocol.
 """
@@ -123,14 +130,16 @@ def measure_jit_throughput(names: Sequence[str] = JIT_WORKLOADS,
 
 
 def _results_section(results: Sequence[JobResult]) -> Dict[str, Any]:
-    return {
-        r.job_id: {
-            "status": r.status,
-            "sweep": r.sweep,
-            "attempts": r.attempts,
-        }
-        for r in results
-    }
+    """Each job's verdict and value; a workload-cpi value leaves out its
+    telemetry snapshot, which ``metrics.per_workload`` holds."""
+    section = {}
+    for r in results:
+        value = r.value
+        if isinstance(value, dict) and "metrics" in value:
+            value = {key: v for key, v in value.items() if key != "metrics"}
+        section[r.job_id] = {"status": r.status, "sweep": r.sweep,
+                             "attempts": r.attempts, "value": value}
+    return section
 
 
 def build_metrics_summary(results: Sequence[JobResult]) -> Dict[str, Any]:
@@ -244,7 +253,7 @@ def build_multi_section(results: Sequence[JobResult]) -> Dict[str, Any]:
     }
 
 
-def _traced_section(quick: bool) -> Dict[str, Any]:
+def _traced_section() -> Dict[str, Any]:
     """Run the capture-once/replay-many sweeps: rows and store hits,
     from one store in a fresh temporary directory, so the counts depend
     only on the source, never on what ``.trace_cache/`` holds."""
@@ -255,9 +264,9 @@ def _traced_section(quick: bool) -> Dict[str, Any]:
     with tempfile.TemporaryDirectory(prefix="bench-traces-") as root:
         store = TraceStore(root=pathlib.Path(root))
         for name, evaluate in TRACED_SWEEPS.items():
-            outcome = evaluate(quick=quick, store=store)
+            outcome = evaluate(store=store)
             per_sweep[name] = {
-                "rows": len(outcome["rows"]),
+                "rows": outcome["rows"],
                 "cache_hits": outcome["cache_hits"],
                 "cache_misses": outcome["cache_misses"],
             }
@@ -273,15 +282,13 @@ def _timed_run(runner: Runner, jobs, parallel: bool):
 def add_arguments(parser) -> None:
     """The bench campaign's description and options."""
     parser.description = (
-        "Run the experiment grid (in parallel, then serially), the jit "
-        "equivalence and speedup probe, the traced sweeps and the "
+        "Run the full experiment grid (in parallel, then serially), the "
+        "jit equivalence and speedup probe, the traced sweeps and the "
         "multiprocessor scaling sweep, and write their results, with the "
         "workload-cpi telemetry, to one report.  A finding is a wrong "
-        "result, a broken CPI or counter identity, or a missed speedup "
-        "floor.")
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced grid, shorter traces and multi nodes "
-                             "1, 2, 4 (CI smoke)")
+        "result, a broken paper shape, a traced or serial row that differs "
+        "from its live parallel row, a broken CPI or counter identity, or "
+        "a missed speedup floor.")
     parser.add_argument("--workers", type=int, default=None,
                         help="parallel worker processes (default: CPUs)")
     parser.add_argument("--timeout", type=float, default=None,
@@ -291,30 +298,30 @@ def add_arguments(parser) -> None:
 def run(args) -> Dict[str, Any]:
     """Run every section and persist ``BENCH_pipeline.json``.
 
-    ``--quick`` selects the reduced experiment grid, the shorter traces
-    and the multi node counts (1, 2, 4); the full run sweeps 1..10
-    nodes.  The workload-cpi sweep's telemetry snapshots become the
-    ``metrics`` section (:func:`build_metrics_summary`).
+    The experiment grid runs twice, in parallel and then serially; the
+    report keeps the parallel values and names, in ``sweep.mismatched``,
+    every job whose serial value differs.  The workload-cpi sweep's
+    telemetry snapshots become the ``metrics`` section
+    (:func:`build_metrics_summary`).
     """
     from repro.harness.experiments import default_jobs, multi_scaling_jobs
 
     runner = Runner(max_workers=args.workers)
-    jobs = default_jobs(quick=args.quick, timeout=args.timeout)
+    jobs = default_jobs(timeout=args.timeout)
     jit = measure_jit_throughput()
     # Parallel first: forked workers must not inherit caches the serial
     # pass warmed in this process, or the speedup figure flatters itself.
     results, parallel_wall = _timed_run(runner, jobs, parallel=True)
-    _, serial_wall = _timed_run(runner, jobs, parallel=False)
-    traced = _traced_section(args.quick)
+    serial, serial_wall = _timed_run(runner, jobs, parallel=False)
+    serial_values = {r.job_id: r.value for r in serial}
+    traced = _traced_section()
     multi = build_multi_section(runner.run(
-        multi_scaling_jobs(quick=args.quick, timeout=args.timeout),
-        parallel=True))
+        multi_scaling_jobs(timeout=args.timeout), parallel=True))
 
     payload: Dict[str, Any] = {
         "schema": 1,
         "generated": datetime.datetime.now(datetime.timezone.utc)
                      .strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "quick": args.quick,
         "host": {
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
@@ -326,6 +333,8 @@ def run(args) -> Dict[str, Any]:
             "serial_wall_s": round(serial_wall, 3),
             "parallel_wall_s": round(parallel_wall, 3),
             "speedup": round(serial_wall / parallel_wall, 2),
+            "mismatched": sorted(r.job_id for r in results
+                                 if r.value != serial_values.get(r.job_id)),
         },
         "experiments": _results_section(results),
         "jit": jit,
@@ -344,23 +353,43 @@ def run(args) -> Dict[str, Any]:
 SWEEP_SPEEDUP_FLOOR = 1.0
 
 #: floors for the translated fast path: aggregate and per-workload
-#: wall-clock speedup of the jit over the interpreter.  Five ``repro
-#: bench --quick`` runs on a 2-CPU Xeon, each side timed as the fastest
-#: of three alternating runs, read 6.52-9.12x aggregate, sieve
+#: wall-clock speedup of the jit over the interpreter.  Five bench runs
+#: on a 2-CPU Xeon, each side timed as the fastest of three alternating
+#: runs, read 6.52-9.12x aggregate, sieve
 #: 5.02-9.79x and bubble 6.64-9.34x (``jit_gate`` in
 #: BENCH_signature.json), so the floors catch a fast path that quietly
 #: stopped being fast without failing a healthy one.
 JIT_SPEEDUP_FLOOR = 5.0
 JIT_WORKLOAD_SPEEDUP_FLOOR = 3.0
 
-#: minimum psieve speedup at 4 nodes (measured: ~1.56 at the quick size,
-#: ~2.25 at the full size -- below 1.2 the bus or barrier regressed)
+#: minimum psieve speedup at 4 nodes (measured: 2.25 -- below 1.2 the
+#: bus or barrier regressed)
 MULTI_PSIEVE_N4_SPEEDUP = 1.2
+
+#: the 2-word fetch-back must cut the 1-word miss ratio below this
+#: fraction of it (E4: it "almost halves the miss ratio")
+FETCHBACK_HALVING = 0.6
+
+#: the miss service time with the Icache tags off the datapath (E5: the
+#: paper's tags-in-datapath organization misses in 2 cycles)
+SLOW_MISS_CYCLES = 3
+
+#: the paper's Icache organization must fetch within this factor of the
+#: best 2-cycle organization of the 512-word design space (E5)
+ORGANIZATION_SLACK = 1.10
+
+#: the 64K-word Ecache must miss less than this fraction of the 4K one
+#: (E15: the design point captures most of the locality)
+ECACHE_LOCALITY = 0.5
+
+#: E12's reference interface, and the one that forfeits the Icache
+FINAL_COPROC_SCHEME = "address-line interface (final)"
+NONCACHED_COPROC_SCHEME = "non-cached coprocessor instructions"
 
 #: keys each plain section of a complete report must carry (``jit``,
 #: ``multi`` and ``metrics`` have checks of their own)
 SECTION_KEYS = {
-    "sweep": ("jobs", "ok", "speedup"),
+    "sweep": ("jobs", "ok", "speedup", "mismatched"),
     "experiments": (),
     "traced": ("per_sweep",),
 }
@@ -383,6 +412,10 @@ def gate(payload: Dict[str, Any]) -> List[Failure]:
       present with their keys, every experiment job ended ok, and on a
       host that gave the sweep two or more workers the parallel sweep
       is not slower than the serial one (:data:`SWEEP_SPEEDUP_FLOOR`);
+    * **determinism** -- every job returned the same value serially as
+      in parallel (``sweep.mismatched`` is empty);
+    * **paper shapes** -- :func:`_gate_paper`, on the experiment rows;
+    * **trace replay** -- :func:`_gate_traced`;
     * **jit** -- :func:`_gate_jit`;
     * **metrics** -- :func:`_gate_metrics`;
     * **multi** -- :func:`_gate_multi`.
@@ -422,9 +455,208 @@ def gate(payload: Dict[str, Any]) -> List[Failure]:
                 FINDING, f"section 'sweep' speedup {speedup} on {workers} "
                          f"workers is below {SWEEP_SPEEDUP_FLOOR} (the "
                          "parallel sweep is slower than the serial one)"))
-    return (failures + _gate_jit(payload.get("jit"))
+    if isinstance(sweep, dict):
+        for job_id in sweep.get("mismatched") or ():
+            failures.append(Failure(
+                FINDING, f"experiment job '{job_id}' returned a different "
+                         "value serially than in parallel (its point "
+                         "function is not deterministic)"))
+    values = {job_id: row["value"] for job_id, row in
+              (experiments if isinstance(experiments, dict) else {}).items()
+              if isinstance(row, dict) and isinstance(row.get("value"), dict)}
+    return (failures + _gate_paper(values)
+            + _gate_traced(payload.get("traced"), values)
+            + _gate_jit(payload.get("jit"))
             + _gate_metrics(payload.get("metrics"))
             + _gate_multi(payload.get("multi")))
+
+
+def _table1_shape(rows: Dict[str, dict]) -> List[str]:
+    cost = {f"{slots}-slot-{squash}":
+            rows[f"branch/{slots}-slot-{squash}"]["cycles_per_branch"]
+            for slots in (1, 2) for squash in ("none", "always", "optional")}
+    problems = []
+    for slots in (1, 2):
+        none, always, optional = (cost[f"{slots}-slot-{squash}"] for squash
+                                  in ("none", "always", "optional"))
+        if not optional <= always:
+            problems.append(f"{slots}-slot optional squashing ({optional:.3f}"
+                            f") is no longer best (always {always:.3f})")
+        if not always < none:
+            problems.append(f"{slots}-slot squashing ({always:.3f}) no "
+                            f"longer beats no squashing ({none:.3f})")
+    for squash in ("none", "optional"):
+        one, two = cost[f"1-slot-{squash}"], cost[f"2-slot-{squash}"]
+        if not one < two:
+            problems.append(f"one slot ({one:.3f}) no longer beats two "
+                            f"({two:.3f}) at squash '{squash}'")
+    for scheme, value in sorted(cost.items()):
+        slots = int(scheme[0])
+        if not 1.0 <= value <= 1.0 + slots:
+            problems.append(f"{scheme} costs {value:.3f} cycles per branch, "
+                            f"outside [1, {1 + slots}]")
+    return problems
+
+
+def _fetchback_shape(rows: Dict[str, dict]) -> List[str]:
+    fetchback = {words: rows[f"icache/fetchback-{words}"]
+                 for words in (1, 2, 3, 4)}
+    one, two = fetchback[1]["miss_ratio"], fetchback[2]["miss_ratio"]
+    problems = []
+    if not two < FETCHBACK_HALVING * one:
+        problems.append(f"the 2-word fetch-back miss ratio {two:.4f} is not "
+                        f"below {FETCHBACK_HALVING} of the 1-word {one:.4f} "
+                        "(it no longer 'almost halves' it)")
+    for words in (3, 4):
+        cost, base = fetchback[words]["fetch_cost"], fetchback[2]["fetch_cost"]
+        if cost < base - 1e-9:
+            problems.append(f"the {words}-word fetch cost {cost:.4f} beats "
+                            f"the 2-word {base:.4f} (paper: not "
+                            "advantageous)")
+    return problems
+
+
+def _service_time_shape(rows: Dict[str, dict]) -> List[str]:
+    from repro.core.config import IcacheConfig
+
+    paper = IcacheConfig()
+    paper_cost = rows[f"icache/{paper.sets}set-{paper.ways}way-"
+                      f"{paper.block_words}w"]["fetch_cost"]
+    organizations = [value for job_id, value in rows.items()
+                     if job_id.startswith("icache/")
+                     and not job_id.startswith("icache/fetchback-")]
+    # the miss ratio does not depend on the service time, and the fetch
+    # cost is 1 + miss ratio x service time
+    best_slow = 1.0 + SLOW_MISS_CYCLES * min(
+        value["miss_ratio"] for value in organizations)
+    best = min(value["fetch_cost"] for value in organizations)
+    problems = []
+    if not best_slow > paper_cost:
+        problems.append(f"a {SLOW_MISS_CYCLES}-cycle organization fetches in "
+                        f"{best_slow:.4f} cycles, recovering the 2-cycle "
+                        f"paper organization's {paper_cost:.4f}")
+    if not paper_cost < ORGANIZATION_SLACK * best:
+        problems.append(f"the paper organization's fetch cost {paper_cost:.4f}"
+                        f" is not within {ORGANIZATION_SLACK}x of the best "
+                        f"organization's {best:.4f}")
+    return problems
+
+
+def _coproc_shape(rows: Dict[str, dict]) -> List[str]:
+    workloads = {job_id: value["schemes"] for job_id, value in rows.items()
+                 if job_id.startswith("coproc/")}
+    if not workloads:
+        raise KeyError("coproc/*")
+    problems = []
+    for job_id, schemes in sorted(workloads.items()):
+        performance = {name: scheme["relative_performance"]
+                       for name, scheme in schemes.items()}
+        final = performance[FINAL_COPROC_SCHEME]
+        noncached = performance[NONCACHED_COPROC_SCHEME]
+        if abs(final - 1.0) > 1e-9:
+            problems.append(f"{job_id}: the final scheme's relative "
+                            f"performance is {final}, not the 1.0 reference")
+        if any(value > final + 1e-9 for value in performance.values()):
+            problems.append(f"{job_id}: a scheme beats the final one "
+                            f"({performance})")
+        if any(value <= noncached for name, value in performance.items()
+               if name != NONCACHED_COPROC_SCHEME):
+            problems.append(f"{job_id}: the non-cached scheme ({noncached:.3f}"
+                            f") is no longer the slowest ({performance})")
+    return problems
+
+
+def _ecache_shape(rows: Dict[str, dict]) -> List[str]:
+    sweep = sorted((value["size_words"], value["miss_rate"])
+                   for job_id, value in rows.items()
+                   if job_id.startswith("ecache/"))
+    rates = [rate for _, rate in sweep]
+    small = rows["ecache/4096w"]["miss_rate"]
+    design = rows["ecache/65536w"]["miss_rate"]
+    problems = []
+    if any(b > a for a, b in zip(rates, rates[1:])):
+        problems.append(f"the miss rate is not monotone in size: {sweep}")
+    if not design < ECACHE_LOCALITY * small:
+        problems.append(f"the 64K-word miss rate {design:.4f} is not below "
+                        f"{ECACHE_LOCALITY} of the 4K-word {small:.4f} (the "
+                        "design point no longer captures most of the "
+                        "locality)")
+    return problems
+
+
+#: the paper's results, each checked on the experiment rows that derive it
+PAPER_SHAPES = (
+    ("E1 Table 1", _table1_shape),
+    ("E4 fetch-back", _fetchback_shape),
+    ("E5 service time", _service_time_shape),
+    ("E12 coprocessor interface", _coproc_shape),
+    ("E15 Ecache size", _ecache_shape),
+)
+
+
+def _gate_paper(rows: Dict[str, dict]) -> List[Failure]:
+    """The paper's shapes on the experiment rows (``rows`` maps each job
+    id to its value):
+
+    * **E1** -- squashing beats no squashing, optional squashing is best
+      at each slot count, one slot beats two, and every cost lies in
+      ``[1, 1 + slots]``;
+    * **E4** -- the 2-word fetch-back miss ratio is under
+      :data:`FETCHBACK_HALVING` of the 1-word one, and no 3- or 4-word
+      fetch cost is below the 2-word cost;
+    * **E5** -- no organization at :data:`SLOW_MISS_CYCLES` recovers the
+      paper organization's 2-cycle fetch cost, and that cost is within
+      :data:`ORGANIZATION_SLACK` of the best 2-cycle organization;
+    * **E12** -- per FP workload, the final interface is the 1.0
+      reference and the best, and the non-cached one the slowest;
+    * **E15** -- the miss rate is monotone in size, and the 64K-word
+      point is under :data:`ECACHE_LOCALITY` of the 4K-word one.
+
+    A broken shape is a finding; a row the shape needs that is missing
+    or has no value is a harness failure.
+    """
+    failures: List[Failure] = []
+    for name, shape in PAPER_SHAPES:
+        try:
+            problems = shape(rows)
+        except (KeyError, TypeError, ValueError) as exc:
+            failures.append(Failure(
+                HARNESS, f"{name}: experiment rows incomplete (no value for "
+                         f"{exc})"))
+            continue
+        failures += [Failure(FINDING, f"{name}: {problem}")
+                     for problem in problems]
+    return failures
+
+
+def _gate_traced(section: Any, rows: Dict[str, dict]) -> List[Failure]:
+    """Trace replay: every row of every traced sweep equals, field for
+    field and bit for bit, the live experiment row of the same id."""
+    per_sweep = section.get("per_sweep") if isinstance(section, dict) else None
+    if not isinstance(per_sweep, dict):
+        return []                    # named by the section check
+    failures: List[Failure] = []
+    for sweep, outcome in sorted(per_sweep.items()):
+        traced = outcome.get("rows") if isinstance(outcome, dict) else None
+        if not isinstance(traced, list) or not traced:
+            failures.append(Failure(HARNESS, f"traced: sweep '{sweep}' has "
+                                             "no rows"))
+            continue
+        for row in traced:
+            job_id = row.get("id") if isinstance(row, dict) else None
+            live = rows.get(job_id)
+            if live is None:
+                failures.append(Failure(
+                    HARNESS, f"traced: sweep '{sweep}' row {job_id!r} has no "
+                             "live experiment row with a value"))
+                continue
+            differs = sorted(key for key, value in live.items()
+                             if row.get(key) != value)
+            if differs:
+                failures.append(Failure(
+                    FINDING, f"traced: row '{job_id}' differs from its live "
+                             f"row in {differs} (trace replay is not exact)"))
+    return failures
 
 
 def _gate_jit(section: Any) -> List[Failure]:
@@ -687,7 +919,7 @@ def format_summary(payload: Dict[str, Any]) -> str:
     lines.append(f"  speedup         {sweep['speedup']}x")
     lines.append("traced (capture-once/replay-many)")
     for name, row in sorted(payload["traced"]["per_sweep"].items()):
-        lines.append(f"  {name:<22} {row['rows']:>3} rows, "
+        lines.append(f"  {name:<22} {len(row['rows']):>3} rows, "
                      f"{row['cache_hits']} store hits, "
                      f"{row['cache_misses']} misses")
     multi = payload["multi"]

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.harness.runner import Job
 
-#: trace length used by the cache sweeps (matches benchmarks/bench_icache)
+#: trace length of the full cache sweeps
 TRACE_LENGTH = 400_000
 
 
@@ -182,39 +182,32 @@ def multi_scaling_point(workload: str, nodes: int, bus_latency: int = 0,
     }
 
 
-#: node grids for the multi-scaling sweep (full: the paper's 6-10 range
-#: bracketed from 1; quick: the CI smoke grid)
-MULTI_FULL_NODES = tuple(range(1, 11))
-MULTI_QUICK_NODES = (1, 2, 4)
+#: node counts of the multi-scaling sweep: the paper's 6-10 range
+#: bracketed from 1
+MULTI_NODES = tuple(range(1, 11))
 
 #: the non-zero bus-latency arm of the contention study
 MULTI_BUS_LATENCY = 4
 
 
-def multi_scaling_jobs(quick: bool = False,
-                       timeout: Optional[float] = None) -> List[Job]:
+def multi_scaling_jobs(timeout: Optional[float] = None) -> List[Job]:
     """The multi-scaling grid: workloads x nodes (+ psieve knob arms).
 
-    ``quick`` runs the reduced sizes on :data:`MULTI_QUICK_NODES`, the
-    full grid :data:`MULTI_FULL_NODES`.  Every workload sweeps the node
-    grid at bus latency 0 with invalidation on; the sieve additionally
-    sweeps the non-zero bus latency and invalidation-off arms so the
-    BENCH ``multi`` section carries one contention curve and one
-    coherence-cost curve.
+    Every workload sweeps :data:`MULTI_NODES` at bus latency 0 with
+    invalidation on; the sieve additionally sweeps the non-zero bus
+    latency and invalidation-off arms so the BENCH ``multi`` section
+    carries one contention curve and one coherence-cost curve.
     """
-    from repro.workloads.parallel import PARALLEL_WORKLOADS, QUICK_SIZES
+    from repro.workloads.parallel import PARALLEL_WORKLOADS
 
-    node_list = MULTI_QUICK_NODES if quick else MULTI_FULL_NODES
     grid = [(name, n, 0, True) for name in PARALLEL_WORKLOADS
-            for n in node_list]
-    grid += [("psieve", n, MULTI_BUS_LATENCY, True) for n in node_list]
-    grid += [("psieve", n, 0, False) for n in node_list]
+            for n in MULTI_NODES]
+    grid += [("psieve", n, MULTI_BUS_LATENCY, True) for n in MULTI_NODES]
+    grid += [("psieve", n, 0, False) for n in MULTI_NODES]
     jobs = []
     for name, n, latency, invalidation in grid:
         params = {"workload": name, "nodes": n, "bus_latency": latency,
                   "invalidation": invalidation}
-        if quick:
-            params["size"] = QUICK_SIZES[name]
         flavor = "inv" if invalidation else "noinv"
         jobs.append(Job(
             id=f"multi/{name}-n{n:02d}-bus{latency}-{flavor}",
@@ -371,8 +364,8 @@ def default_jobs(quick: bool = False,
 # the event streams are captured (or loaded from the TraceStore) once and
 # every configuration is evaluated by the exact trace-replay models.  Row
 # ids and result fields match the live jobs', so the two paths are
-# directly comparable (and are compared, by tools/check_results.py and
-# tests/test_trace_replay.py).
+# directly comparable (and are compared, row by row, by the bench
+# campaign's gate and by tests/test_trace_replay.py).
 
 def traced_icache_sweep(quick: bool = False, reuse: bool = True,
                         store=None) -> dict:

@@ -14,7 +14,7 @@ Usage::
     python -m repro.tools.cli campaign fuzz [--seeds N] [--quick] [--mutate NAME]
     python -m repro.tools.cli campaign checkpoint [--fuzz-seeds N] [--quick]
     python -m repro.tools.cli campaign devices [--quick]
-    python -m repro.tools.cli campaign bench [--quick] [--workers N]
+    python -m repro.tools.cli campaign bench [--workers N]
 
 ``run`` executes assembly on the paper-configuration machine; ``compile``
 sends SPL source through the compiler + reorganizer; ``workload`` runs a
@@ -40,8 +40,9 @@ injection, or node-level faults with ``--multi-nodes N``), ``fuzz``
 (differential fuzzing of the golden, pipeline, trace-replay, JIT and
 checkpoint models), ``checkpoint`` (restore equivalence and snapshot
 corruption), ``devices`` (every kernel-lite demo booted interpretive,
-under the JIT, and across checkpoint/restore) and ``bench`` (the
-experiment grid in parallel and serially, the jit equivalence and
+under the JIT, and across checkpoint/restore) and ``bench`` (the full
+experiment grid in parallel and serially, its rows checked against the
+paper's shapes, the jit equivalence and
 speedup probe, the traced sweeps, the multiprocessor scaling sweep and
 the workload-cpi telemetry, in one ``BENCH_pipeline.json``; see
 :mod:`repro.harness.bench`) -- writes its report, and applies the
@@ -57,7 +58,8 @@ Each campaign declares its own options.  One exit rule covers all five
 * **2** -- a finding: an invariant violation (``faults``), an
   unexplained model divergence (``fuzz``), a failed recovery gate
   (``checkpoint``), a failed boot comparison (``devices``) or a wrong
-  result, broken identity or missed speedup floor (``bench``).  A run
+  result, broken paper shape or identity, row that differs from its
+  live parallel row, or missed speedup floor (``bench``).  A run
   with both a finding and a harness failure exits 2.
 """
 

@@ -7,8 +7,8 @@ in its registry:
   harness failure, and an incomplete campaign alone exits 0;
 * each committed report passes its own campaign's gate through
   ``check_results --campaign``, and a tampered report fails it with a
-  named message of the right kind (the bench report's jit, multi and
-  job checks included);
+  named message of the right kind (the bench report's jit, multi, job,
+  paper-shape, trace-replay and serial-vs-parallel checks included);
 * the faults driver counts interrupted jobs the same way on one node
   and on N nodes;
 * the fuzz campaign module, which every perfbench fuzz worker imports,
@@ -259,6 +259,101 @@ class TestBenchGate:
 
         assert _tampered(tmp_path, "bench", "BENCH_pipeline.json",
                          tamper) == [expected]
+
+
+def _set_row(payload, job_id, key, value):
+    """Set one field of an experiment row and of its traced twin, so
+    only the paper-shape check under test sees the change."""
+    payload["experiments"][job_id]["value"][key] = value
+    for sweep in payload["traced"]["per_sweep"].values():
+        for row in sweep["rows"]:
+            if row["id"] == job_id:
+                row[key] = value
+
+
+def _swap_table1_rows(payload):
+    always = payload["experiments"]["branch/1-slot-always"]["value"]
+    optional = payload["experiments"]["branch/1-slot-optional"]["value"]
+    cost = always["cycles_per_branch"], optional["cycles_per_branch"]
+    _set_row(payload, "branch/1-slot-always", "cycles_per_branch", cost[1])
+    _set_row(payload, "branch/1-slot-optional", "cycles_per_branch", cost[0])
+
+
+def _unhalve_fetchback(payload):
+    one = payload["experiments"]["icache/fetchback-1"]["value"]["miss_ratio"]
+    _set_row(payload, "icache/fetchback-2", "miss_ratio", 0.61 * one)
+
+
+def _organization_beats_service_time(payload):
+    # 1 + 3 x 0.05 = 1.15 cycles, below the paper's 2-cycle 1.25
+    _set_row(payload, "icache/2set-16way-16w", "miss_ratio", 0.05)
+
+
+def _bend_ecache_sweep(payload):
+    small = payload["experiments"]["ecache/4096w"]["value"]["miss_rate"]
+    _set_row(payload, "ecache/16384w", "miss_rate", small + 0.01)
+
+
+def _noncached_coproc_catches_up(payload):
+    schemes = payload["experiments"]["coproc/fp_dot"]["value"]["schemes"]
+    schemes["non-cached coprocessor instructions"][
+        "relative_performance"] = 0.95
+
+
+def _change_traced_row(payload):
+    rows = payload["traced"]["per_sweep"]["ecache-sweep"]["rows"]
+    rows[0]["miss_rate"] += 0.001
+
+
+def _plant_mismatch(payload):
+    payload["sweep"]["mismatched"] = ["coproc/fp_dot"]
+
+
+class TestBenchPaperShapes:
+    """The paper's shapes, the trace-replay equality and the serial vs
+    parallel equality are checked on the report's own rows: each tamper
+    below yields exactly one finding, named for what it broke."""
+
+    @pytest.mark.parametrize("tamper,expected", [
+        (_swap_table1_rows, "E1 Table 1: 1-slot optional squashing"),
+        (_unhalve_fetchback, "E4 fetch-back: the 2-word fetch-back miss "
+                             "ratio"),
+        (_organization_beats_service_time,
+         "E5 service time: a 3-cycle organization fetches in 1.1500 "
+         "cycles, recovering the 2-cycle paper organization's 1.2502"),
+        (_bend_ecache_sweep, "E15 Ecache size: the miss rate is not "
+                             "monotone in size"),
+        (_noncached_coproc_catches_up,
+         "E12 coprocessor interface: coproc/fp_dot: the non-cached scheme "
+         "(0.950) is no longer the slowest"),
+        (_change_traced_row, "traced: row 'ecache/4096w' differs from its "
+                             "live row in ['miss_rate'] (trace replay is "
+                             "not exact)"),
+        (_plant_mismatch, "experiment job 'coproc/fp_dot' returned a "
+                          "different value serially than in parallel"),
+    ], ids=["e1-swapped-rows", "e4-not-halved", "e5-organization-wins",
+            "e15-not-monotone", "e12-noncached-not-slowest",
+            "traced-row-changed", "serial-parallel-mismatch"])
+    def test_tamper_is_one_named_finding(self, tmp_path, tamper, expected):
+        failures = _tampered(tmp_path, "bench", "BENCH_pipeline.json",
+                             tamper)
+        assert len(failures) == 1, failures
+        assert failures[0].startswith(f"finding: {expected}"), failures
+
+    def test_untampered_report_holds(self, tmp_path):
+        assert _tampered(tmp_path, "bench", "BENCH_pipeline.json",
+                         lambda payload: None) == []
+
+    def test_missing_rows_are_a_harness_failure(self, tmp_path):
+        def drop_coproc(payload):
+            for job_id in [job_id for job_id in payload["experiments"]
+                           if job_id.startswith("coproc/")]:
+                del payload["experiments"][job_id]
+
+        assert _tampered(tmp_path, "bench", "BENCH_pipeline.json",
+                         drop_coproc) == [
+            "harness: E12 coprocessor interface: experiment rows "
+            "incomplete (no value for 'coproc/*')"]
 
 
 # ---------------------------------------------------------- faults driver

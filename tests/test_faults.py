@@ -293,3 +293,26 @@ class TestOptionErrors:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert f"seeds must be at least 1, got {seeds}" in err
         assert not output.exists()
+
+    @pytest.mark.parametrize("multi_nodes", ["1", "-2"])
+    def test_multi_nodes_below_two_rejected(self, multi_nodes, tmp_path,
+                                            monkeypatch, capsys):
+        """``--multi-nodes 1`` leaves no other node to stay golden, and a
+        negative count no node to fault: both are option errors."""
+        from repro.faults import campaign as faults_campaign
+        from repro.tools import cli
+
+        def no_job(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(faults_campaign.Runner, "run", no_job)
+        output = tmp_path / "faults.json"
+        code = cli.main(["campaign", "faults", "--seeds", "2", "--quick",
+                         "--serial", "--multi-nodes", multi_nodes,
+                         "--output", str(output)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert (f"multi-nodes must be 0 (off) or at least 2, got "
+                f"{multi_nodes}") in err
+        assert not output.exists()

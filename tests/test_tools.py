@@ -287,10 +287,13 @@ class TestCheckFuzzFile:
 
 
 class TestCheckResultsSummary:
-    """``check_results``' last line names the gates that failed."""
+    """``check_results`` only dispatches: it applies each named
+    campaign's gate to its report, and its last line names the gates
+    that failed."""
 
-    def test_failing_campaign_is_not_a_paper_shape_regression(
-            self, tmp_path, monkeypatch, capsys):
+    HOLDING = REPO_ROOT / "FAULTS_campaign.json"
+
+    def test_failing_campaign_is_named(self, tmp_path, capsys):
         import json
 
         report = tmp_path / "faults.json"
@@ -298,11 +301,26 @@ class TestCheckResultsSummary:
             {"complete": True,
              "summary": {"violated": 2, "unhandled_jobs": 0,
                          "interrupted_jobs": 0}}))
-        monkeypatch.setattr(check_results, "CHECKS", [])  # campaign only
-        assert check_results.main(["--campaign", f"faults={report}"]) == 1
-        summary = capsys.readouterr().err.strip().splitlines()[-1]
-        assert "paper-shape" not in summary
-        assert f"faults campaign report ({report}): 1" in summary
+        assert check_results.main(["--campaign", f"faults={report}",
+                                   "--campaign",
+                                   f"faults={self.HOLDING}"]) == 1
+        out, err = capsys.readouterr()
+        assert f"[  ok] faults campaign report ({self.HOLDING})" in out
+        assert err.strip().splitlines()[-1] == (
+            f"1 gate(s) failed -- faults campaign report ({report}): 1")
+
+    def test_holding_reports_exit_zero(self, capsys):
+        assert check_results.main(["--campaign",
+                                   f"faults={self.HOLDING}"]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out == [f"[  ok] faults campaign report ({self.HOLDING})",
+                       "", "all 1 gates hold"]
+
+    def test_a_report_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            check_results.main([])
+        assert exc.value.code == 2
+        assert "--campaign" in capsys.readouterr().err
 
 
 def _ci_jobs():
