@@ -60,6 +60,27 @@ _SHIFTS = {"sll": I.sll, "srl": I.srl, "sra": I.sra, "rotl": I.rotl}
 
 _MEMORY = {"ld": I.ld, "st": I.st, "ldf": I.ldf, "stf": I.stf}
 
+#: each mnemonic's operands, in order: the count is checked before the
+#: operands are parsed, and a wrong count names what was expected
+_OPERANDS = {
+    **{name: ("rs1", "rs2", "target") for name in _BRANCH_MNEMONICS},
+    **{name: ("rd", "rs1", "rs2") for name in _COMPUTE3},
+    **{name: ("rd", "rs", "shamt") for name in _SHIFTS},
+    **{name: ("reg", "offset(base)") for name in ("ld", "st")},
+    **{name: ("freg", "offset(base)") for name in ("ldf", "stf")},
+    **{name: ("rd", "rs") for name in ("not", "mov")},
+    "li": ("rd", "value"),
+    "la": ("rd", "symbol"),
+    "addi": ("rd", "rs", "imm"),
+    "jspci": ("rd", "offset(base)"),
+    **{name: ("target",) for name in ("br", "jmp", "call")},
+    "cop": ("payload(base)",),
+    **{name: ("rd", "payload(base)") for name in ("movtoc", "movfrc")},
+    "movfrs": ("rd", "special"),
+    "movtos": ("special", "rs"),
+    **{name: () for name in ("ret", "nop", "trap", "jpc", "jpcrs", "halt")},
+}
+
 _MEM_OPERAND = re.compile(r"^(?P<imm>[^()]*)\((?P<reg>[^()]+)\)$")
 _LABEL_DEF = re.compile(r"^([A-Za-z_.$][\w.$]*):")
 _SYMBOL = re.compile(r"^[A-Za-z_.$][\w.$]*$")
@@ -212,10 +233,16 @@ class Assembler:
 
     def _parse_instruction(self, unit: AsmUnit, mnemonic: str,
                            ops: List[str], line: str) -> None:
+        written = mnemonic
         squash = False
         if mnemonic.endswith("sq") and mnemonic[:-2] in _BRANCH_MNEMONICS:
             squash = True
             mnemonic = mnemonic[:-2]
+        wanted = _OPERANDS.get(mnemonic)
+        if wanted is not None and len(ops) != len(wanted):
+            expected = (f"{len(wanted)} operand{'s' * (len(wanted) != 1)} "
+                        f"({', '.join(wanted)})" if wanted else "no operands")
+            raise ValueError(f"{written} takes {expected}, got {len(ops)}")
 
         if mnemonic in _BRANCH_MNEMONICS:
             self._emit_branch(unit, _BRANCH_MNEMONICS[mnemonic], ops, squash, line)

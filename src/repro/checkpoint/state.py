@@ -112,6 +112,14 @@ def drain_multi(system, bound: int = DRAIN_BOUND) -> int:
 
 
 # --------------------------------------------------------------- capture
+def _counters(record) -> Dict[str, Any]:
+    """A counter dataclass's fields by name: what ``dataclasses.asdict``
+    returns for it, without its recursive deep copy.  Every field of the
+    records passed here is a scalar, so there is nothing to copy."""
+    return {field.name: getattr(record, field.name)
+            for field in dataclasses.fields(record)}
+
+
 def _flight_state(flight) -> Optional[Dict[str, Any]]:
     from repro.core.predecode import ILLEGAL_INSTRUCTION
     from repro.isa.encoding import encode
@@ -178,7 +186,7 @@ def _pipeline_state(pipeline) -> Dict[str, Any]:
             "miss_sequences": miss.miss_sequences,
             "stall_cycles": miss.stall_cycles,
         },
-        "stats": dataclasses.asdict(pipeline.stats),
+        "stats": _counters(pipeline.stats),
         "flights": [_flight_state(flight) for flight in pipeline.s],
         "stall_left": pipeline._stall_left,
         "stall_is_icache": pipeline._stall_is_icache,
@@ -249,7 +257,7 @@ def _icache_state(icache) -> Dict[str, Any]:
                  for cache_set in icache._sets],
         "order": [list(order) for order in icache._order],
         "rand_state": icache._rand_state,
-        "stats": dataclasses.asdict(icache.stats),
+        "stats": _counters(icache.stats),
     }
 
 
@@ -262,7 +270,9 @@ def _restore_icache(icache, state: Dict[str, Any]) -> None:
     icache._rand_state = state["rand_state"]
     for field, value in state["stats"].items():
         setattr(icache.stats, field, value)
-    # the tag maps are an index over _sets; rebuild rather than trust
+    # the tag maps are an index over _sets, and the same-block memo a
+    # cache of one probe: rebuild the one and drop the other
+    icache._memo_key = -1
     icache._tag_maps = [
         {way.tag: index for index, way in enumerate(cache_set)
          if way.tag is not None}
@@ -273,7 +283,7 @@ def _restore_icache(icache, state: Dict[str, Any]) -> None:
 def _ecache_state(ecache) -> Dict[str, Any]:
     return {
         "tags": list(ecache._tags),
-        "stats": dataclasses.asdict(ecache.stats),
+        "stats": _counters(ecache.stats),
         "fault_forced_misses": ecache.fault_forced_misses,
         "fault_forced_events": ecache.fault_forced_events,
     }

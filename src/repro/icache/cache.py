@@ -78,6 +78,20 @@ class Icache:
     System and user mode are separate address spaces, so the mode bit is
     part of the tag.  Replacement applies on *tag allocation* only; a miss
     whose tag already matches (sub-block miss) just fills valid bits.
+
+    Sequential fetch stays inside one block for most cycles, so on
+    power-of-two geometries :meth:`fetch` keeps a one-entry *same-block
+    memo*: the ``block << 1 | mode`` key of the most recent hit and that
+    way's ``valid`` list.  A probe with that key and its word valid
+    counts the access and hits without the tag lookup or the LRU touch.
+    Invariant: while the memo is set, its block is resident and the most
+    recently used way of its set, so skipping the touch leaves the
+    replacement order exactly as the full probe would.  A hit on another
+    block replaces the memo, and every other writer of cache state
+    clears it: :meth:`_fill` (hence every miss), :meth:`flush`,
+    :meth:`inject_valid_flips`, :meth:`inject_tag_corruption`,
+    :meth:`bulk_touch`, and checkpoint restore.  The memo is derived
+    state: no signature or snapshot includes it.
     """
 
     def __init__(self, config: IcacheConfig):
@@ -103,6 +117,9 @@ class Icache:
         self._set_shift = sets.bit_length() - 1
         self._set_mask = sets - 1
         self._lru = config.replacement == "lru"
+        # the same-block memo (see the class docstring); -1 is no block
+        self._memo_key = -1
+        self._memo_valid: Optional[List[bool]] = None
 
     # ------------------------------------------------------------ indexing
     def _locate(self, address: int, system_mode: bool) -> Tuple[int, int, int]:
@@ -145,6 +162,7 @@ class Icache:
         touch sequence is idempotent (it leaves each set's order with
         the pass's ways as the MRU suffix), which is what lets a
         translated block collapse many passes into one application."""
+        self._memo_key = -1
         order_table = self._order
         for j in range(count):
             index, way = ways[j]
@@ -186,15 +204,28 @@ class Icache:
         self.stats.accesses += 1
         if self._pow2:  # inlined _locate: this probe runs once per cycle
             block = address >> self._block_shift
-            index = block & self._set_mask
-            tag = ((block >> self._set_shift) << 1) | (1 if system_mode else 0)
             word = address & self._block_mask
+            mode = 1 if system_mode else 0
+            key = (block << 1) | mode
+            if key == self._memo_key and self._memo_valid[word]:
+                return _HIT  # same block as the last hit: already MRU
+            index = block & self._set_mask
+            tag = ((block >> self._set_shift) << 1) | mode
+            way_index = self._tag_maps[index].get(tag)
+            if way_index is not None:
+                valid = self._sets[index][way_index].valid
+                if valid[word]:
+                    self._touch(index, way_index, allocation=False)
+                    self._memo_key = key
+                    self._memo_valid = valid
+                    return _HIT
         else:
             index, tag, word = self._locate(address, system_mode)
-        way_index = self._tag_maps[index].get(tag)
-        if way_index is not None and self._sets[index][way_index].valid[word]:
-            self._touch(index, way_index, allocation=False)
-            return _HIT  # hits share one immutable-by-convention result
+            way_index = self._tag_maps[index].get(tag)
+            if (way_index is not None
+                    and self._sets[index][way_index].valid[word]):
+                self._touch(index, way_index, allocation=False)
+                return _HIT  # hits share one immutable-by-convention result
         self.stats.misses += 1
         fills = [address + k for k in range(max(1, self.config.fetchback))]
         for fill_address in fills:
@@ -202,6 +233,7 @@ class Icache:
         return FetchResult(hit=False, fill_addresses=fills)
 
     def _fill(self, address: int, system_mode: bool) -> None:
+        self._memo_key = -1
         index, tag, word = self._locate(address, system_mode)
         way_index = self._tag_maps[index].get(tag)
         if way_index is None:
@@ -238,6 +270,7 @@ class Icache:
         this Icache is timing-only by design.  Returns the number of bits
         actually flipped (0 when the cache holds no valid words).
         """
+        self._memo_key = -1
         candidates = [
             (index, way_index, word)
             for index, cache_set in enumerate(self._sets)
@@ -268,6 +301,7 @@ class Icache:
         stale "valid" word under a wrong tag would be a functional fault a
         timing-only cache cannot express.  Returns tags corrupted.
         """
+        self._memo_key = -1
         live = [
             (index, way_index)
             for index, cache_set in enumerate(self._sets)
@@ -297,6 +331,7 @@ class Icache:
         return corrupted
 
     def flush(self) -> None:
+        self._memo_key = -1
         for cache_set in self._sets:
             for way in cache_set:
                 way.tag = None

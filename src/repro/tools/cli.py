@@ -61,6 +61,12 @@ Each campaign declares its own options.  One exit rule covers all five
   result, broken paper shape or identity, row that differs from its
   live parallel row, or missed speedup floor (``bench``).  A run
   with both a finding and a harness failure exits 2.
+
+Every other subcommand exits 0 when its program halts and 1 otherwise.
+A misuse of any subcommand -- an input file that cannot be read, bad
+assembly, SPL that does not compile, an unknown workload -- raises one
+of :data:`USER_ERRORS`, which :func:`main` prints as one ``error:``
+line and exits 1; it never ends in a traceback.
 """
 
 from __future__ import annotations
@@ -71,12 +77,20 @@ import sys
 from typing import List, Optional
 
 from repro.asm import assemble, listing
+from repro.asm.unit import AssemblyError
 from repro.coproc import Fpu
 from repro.core import Machine, MachineConfig, perfect_memory_config
 from repro.harness.campaign import CAMPAIGNS, EXIT_RULE
 from repro.harness.campaign import load as load_campaign
-from repro.lang import compile_spl
+from repro.lang import (CompileError, LexError, ParseError, SemanticError,
+                        compile_spl)
 from repro.tools.pipeview import PipelineTracer
+from repro.workloads import UnknownWorkload, get
+
+#: the named errors a misused subcommand raises; :func:`main` prints
+#: each as one ``error:`` line and exits 1
+USER_ERRORS = (OSError, AssemblyError, LexError, ParseError, SemanticError,
+               CompileError, UnknownWorkload)
 
 
 def _print_stats(machine: Machine) -> None:
@@ -178,8 +192,6 @@ def cmd_disasm(args) -> int:
 
 
 def cmd_workload(args) -> int:
-    from repro.workloads import get
-
     workload = get(args.name)
     return _run_machine(workload.program(), args)
 
@@ -190,11 +202,7 @@ def _cmd_trace_multi(args) -> int:
     from repro.telemetry import Metrics, write_multi_trace
     from repro.workloads.parallel import parallel_program
 
-    try:
-        program = parallel_program(args.target, args.nodes)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 1
+    program = parallel_program(args.target, args.nodes)
     system = MultiMachine(args.nodes, MachineConfig(),
                           bus_latency=args.bus_latency)
     system.load_program(program)
@@ -240,8 +248,6 @@ def cmd_trace(args) -> int:
         else:
             machine.load_program(assemble(source))
     else:
-        from repro.workloads import get
-
         machine.load_program(get(args.target).program())
     metrics = Metrics()
     tracer = CycleTracer(machine, capacity=args.capacity, metrics=metrics)
@@ -393,7 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except USER_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

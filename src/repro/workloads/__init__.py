@@ -26,8 +26,8 @@ from repro.workloads.kernel import (KERNEL_DEMOS, KernelDemo, KernelRun,
                                     run_kernel_demo)
 from repro.workloads.lisp import LISP_PROGRAMS
 from repro.workloads.parallel import (PARALLEL_PROGRAMS, PARALLEL_WORKLOADS,
-                                      expected_console, parallel_program,
-                                      parallel_source)
+                                      UnknownWorkload, expected_console,
+                                      parallel_program, parallel_source)
 from repro.workloads.stanford import PASCAL_PROGRAMS
 
 
@@ -109,8 +109,8 @@ PARALLEL_SUITE: List[str] = [name for name, w in WORKLOADS.items()
 
 def get(name: str) -> Workload:
     if name not in WORKLOADS:
-        raise KeyError(f"unknown workload {name!r}; "
-                       f"available: {sorted(WORKLOADS)}")
+        raise UnknownWorkload(f"unknown workload {name!r}; "
+                              f"available: {sorted(WORKLOADS)}")
     return WORKLOADS[name]
 
 
@@ -153,6 +153,7 @@ __all__ = [
     "PARALLEL_SUITE",
     "PARALLEL_WORKLOADS",
     "PASCAL_SUITE",
+    "UnknownWorkload",
     "WORKLOADS",
     "Workload",
     "boot_demo_source",

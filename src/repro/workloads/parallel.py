@@ -45,6 +45,16 @@ from repro.asm.unit import Program
 from repro.lang.codegen import NODE_STACK_WORDS
 from repro.lang.compiler import compile_spl
 
+
+class UnknownWorkload(KeyError):
+    """No workload of that name (:func:`repro.workloads.get`, or
+    :func:`parallel_source` for the multiprocessor builds)."""
+
+    def __str__(self) -> str:
+        # KeyError's own str() quotes the message
+        return str(self.args[0])
+
+
 #: the parallel workload names, in registry order
 PARALLEL_WORKLOADS = ("psieve", "pintmm", "pring")
 
@@ -303,8 +313,8 @@ def parallel_source(name: str, ncpu: int, size: int = None) -> str:
     bound / matrix dimension / items per node).
     """
     if name not in _SOURCES:
-        raise KeyError(f"unknown parallel workload {name!r}; "
-                       f"available: {sorted(_SOURCES)}")
+        raise UnknownWorkload(f"unknown parallel workload {name!r}; "
+                              f"available: {sorted(_SOURCES)}")
     if not 1 <= ncpu <= 16:
         raise ValueError("ncpu must be between 1 and 16")
     return _SOURCES[name](ncpu, size or DEFAULT_SIZES[name])

@@ -1,10 +1,13 @@
 """Tests for the on-chip instruction cache: organization, sub-block
 placement, double fetch-back, replacement, and live-pipeline timing."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble
+from repro.checkpoint.state import _icache_state, _restore_icache
 from repro.core import IcacheConfig, Machine, MachineConfig
 from repro.icache import Icache, contents_invariants, simulate
 
@@ -99,6 +102,100 @@ class TestReplacement:
         a = simulate(paper_config(replacement="random"), addresses)
         b = simulate(paper_config(replacement="random"), addresses)
         assert a.misses == b.misses
+
+
+class _MemoFree(Icache):
+    """The reference for the same-block memo: the same cache with the
+    memo forgotten before every probe, so each fetch takes the full tag
+    lookup and LRU touch."""
+
+    def fetch(self, address, system_mode=True):
+        self._memo_key = -1
+        return super().fetch(address, system_mode)
+
+
+def _cache_state(cache):
+    return (cache.stats, cache._order, cache._rand_state,
+            [[(way.tag, list(way.valid)) for way in cache_set]
+             for cache_set in cache._sets])
+
+
+class TestSameBlockMemo:
+    """A seeded random interleaving of every writer of Icache state,
+    run on a memo cache and on the memo-free reference, must leave both
+    in the same state after every step."""
+
+    STEPS = 4000
+
+    def _interleave(self, config, seed):
+        rng = random.Random(seed)
+        cache, reference = Icache(config), _MemoFree(config)
+        span = 2 * config.sets * config.ways * config.block_words
+        loops = [rng.randrange(span) for _ in range(4)]
+        pc, mode, saved = 0, True, None
+        memo_served = 0
+        for step in range(self.STEPS):
+            roll = rng.random()
+            if roll < 0.96:
+                # mostly sequential fetch round a few loops, with jumps
+                # anywhere and mode switches
+                if rng.random() < 0.08:
+                    pc = rng.choice(loops)
+                elif rng.random() < 0.005:
+                    pc = rng.randrange(span)
+                if rng.random() < 0.005:
+                    mode = not mode
+                if config.block_words & (config.block_words - 1) == 0:
+                    block = pc >> (config.block_words.bit_length() - 1)
+                    memo_served += (
+                        ((block << 1) | mode) == cache._memo_key
+                        and cache._memo_valid[pc % config.block_words])
+                assert (cache.fetch(pc, mode).hit
+                        == reference.fetch(pc, mode).hit), step
+                pc = (pc + 1) % span
+            elif roll < 0.97:
+                fault_seed, flips = rng.random(), rng.randrange(1, 4)
+                assert (cache.inject_valid_flips(random.Random(fault_seed),
+                                                 flips)
+                        == reference.inject_valid_flips(
+                            random.Random(fault_seed), flips))
+            elif roll < 0.98:
+                fault_seed = rng.random()
+                assert (cache.inject_tag_corruption(random.Random(fault_seed))
+                        == reference.inject_tag_corruption(
+                            random.Random(fault_seed)))
+            elif roll < 0.99:
+                ways = [(rng.randrange(config.sets),
+                         rng.randrange(config.ways))
+                        for _ in range(rng.randrange(1, 4))]
+                cache.bulk_touch(ways, len(ways))
+                reference.bulk_touch(ways, len(ways))
+            elif roll < 0.995:
+                cache.flush()
+                reference.flush()
+            elif saved is None or rng.random() < 0.5:
+                saved = _icache_state(cache)
+            else:
+                _restore_icache(cache, saved)
+                _restore_icache(reference, saved)
+            assert _cache_state(cache) == _cache_state(reference), step
+        return cache, memo_served
+
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "random"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_memo_matches_memo_free_reference(self, replacement, seed):
+        config = IcacheConfig(sets=2, ways=4, block_words=8,
+                              replacement=replacement)
+        cache, memo_served = self._interleave(config, seed)
+        # the memo served a real share of the probes, so the comparison
+        # covered the fast path, not only the full probe
+        assert memo_served > self.STEPS // 5
+        assert cache.stats.misses > 100
+
+    def test_non_power_of_two_geometry_takes_the_full_probe(self):
+        config = IcacheConfig(sets=3, ways=4, block_words=6)
+        cache, _ = self._interleave(config, 3)
+        assert cache._memo_key == -1 and cache.stats.misses > 100
 
 
 class TestTraceSimulation:

@@ -151,6 +151,43 @@ class TestCli:
         assert main(["run", path, "--ideal",
                      "--max-cycles", "1000"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "missing.s"], "No such file"),
+        (["compile", "missing.spl"], "No such file"),
+        (["disasm", "missing.s"], "No such file"),
+        (["run", "bad.s"], "add takes 3 operands (rd, rs1, rs2), got 1"),
+        (["disasm", "bad.s"], "add takes 3 operands (rd, rs1, rs2), got 1"),
+        (["run", "undefined.s"], "undefined symbol 'nowhere'"),
+        (["trace", "bad.s"], "add takes 3 operands"),
+        (["compile", "bad.spl"], "expected an expression"),
+        (["compile", "undeclared.spl"], "undefined variable 'y'"),
+        (["compile", "lex.spl"], "unexpected character"),
+        (["workload", "nosuch"], "unknown workload 'nosuch'"),
+        (["trace", "nosuch"], "unknown workload 'nosuch'"),
+        (["trace", "sieve", "--nodes", "2"],
+         "unknown parallel workload 'sieve'"),
+    ])
+    def test_misuse_is_one_named_error(self, argv, message, tmp_path,
+                                       monkeypatch, capsys):
+        """Each misuse exits 1 with one ``error:`` line and no
+        traceback."""
+        for name, text in {
+                "bad.s": "add r1\n",
+                "undefined.s": "_start: br nowhere\nnop\nnop\nhalt\n",
+                "bad.spl": "program t; begin write(1 + ); end.",
+                "undeclared.spl": "program t; begin write(y); end.",
+                "lex.spl": "program t; begin write(1 ? 2); end.",
+        }.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert message in lines[0]
+        assert "Traceback" not in captured.err
+
 
 class TestCheckBenchFile:
     """The bench gate on the sections of a report: the committed
@@ -389,7 +426,9 @@ class TestCiWorkflow:
 
     def test_cli_subcommands_exist(self, capsys):
         calls = _ci_calls("repro.tools.cli")
-        assert len(calls) >= 10
+        used = {args[0] for args in calls}
+        required = {"campaign", "workload"}
+        assert required <= used, f"CI never runs {sorted(required - used)}"
         for args in calls:
             _assert_parses(cli.build_parser(), args, capsys)
 
