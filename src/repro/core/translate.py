@@ -38,6 +38,14 @@ fetch-discontinuity target gets hot:
   head on its first pass -- so it keeps up to :data:`ENTRY_VARIANTS`
   blocks, one entry contract per observed arrival.
 
+**Admitted now, generated on first entry.**  At the hot arrival the
+head is scanned and proven, and its entry contract, Icache probes and
+lines are fixed -- a linear prologue can only be read from the latches
+then.  Its code is generated, compiled and bound later, at the first
+:meth:`Translator.try_enter` whose guards and residency all pass, or at
+the first link into it: many admitted blocks never run, and they never
+pay for code.
+
 **Linked exits.**  Most activations start on the very cycle the
 previous block left, at the exit site's fetch PC.  The first time an
 exit site is taken, it is *linked* to the block at its target if the
@@ -158,7 +166,7 @@ SHAPES = ("straight", "rotated", "linear/branch", "linear/jspci")
 class TranslateStats:
     """Counters for the translated fast path (``core.translate.*``)."""
 
-    compiled: int = 0        #: blocks successfully translated
+    compiled: int = 0        #: blocks admitted (scanned, proven, contracted)
     rejected: int = 0        #: hot heads refused by the compiler
     entries: int = 0         #: closure activations (guards all passed)
     entry_rejected: int = 0  #: lookups that hit a block but failed a guard
@@ -171,6 +179,10 @@ class TranslateStats:
     #: entries through a linked exit (also counted in ``entries``).
     #: Not telemetry, like ``shapes``.
     links: int = 0
+    #: compiled blocks whose code was generated: on first entry or at
+    #: the first link into them, so ``compiled - generated`` never ran.
+    #: Not telemetry, like ``links``.
+    generated: int = 0
     #: per :data:`SHAPES` entry: [blocks compiled, entries, cycles].
     #: Not telemetry: every snapshot carries the same catalog names, so
     #: these stay out of :meth:`as_metrics`.
@@ -194,20 +206,20 @@ class TranslateStats:
 
 
 class TranslatedBlock:
-    """One compiled block: its closure plus the entry contract
-    :meth:`Translator.try_enter` checks before running it."""
+    """One admitted block: the entry contract :meth:`Translator.try_enter`
+    checks before running it, and its closure once generated."""
 
     __slots__ = ("head", "mode", "n", "instrs", "fn", "needs_no_ovf",
                  "max_pass", "pcs", "linear", "shape", "contract",
                  "taken_checks", "mem_checks", "fsm_state", "probes",
                  "n_segs", "counts", "last_used", "seeds", "sites",
-                 "variants", "varies", "misses", "incoming")
+                 "pending", "variants", "varies", "misses", "incoming")
 
     def __init__(self, head: int, mode: bool, instrs: tuple, pcs: tuple,
-                 fn, needs_no_ovf: bool, max_pass: int, shape: str,
+                 needs_no_ovf: bool, max_pass: int, shape: str,
                  contract: tuple, taken_checks: tuple, mem_checks: tuple,
                  fsm_squash: bool, probes: tuple, n_segs: int,
-                 counts: list, seeds: tuple, sites: tuple):
+                 counts: list, pending: tuple):
         self.head = head
         self.mode = mode
         self.n = len(instrs)
@@ -217,7 +229,9 @@ class TranslatedBlock:
         #: the original loop branch redirects back over the entry; a
         #: linear block's indices 0..3 are its prologue.
         self.pcs = pcs
-        self.fn = fn
+        #: the generated closure; ``None`` until the block is first
+        #: entered (see :meth:`Translator._generate_code`)
+        self.fn = None
         self.needs_no_ovf = needs_no_ovf
         self.max_pass = max_pass
         #: one of :data:`SHAPES`
@@ -256,10 +270,15 @@ class TranslatedBlock:
         self.last_used = 0
         #: ((latch, field), ...): the latched values the closure's
         #: ``sd`` argument carries, read from the latches on a
-        #: :meth:`Translator.try_enter`, handed over by a linked exit
-        self.seeds = seeds
-        #: this block's exit sites (:class:`_ExitSite`), in ``EX`` order
-        self.sites = sites
+        #: :meth:`Translator.try_enter`, handed over by a linked exit;
+        #: ``None`` until the code is generated
+        self.seeds = None
+        #: this block's exit sites (:class:`_ExitSite`), in ``EX`` order;
+        #: empty until the code is generated
+        self.sites = ()
+        #: :func:`_generate`'s remaining arguments, kept from the scan
+        #: until the code is generated; then ``None``
+        self.pending = pending
         #: the head's entry variants, shared by all of them; the first
         #: is the one in :attr:`Translator.blocks`
         self.variants = [self]
@@ -329,8 +348,9 @@ class Translator:
         #: store cycle, cleared on entry.
         self.dirty = False
         self._clock = 0
-        #: bumped whenever a block is compiled: an exit site retries a
-        #: failed link only once the cache has changed
+        #: bumped whenever a block is admitted (a new entry contract):
+        #: an exit site retries a failed link only once the cache has
+        #: changed
         self.generation = 0
         #: the running chain's cycle limit (budget plus current cycle)
         self._limit = 0
@@ -340,8 +360,9 @@ class Translator:
         #: populated only while ``record_spans`` is on.
         self.record_spans = False
         self.spans: List[dict] = []
-        #: wall seconds spent inside :meth:`_compile` (bench telemetry;
-        #: not a machine-state quantity, never part of equivalence)
+        #: wall seconds spent inside :meth:`_compile` and
+        #: :meth:`_generate_code` (bench telemetry; not a machine-state
+        #: quantity, never part of equivalence)
         self.compile_s = 0.0
 
     # ------------------------------------------------------------ support
@@ -415,8 +436,8 @@ class Translator:
 
     # ---------------------------------------------------------- discovery
     def note_target(self, pc: int) -> None:
-        """Count a fetch discontinuity landing on ``pc``; compile at the
-        threshold.  Untranslatable heads go to the dead set so the
+        """Count a fetch discontinuity landing on ``pc``; admit a block
+        at the threshold.  Untranslatable heads go to the dead set so the
         scanner never re-walks them."""
         counts = self._counts
         count = counts.get(pc, 0) + 1
@@ -563,6 +584,8 @@ class Translator:
         if resident is None:
             stats.entry_rejected += 1
             return False
+        if block.fn is None:
+            self._generate_code(block)
         self._limit = limit
         self._proven = {block: resident}
         self.dirty = False
@@ -680,10 +703,13 @@ class Translator:
     # ----------------------------------------------------------- compiler
     def _compile(self, head: int,
                  linear_only: bool = False) -> Optional[TranslatedBlock]:
-        """Scan, prove and code-generate the loop at ``head``, or with
-        ``linear_only`` the linear block from the live prologue (an
-        entry variant); ``None`` refuses the head (any construct outside
-        the exact-translation subset)."""
+        """Scan and prove the loop at ``head``, or with ``linear_only``
+        the linear block from the live prologue (an entry variant), and
+        fix its entry contract, probes and Icache lines; ``None`` refuses
+        the head (any construct outside the exact-translation subset).
+        This runs at the live arrival, because a linear prologue is read
+        from the latches then; the block's code is generated later, by
+        :meth:`_generate_code`."""
         pipe = self.pipeline
         config = pipe.config
         mode = pipe.psw.system_mode
@@ -776,17 +802,43 @@ class Translator:
             mem_checks = (((3, True),) if not slot3_squashed
                           and instrs[n - 4].is_memory_access else ())
             fsm_squash = False
-        source_text, needs_no_ovf, max_pass, sites, seeds = _generate(
-            self, head, mode, instrs, n, sources, lines, sq_owner,
-            pcs, records, inv_sides, shape, entry_taken)
-        namespace = _exec_namespace(self, mode, sites)
+        needs_no_ovf, max_pass = _pass_bounds(instrs, sq_owner, linear,
+                                              pipe.ecache.miss_stall)
+        return TranslatedBlock(head, mode, instrs, pcs, needs_no_ovf,
+                               max_pass, shape, contract, taken_checks,
+                               mem_checks, fsm_squash, probes, len(sides),
+                               self.stats.shapes[shape],
+                               (sources, lines, sq_owner, records,
+                                inv_sides, entry_taken))
+
+    def _generate_code(self, block: TranslatedBlock) -> None:
+        """Generate, compile and bind a pending block's closure, exit
+        sites and seeds, timed into ``compile_s``.
+
+        Runs at the block's first entry (:meth:`try_enter`, once every
+        guard and residency probe has passed) or at the first link
+        into it (:func:`_meets`, once the contract matches), so code is
+        made only for blocks about to run.  :func:`_generate` reads
+        only the scan's results, the configuration and the static cache
+        geometry, so the source does not depend on when this runs.
+        """
+        started = time.perf_counter()
+        sources, lines, sq_owner, records, inv_sides, entry_taken = (
+            block.pending)
+        head = block.head
+        source_text, sites, seeds = _generate(
+            self, head, block.mode, block.instrs, block.n, sources, lines,
+            sq_owner, block.pcs, records, inv_sides, block.shape,
+            entry_taken)
+        namespace = _exec_namespace(self, block.mode, sites)
         code = compile(source_text, f"<translated block {head:#x}>", "exec")
         exec(code, namespace)  # noqa: S102 - self-generated source
-        return TranslatedBlock(head, mode, instrs, pcs, namespace["_block"],
-                               needs_no_ovf, max_pass, shape, contract,
-                               taken_checks, mem_checks, fsm_squash,
-                               probes, len(sides), self.stats.shapes[shape],
-                               seeds, sites)
+        block.fn = namespace["_block"]
+        block.sites = sites
+        block.seeds = seeds
+        block.pending = None
+        self.stats.generated += 1
+        self.compile_s += time.perf_counter() - started
 
     def _instr_at(self, pc: int, mode: bool):
         """The architectural instruction the interpreter would fetch."""
@@ -1059,6 +1111,25 @@ class Translator:
                      for index, tag, words in lines)
 
 
+def _pass_bounds(instrs: tuple, sq_owner: Dict[int, int], linear: bool,
+                 miss_stall: int) -> Tuple[bool, int]:
+    """``(needs_no_ovf, max_pass)`` of a block: whether an unannulled
+    add, sub or mstep runs its ALU inside the block (so trap on
+    overflow must be off at entry), and the most cycles one pass can
+    take, every memory op a late Ecache miss included.  A linear
+    prologue's indices 0..1 ran their ALU before entry: any overflow
+    trap already happened (or not) under interpretation."""
+    live = [idx for idx in range(len(instrs)) if idx not in sq_owner]
+    needs_no_ovf = any(
+        instrs[idx].opcode == Opcode.COMPUTE
+        and instrs[idx].funct in (Funct.ADD, Funct.SUB, Funct.MSTEP)
+        for idx in live if idx >= (2 if linear else 0))
+    mem_ops = sum(1 for idx in live
+                  if instrs[idx].opcode in (Opcode.LD, Opcode.ST))
+    return needs_no_ovf, (len(instrs) - (4 if linear else 0)
+                          + mem_ops * miss_stall)
+
+
 def _translatable(instr, system_mode: bool) -> bool:
     """Inlineable straight-line instruction (no control, no coproc) in
     ``system_mode``: a ``movtos`` writes MD, and only in system mode --
@@ -1105,7 +1176,7 @@ def _exec_namespace(translator: Translator, mode: bool, sites: tuple) -> dict:
     over the pipeline's lifetime is pre-bound here, so the closure does
     no attribute walks on its hot path.  ``EX(X[k], ...)`` leaves
     through exit site ``k``; ``EX`` is whatever :func:`_exit` is when
-    the block compiles, so a hook that wraps it must be in place
+    its code is generated, so a hook that wraps it must be in place
     before then."""
     pipe = translator.pipeline
     return {
@@ -1193,6 +1264,8 @@ def _meets(site: _ExitSite, block: TranslatedBlock, mmio_base: int):
                 mmio.append(slots["mem_address"])
             elif constants.get("mem_address", 0) >= mmio_base:
                 return None
+    if block.fn is None:
+        site.pipe._translator._generate_code(block)
     seeds = []
     for latch, field in block.seeds:
         _, _, constants, slots = latches[latch]
@@ -1415,13 +1488,7 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
                 if instr.is_nop and idx not in sq_set}
     loads = {idx for idx in mem_ops if instrs[idx].opcode == Opcode.LD}
     stores = mem_ops - loads
-    # linear prologue indices 0..1 ran their ALU before entry: any
-    # overflow trap already happened (or not) under interpretation
-    needs_no_ovf = any(
-        instrs[idx].opcode == Opcode.COMPUTE
-        and instrs[idx].funct in (Funct.ADD, Funct.SUB, Funct.MSTEP)
-        for idx in range((2 if linear else 0), n) if idx not in sq_set)
-    max_pass = (n - 4 if linear else n) + len(mem_ops) * ecache.miss_stall
+    max_pass = _pass_bounds(instrs, sq_owner, linear, ecache.miss_stall)[1]
 
     # distinct-line prefix counts for the deferred LRU touches
     line_prefix = [0] * n
@@ -1907,4 +1974,4 @@ def _generate(translator: Translator, head: int, mode: bool, instrs: tuple,
                 exit_conditions.insert(0, "TR.dirty")
             emit_exit_if(" or ".join(exit_conditions), n - 1, "canonical")
 
-    return out.source(), needs_no_ovf, max_pass, tuple(sites), tuple(seeds)
+    return out.source(), tuple(sites), tuple(seeds)

@@ -143,7 +143,6 @@ def run_campaign(seeds: int = 32,
             "status": r.status,
             "attempts": r.attempts,
             "error_kind": r.error_kind,
-            "duration_s": round(r.duration, 4),
         }
         for r in results
     }

@@ -64,7 +64,8 @@ def measure_jit_throughput(names: Sequence[str] = JIT_WORKLOADS,
     in the interpretive run's whole machine state
     (:func:`~repro.checkpoint.state.machine_signature`), so the fast
     path is exact or it is broken; ``compile_s`` is the wall time the
-    block compiler spent, ``entry_hit_rate`` is taken entries over
+    block compiler spent admitting blocks and, on first entry,
+    generating their code, ``entry_hit_rate`` is taken entries over
     dispatch hits -- a low rate means guards keep bouncing blocks back
     to the interpreter -- and ``links`` counts the entries made
     straight from a linked exit.  ``shapes`` splits blocks compiled,

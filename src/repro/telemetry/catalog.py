@@ -141,7 +141,9 @@ CATALOG: Tuple[MetricSpec, ...] = (
                "robustness (DESIGN.md fault model)"),
     # ------------------------------------------- translated fast path (jit)
     MetricSpec("core.translate.blocks.compiled", "counter", "events",
-               "Hot basic blocks translated into specialized closures.",
+               "Hot blocks admitted by the block translator (scanned, "
+               "proven, entry contract fixed); each one's closure is "
+               "generated on its first entry.",
                "perf (translated fast path)"),
     MetricSpec("core.translate.blocks.rejected", "counter", "events",
                "Hot heads the block compiler refused (constructs outside "

@@ -240,7 +240,10 @@ def cmd_trace(args) -> int:
     config = perfect_memory_config() if args.ideal else MachineConfig()
     machine = Machine(config)
     machine.attach_coprocessor(Fpu())
-    if os.path.exists(args.target):
+    # a target that names a file is read as one, so a missing file is
+    # an OSError, not an unknown workload
+    if (os.path.exists(args.target) or os.sep in args.target
+            or args.target.endswith((".s", ".spl"))):
         with open(args.target) as handle:
             source = handle.read()
         if args.target.endswith(".spl"):

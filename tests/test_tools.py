@@ -166,6 +166,9 @@ class TestCli:
         (["trace", "nosuch"], "unknown workload 'nosuch'"),
         (["trace", "sieve", "--nodes", "2"],
          "unknown parallel workload 'sieve'"),
+        (["trace", "missing.s"], "No such file"),
+        (["trace", "missing.spl"], "No such file"),
+        (["trace", "nodir/sieve"], "No such file"),
     ])
     def test_misuse_is_one_named_error(self, argv, message, tmp_path,
                                        monkeypatch, capsys):

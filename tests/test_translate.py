@@ -714,6 +714,98 @@ class TestChaining:
         reference.run()
         assert machine_signature(reference) == machine_signature(jit)
 
+    def test_first_link_generates_a_target_never_entered(self, monkeypatch):
+        # ``target`` is admitted at its second arrival, but that direct
+        # entry is refused, as a cold entry segment would refuse it.  So
+        # its code is first generated inside ``_meets``, when the inner
+        # loop's exit next links into it, and its first entry is
+        # through that link; every exit and link must still leave the
+        # machine where the interpreter is.
+        from repro.core import translate
+
+        program = assemble(_chained_source(patch=False))
+        target = program.symbols["target"]
+        jit = Machine(MachineConfig(jit=True, jit_threshold=2))
+        translator = jit.pipeline._translator
+        refused, fresh, linked = [], [], []
+        real_resident = translator._resident
+        real_meets = translate._meets
+        real_follow = translator._follow
+
+        def resident(block):
+            if block.head == target and not refused:
+                refused.append(block)
+                return None
+            return real_resident(block)
+
+        def meets(site, block, mmio_base):
+            pending = block.fn is None
+            link = real_meets(site, block, mmio_base)
+            if pending and block.fn is not None:
+                fresh.append(block)
+            return link
+
+        def follow(link, vals):
+            # only the follow right after the link that generated it
+            nxt = real_follow(link, vals)
+            if link[0] in fresh:
+                fresh.remove(link[0])
+                if nxt is not None:
+                    linked.append(link[0])
+            return nxt
+
+        monkeypatch.setattr(translator, "_resident", resident)
+        monkeypatch.setattr(translate, "_meets", meets)
+        monkeypatch.setattr(translator, "_follow", follow)
+        tally = lockstep_exits(program, monkeypatch, jit=jit)
+        assert [block.head for block in refused] == [target]
+        assert linked == refused, linked
+        assert tally["link"] > 0
+        assert translator.stats.generated == translator.stats.compiled
+
+
+# ----------------------------------------------------- deferred generation
+class TestPendingBlocksGenerate:
+    def test_every_admitted_block_generates_and_compiles(self, monkeypatch):
+        # Code is generated only for blocks that run, so a generator
+        # crash on a block that never runs would go unseen: generate
+        # every block the scans admit over a fixed fuzz band, entered or
+        # not.
+        from repro.core import translate
+        from repro.fuzz.gen import GenConfig
+
+        admitted = []
+        real_compile = translate.Translator._compile
+
+        def compile_block(self, head, linear_only=False):
+            block = real_compile(self, head, linear_only)
+            if block is not None:
+                admitted.append((mode, self, block))
+            return block
+
+        monkeypatch.setattr(translate.Translator, "_compile", compile_block)
+        config = MachineConfig(jit=True, jit_threshold=2)
+        for mode in ("isa", "lang", "os"):
+            for seed in range(1, 21):
+                generated = generate_program(
+                    seed, GenConfig(mode=mode, quick=True))
+                _, program = _programs_for(generated)
+                run_pipeline(program, generated, config=config)
+        pending = [(mode, translator, block)
+                   for mode, translator, block in admitted
+                   if block.fn is None]
+        # most admitted blocks never run, in every mode
+        assert {mode for mode, _, _ in pending} == {"isa", "lang", "os"}
+        assert len(pending) > len(admitted) // 2, (len(pending),
+                                                   len(admitted))
+        for _, translator, block in pending:
+            translator._generate_code(block)
+            assert callable(block.fn) and block.pending is None
+            assert block.sites and block.seeds is not None
+        for translator in {translator for _, translator, _ in admitted}:
+            stats = translator.stats
+            assert stats.generated == stats.compiled
+
 
 # ------------------------------------------------------- telemetry surface
 class TestTranslateTelemetry:
