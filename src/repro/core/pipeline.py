@@ -70,6 +70,17 @@ _TE = 1 << PswBit.TE
 _SHIFT_EN = 1 << PswBit.SHIFT_EN
 
 _NORMAL = SquashState.NORMAL
+# special-register numbers (movfrs/movtos shamt) as plain ints
+_SR_PSW = int(SpecialReg.PSW)
+_SR_PSWOLD = int(SpecialReg.PSWOLD)
+_SR_MD = int(SpecialReg.MD)
+_SR_PC1 = int(SpecialReg.PC1)
+
+#: :meth:`Pipeline.run` re-enters the cycle loop at least this often, in
+#: cycles.  CPython specializes a function's bytecode as calls warm it
+#: up; a loop entered once per run ran a fresh process's first runs
+#: unspecialized, at a fraction of the speed it reaches when re-entered.
+REENTRY_CYCLES = 4096
 
 
 def _signed_taken(cond: int, a: int, b: int) -> bool:
@@ -265,17 +276,17 @@ class TraceSink:
 class FaultHook:
     """Hook interface for fault injection (see :mod:`repro.faults`).
 
-    The pipeline calls :meth:`on_cycle` once per :meth:`Pipeline.cycle`
-    invocation *before* any stage work, so a hook can mutate cache state,
-    post interrupts, or arm an injected exception for this cycle's
-    sampling point.  The hot path pays exactly one ``is not None`` check
-    per cycle when no hook is attached (the acceptance budget is a <2%
+    The pipeline calls :meth:`on_cycle` once per pass of its cycle body
+    *before* any stage work, so a hook can mutate cache state, post
+    interrupts, or arm an injected exception for this cycle's sampling
+    point.  The hot path pays exactly one ``is not None`` check per
+    cycle when no hook is attached (the acceptance budget is a <2%
     throughput regression with faults disabled).
 
     During a multi-cycle stall the :meth:`Pipeline.run` fast path burns
-    the stall in bulk without re-entering :meth:`Pipeline.cycle`; hooks
-    therefore observe ``stats.cycles`` jumping and must treat their
-    target cycles as "fire at the first opportunity at or after cycle N".
+    the stall in bulk without running the cycle body; hooks therefore
+    observe ``stats.cycles`` jumping and must treat their target cycles
+    as "fire at the first opportunity at or after cycle N".
     """
 
     def on_cycle(self, pipeline: "Pipeline") -> None:
@@ -324,6 +335,13 @@ class Pipeline:
         #: translator's block-invalidation map uses.
         self._decode_caches: "tuple[dict, dict]" = ({}, {})
         self._decode_enabled = config.decode_cache
+        #: ideal memory (``perfect_memory_config()``): neither cache is
+        #: modelled and a fetch costs nothing, so the cycle skips the
+        #: Icache and Ecache probes, which would return 0 and count
+        #: nothing, and only tells the trace sink
+        self._ideal_memory = (not config.icache.enabled
+                              and config.icache.miss_cycles == 0
+                              and not ecache.config.enabled)
         #: hot-loop translator (the translated fast path); None unless
         #: ``config.jit`` is on and the config shape is supported.
         self._translator = None
@@ -331,6 +349,15 @@ class Pipeline:
             from repro.core.translate import Translator
             if Translator.supports(config):
                 self._translator = Translator(self)
+        #: what nothing rebinds after construction, unpacked into
+        #: :meth:`_cycles`'s locals at each call: owned units, bound
+        #: probes and config tests
+        self._invariants = (
+            self.stats, memory, self.pc_unit, self.regs._regs,
+            self._decode_caches, self.squash_fsm,
+            icache.fetch, ecache.read, ecache.write,
+            self._ideal_memory, config.icache.enabled,
+            config.branch_delay_slots, config.branch_delay_slots == 2)
         memory.write_listeners.append(self._on_store)
         #: earliest pending device event (absolute cycle, IDLE sentinel
         #: when every device is idle): one integer compare per cycle is
@@ -414,284 +441,361 @@ class Pipeline:
         return op
 
     # ---------------------------------------------------------- main cycle
-    def cycle(self) -> None:  # noqa: C901 - the pipeline is one sequence
-        """Advance the machine by one clock cycle.
+    def cycle(self) -> None:
+        """Advance the machine by exactly one clock cycle.
 
-        One flat sequence: every stage's common case runs inline on the
-        predecoded fields of its flight, so a cycle costs a few dozen
-        attribute reads and integer tests.  Rare work -- misses, page
-        faults, interrupts, exceptions, coprocessor traffic, multiply
-        and divide steps, special registers, the 1-slot RF branch --
-        goes through the helper methods below.
+        One pass of :meth:`_cycles`'s body: strictly per-cycle, with no
+        stall leap and no translated entry, so steppers and tracers see
+        every cycle.
         """
-        stats = self.stats
-        stats.cycles += 1
+        self._cycles()
 
-        if self.fault_hook is not None:
-            self.fault_hook.on_cycle(self)
+    def _cycles(self, max_cycles: Optional[int] = None,  # noqa: C901
+                until: int = 0, last_pc: int = -2) -> int:
+        """The one cycle body, run as a loop; returns the last
+        interpreted fetch PC.
 
-        # Scheduled MMIO devices (UART RX, timer, block DMA) catch up
-        # whenever the clock reaches the earliest pending event.  This
-        # runs before the stall early-return, but the bulk-stall fast
-        # path may still jump past an alarm: servicing then happens at
-        # the first per-cycle step after the jump, which is equivalent
-        # because nothing during a stall can observe device state --
-        # no stage executes and the interrupt sampling point (below)
-        # is never reached while w1 is withheld.
-        if stats.cycles >= self._device_alarm:
-            self._service_devices(stats.cycles)
+        Every stage's common case runs inline on the predecoded fields
+        of its flight, so a cycle costs a few dozen local reads and
+        integer tests.  Rare work -- misses, page faults, interrupts,
+        exceptions, coprocessor traffic, multiply and divide steps,
+        special registers, the 1-slot RF branch -- goes through the
+        helper methods below.  What no cycle rebinds is unpacked once per
+        call into locals; per-cycle state (the PSW, the latches, stalls,
+        halting, the interrupt flags, the device alarm) is read from
+        ``self`` every cycle.
 
-        # w1 withheld: a stall freezes every pipeline latch.
-        if self._stall_left > 0:
-            self._consume_stall()
-            return
-
-        # All PSW reads in a cycle happen before the ALU stage (the only
-        # stage that can replace the PSW), so one read suffices.
-        psw = self.psw.value
-        mode = (psw & _MODE) != 0
+        With no arguments it runs one cycle (:meth:`cycle`).  Given
+        :meth:`run`'s budget ``max_cycles``, it cycles until the clock
+        reaches ``until`` or the machine halts, and its loop top consumes
+        a multi-cycle stall in one step and dispatches fetch
+        discontinuities to the translator.  ``last_pc`` carries the
+        previous interpreted fetch PC from one call to the next, so a
+        sequential fetch at a call boundary is not counted as an
+        arrival.
+        """
+        (stats, memory, pc_unit, regs, decode_caches, squash_fsm,
+         icache_fetch, ecache_read, ecache_write,
+         ideal, icache_on, delay_slots, two_slots) = self._invariants
         trace = self.trace
-        memory = self.memory
-        s = self.s
+        fault_hook = self.fault_hook
+        translator = None
+        if max_cycles is None:
+            until = stats.cycles + 1
+        else:
+            translator = self._translator
+            if translator is not None:
+                blocks = translator.blocks
+                dead = translator.dead
 
-        # MEM-stage data probe for the instruction about to enter MEM
-        # (the late-miss protocol: a miss re-runs phase 2 of MEM).
-        page_fault = False
-        flight = s[ALU]
-        if (flight is not None and flight.op.access
-                and not flight.squashed and not flight.mem_resolved):
-            address = flight.mem_address
-            flight.mem_resolved = True
-            if not memory.data_access_mapped(address):
-                # off-chip MMU signals a data page fault: the access (and
-                # everything younger) restarts after the handler maps the
-                # page -- the restartability the paper designed for
-                memory.mmu.record_fault(address)
-                page_fault = True
-            else:
-                if trace is not None:
-                    trace.on_data(flight.pc, address, flight.op.is_store)
-                penalty = 0
-                if address < memory.mmio_base:
-                    if flight.op.is_store:
-                        if trace is not None:
-                            trace.on_ecache(1, address)
-                        penalty = self.ecache.write(address, mode)
-                    else:
-                        if trace is not None:
-                            trace.on_ecache(0, address)
-                        penalty = self.ecache.read(address, mode)
-                if penalty > 0:
-                    self._stall_left = penalty - 1
-                    self._stall_is_icache = False
-                    stats.data_stall_cycles += 1
-                    return
+        while stats.cycles < until:
+            if max_cycles is not None:
+                if self.halted:
+                    break
+                # Stall fast path: while w1 is withheld every stalled
+                # cycle is identical, so a multi-cycle stall is consumed
+                # in one step.
+                stall = self._stall_left
+                if stall > 1:
+                    self._consume_stall_bulk(
+                        min(stall, max_cycles - stats.cycles))
+                    continue
+                # Translated fast path: a fetch discontinuity (branch
+                # target, vector, bail continuation) is the only place a
+                # translated loop can start.
+                if translator is not None:
+                    fetch_pc = pc_unit.fetch_pc
+                    if fetch_pc != last_pc + 1 and stall == 0:
+                        block = blocks.get(fetch_pc)
+                        if block is None and fetch_pc not in dead:
+                            translator.note_target(fetch_pc)
+                            block = blocks.get(fetch_pc)
+                        # Translated passes stop short of the device
+                        # alarm so the alarm cycle itself is interpreted
+                        # and serviced at the exact cycle stepping would
+                        # service it.  Device arming cannot move the
+                        # alarm mid-closure (MMIO stores always bail to
+                        # the interpreter first).
+                        if block is not None and translator.try_enter(
+                                block,
+                                min(max_cycles, self._device_alarm - 1)):
+                            last_pc = -2
+                            continue
+                    last_pc = fetch_pc
 
-        # IF-stage probe at the current fetch PC, then fetch.
-        fetched: Optional[Flight] = None
-        if not self._halting:
-            fetch_pc = self.pc_unit.fetch_pc
-            if self._ready_fetch != fetch_pc:
-                if self.config.icache.enabled:
-                    probe = self.icache.fetch(fetch_pc, mode)
-                    stall = 0 if probe.hit else self._fill(probe, mode)
+            stats.cycles += 1
+
+            if fault_hook is not None:
+                fault_hook.on_cycle(self)
+
+            # Scheduled MMIO devices (UART RX, timer, block DMA) catch up
+            # whenever the clock reaches the earliest pending event.  This
+            # runs before the stall test, but the stall fast path may
+            # still jump past an alarm: servicing then happens at the
+            # first per-cycle step after the jump, which is equivalent
+            # because nothing during a stall can observe device state --
+            # no stage executes and the interrupt sampling point (below)
+            # is never reached while w1 is withheld.
+            if stats.cycles >= self._device_alarm:
+                self._service_devices(stats.cycles)
+
+            # w1 withheld: a stall freezes every pipeline latch.
+            if self._stall_left > 0:
+                self._consume_stall()
+                continue
+
+            # All PSW reads in a cycle happen before the ALU stage (the
+            # only stage that can replace the PSW), so one read suffices.
+            psw = self.psw.value
+            mode = (psw & _MODE) != 0
+            s = self.s
+
+            # MEM-stage data probe for the instruction about to enter MEM
+            # (the late-miss protocol: a miss re-runs phase 2 of MEM).
+            page_fault = False
+            flight = s[ALU]
+            if (flight is not None and flight.op.access
+                    and not flight.squashed and not flight.mem_resolved):
+                address = flight.mem_address
+                flight.mem_resolved = True
+                if not memory.data_access_mapped(address):
+                    # off-chip MMU signals a data page fault: the access
+                    # (and everything younger) restarts after the handler
+                    # maps the page -- the restartability the paper
+                    # designed for
+                    memory.mmu.record_fault(address)
+                    page_fault = True
                 else:
-                    stall = self._uncached_fetch(fetch_pc, mode)
-                if stall > 0:
-                    self._ready_fetch = fetch_pc
-                    self._stall_left = stall - 1
-                    self._stall_is_icache = True
-                    self.miss_fsm.tick()
-                    stats.icache_stall_cycles += 1
-                    return
-            op = self._decode_caches[mode].get(fetch_pc)
-            if op is None:
-                op = self._decode_at(fetch_pc, mode)
-            fetched = Flight(fetch_pc, op)
-            stats.fetched += 1
-            if trace is not None:
-                trace.on_fetch(fetch_pc)
-            self._ready_fetch = None
+                    if trace is not None:
+                        trace.on_data(flight.pc, address, flight.op.is_store)
+                    if address < memory.mmio_base:
+                        is_store = flight.op.is_store
+                        if trace is not None:
+                            trace.on_ecache(1 if is_store else 0, address)
+                        if not ideal:
+                            penalty = (ecache_write(address, mode)
+                                       if is_store
+                                       else ecache_read(address, mode))
+                            if penalty > 0:
+                                self._stall_left = penalty - 1
+                                self._stall_is_icache = False
+                                stats.data_stall_cycles += 1
+                                continue
 
-        # Pipeline latches shift (w1 rises).
-        retiring = s[MEM]
-        mem_f = s[ALU]
-        alu_f = s[RF]
-        rf_f = s[IF]
-        self.s = [fetched, rf_f, alu_f, mem_f, retiring]
+            # IF-stage probe at the current fetch PC, then fetch.  Under
+            # ideal memory a fetch costs nothing and counts nothing, so
+            # only the sink hears of it.
+            fetched: Optional[Flight] = None
+            if not self._halting:
+                fetch_pc = pc_unit.fetch_pc
+                if self._ready_fetch != fetch_pc:
+                    if ideal:
+                        if trace is not None:
+                            trace.on_ecache(2, fetch_pc)
+                    else:
+                        if icache_on:
+                            probe = icache_fetch(fetch_pc, mode)
+                            stall = (0 if probe.hit
+                                     else self._fill(probe, mode))
+                        else:
+                            stall = self._uncached_fetch(fetch_pc, mode)
+                        if stall > 0:
+                            self._ready_fetch = fetch_pc
+                            self._stall_left = stall - 1
+                            self._stall_is_icache = True
+                            self.miss_fsm.tick()
+                            stats.icache_stall_cycles += 1
+                            continue
+                op = decode_caches[mode].get(fetch_pc)
+                if op is None:
+                    op = self._decode_at(fetch_pc, mode)
+                fetched = Flight(fetch_pc, op)
+                stats.fetched += 1
+                if trace is not None:
+                    trace.on_fetch(fetch_pc)
+                self._ready_fetch = None
 
-        # WB: the oldest instruction completes -- the *only* point at which
-        # machine state (registers) changes, making exceptions restartable.
-        if retiring is not None:
-            self._writeback(retiring)
+            # Pipeline latches shift (w1 rises).
+            retiring = s[MEM]
+            mem_f = s[ALU]
+            alu_f = s[RF]
+            rf_f = s[IF]
+            self.s = [fetched, rf_f, alu_f, mem_f, retiring]
 
-        # The PC chain records the PCs of the three uncompleted
-        # instructions (MEM, ALU, RF) while shifting is enabled.
-        if psw & _SHIFT_EN:
-            self.pc_unit.chain.shift(
-                mem_f.pc if mem_f is not None else 0,
-                alu_f.pc if alu_f is not None else 0,
-                rf_f.pc if rf_f is not None else 0,
-            )
+            # WB: the oldest instruction completes -- the *only* point at
+            # which machine state (registers) changes, making exceptions
+            # restartable.
+            if retiring is not None:
+                self._writeback(retiring)
 
-        # A page fault behaves like a fault on the instruction now in
-        # MEM: nothing younger completes and the chain restarts it.
-        if page_fault:
-            stats.page_faults += 1
-            self._take_exception(PswBit.CAUSE_PGFLT)
-            return
+            # The PC chain records the PCs of the three uncompleted
+            # instructions (MEM, ALU, RF) while shifting is enabled.
+            if psw & _SHIFT_EN:
+                pc_unit.chain.shift(
+                    mem_f.pc if mem_f is not None else 0,
+                    alu_f.pc if alu_f is not None else 0,
+                    rf_f.pc if rf_f is not None else 0,
+                )
 
-        # Interrupts are sampled at the top of the cycle (but held for
-        # the one-cycle window after a jpcrs restore, see _alu_control,
-        # and while _async_hold says restart would not be clean).
-        if self._irq_hold > 0:
-            self._irq_hold -= 1
-        elif ((self._nmi_pending or (self._irq_pending and psw & _IE))
-              and not self._async_hold()):
-            self._take_interrupt()
-            return
+            # A page fault behaves like a fault on the instruction now in
+            # MEM: nothing younger completes and the chain restarts it.
+            if page_fault:
+                stats.page_faults += 1
+                self._take_exception(PswBit.CAUSE_PGFLT)
+                continue
 
-        # MEM work: loads and stores inline, coprocessor traffic aside.
-        if mem_f is not None and mem_f.op.mem and not mem_f.squashed:
-            action = mem_f.op.mem
-            if action == MEM_LD:
-                mem_f.result = memory.read(mem_f.mem_address, mode)
-                stats.loads += 1
-            elif action == MEM_ST:
-                memory.write(mem_f.mem_address, mem_f.store_value, mode)
-                stats.stores += 1
-            else:
-                self._mem_coproc(mem_f, mode)
+            # Interrupts are sampled at the top of the cycle (but held for
+            # the one-cycle window after a jpcrs restore, see _alu_control,
+            # and while _async_hold says restart would not be clean).
+            if self._irq_hold > 0:
+                self._irq_hold -= 1
+            elif ((self._nmi_pending or (self._irq_pending and psw & _IE))
+                  and not self._async_hold()):
+                self._take_interrupt()
+                continue
 
-        # ALU work: operands (with bypass), results, addresses, branch
-        # conditions, redirects and synchronous exceptions.
-        branch_wrong = False
-        two_slots = self.config.branch_delay_slots == 2
-        if alu_f is not None and not alu_f.squashed:
-            op = alu_f.op
-            kind = op.kind
-            if kind == NOP:
-                alu_f.result = 0
-            elif kind != BRANCH or two_slots:
-                if kind == ILLEGAL_KIND:
-                    raise IllegalInstruction(alu_f.pc)
-                # Bypass: the distance-1 producer (now in MEM) beats the
-                # register file; the distance-2 producer already wrote the
-                # register file this cycle (WB runs first).  A distance-1
-                # *load* is unbypassable -- its data arrives only at the
-                # end of MEM -- so the consumer sees the stale register.
-                regs = self.regs._regs
-                bypass = (mem_f.dest if mem_f is not None
-                          and not mem_f.squashed else None)
-                reg = op.src1
-                a = regs[reg]
-                if reg == bypass:
-                    if mem_f.op.load_use:
-                        self._load_use(reg, mem_f, alu_f)
-                    elif mem_f.result is not None:
-                        a = mem_f.result
-                b = 0
-                if op.reads_src2:
-                    reg = op.src2
-                    b = regs[reg]
+            # MEM work: loads and stores inline, coprocessor traffic aside.
+            if mem_f is not None and mem_f.op.mem and not mem_f.squashed:
+                action = mem_f.op.mem
+                if action == MEM_LD:
+                    mem_f.result = memory.read(mem_f.mem_address, mode)
+                    stats.loads += 1
+                elif action == MEM_ST:
+                    memory.write(mem_f.mem_address, mem_f.store_value, mode)
+                    stats.stores += 1
+                else:
+                    self._mem_coproc(mem_f, mode)
+
+            # ALU work: operands (with bypass), results, addresses, branch
+            # conditions, redirects and synchronous exceptions.
+            branch_wrong = False
+            if alu_f is not None and not alu_f.squashed:
+                op = alu_f.op
+                kind = op.kind
+                if kind == NOP:
+                    alu_f.result = 0
+                elif kind != BRANCH or two_slots:
+                    if kind == ILLEGAL_KIND:
+                        raise IllegalInstruction(alu_f.pc)
+                    # Bypass: the distance-1 producer (now in MEM) beats
+                    # the register file; the distance-2 producer already
+                    # wrote the register file this cycle (WB runs first).
+                    # A distance-1 *load* is unbypassable -- its data
+                    # arrives only at the end of MEM -- so the consumer
+                    # sees the stale register.
+                    bypass = (mem_f.dest if mem_f is not None
+                              and not mem_f.squashed else None)
+                    reg = op.src1
+                    a = regs[reg]
                     if reg == bypass:
                         if mem_f.op.load_use:
                             self._load_use(reg, mem_f, alu_f)
                         elif mem_f.result is not None:
-                            b = mem_f.result
-                if kind < CONTROL:
-                    overflow = 0
-                    if kind == ADD:
-                        result = (a + b) & _MASK
-                        overflow = (a ^ result) & (b ^ result) & _SIGN
-                    elif kind == SUB:
-                        result = (a - b) & _MASK
-                        overflow = (a ^ b) & (a ^ result) & _SIGN
-                    elif kind == AND:
-                        result = a & b
-                    elif kind == OR:
-                        result = a | b
-                    elif kind == XOR:
-                        result = a ^ b
-                    elif kind == SLL:
-                        result = (a << op.shamt) & _MASK
-                    elif kind == SRL:
-                        result = a >> op.shamt
-                    elif kind == SRA:
-                        result = (((a ^ _SIGN) - _SIGN) >> op.shamt) & _MASK
-                    elif kind == NOT:
-                        result = ~a & _MASK
-                    elif kind == ROTL:
-                        result = FunnelShifter.rotl(a, op.shamt)
+                            a = mem_f.result
+                    b = 0
+                    if op.reads_src2:
+                        reg = op.src2
+                        b = regs[reg]
+                        if reg == bypass:
+                            if mem_f.op.load_use:
+                                self._load_use(reg, mem_f, alu_f)
+                            elif mem_f.result is not None:
+                                b = mem_f.result
+                    if kind < CONTROL:
+                        overflow = 0
+                        if kind == ADD:
+                            result = (a + b) & _MASK
+                            overflow = (a ^ result) & (b ^ result) & _SIGN
+                        elif kind == SUB:
+                            result = (a - b) & _MASK
+                            overflow = (a ^ b) & (a ^ result) & _SIGN
+                        elif kind == AND:
+                            result = a & b
+                        elif kind == OR:
+                            result = a | b
+                        elif kind == XOR:
+                            result = a ^ b
+                        elif kind == SLL:
+                            result = (a << op.shamt) & _MASK
+                        elif kind == SRL:
+                            result = a >> op.shamt
+                        elif kind == SRA:
+                            result = (((a ^ _SIGN) - _SIGN)
+                                      >> op.shamt) & _MASK
+                        elif kind == NOT:
+                            result = ~a & _MASK
+                        elif kind == ROTL:
+                            result = FunnelShifter.rotl(a, op.shamt)
+                        else:
+                            result, overflow = self._alu_special(op, a, b)
+                        if overflow and psw & _TE:
+                            self._take_exception(PswBit.CAUSE_OVF)
+                            continue
+                        alu_f.dest = op.dest
+                        alu_f.result = result
+                    elif kind == BRANCH:
+                        cond = op.cond
+                        if cond == EQ:
+                            taken = a == b
+                        elif cond == NE:
+                            taken = a != b
+                        else:
+                            taken = _signed_taken(cond, a, b)
+                        alu_f.taken = taken
+                        target = (alu_f.pc + op.imm) & _MASK
+                        stats.branches += 1
+                        if taken:
+                            stats.branches_taken += 1
+                            pc_unit.redirect(target)
+                        elif op.squash:
+                            # wrong way: annul the two delay slots
+                            stats.branch_squashes += 1
+                            branch_wrong = True
+                            if rf_f is not None:
+                                rf_f.squashed = True
+                            if fetched is not None:
+                                fetched.squashed = True
+                        if trace is not None:
+                            trace.on_branch(alu_f.pc, op.instr, taken, target)
+                    elif kind == CONTROL:
+                        if self._alu_control(alu_f, op, a):
+                            continue
                     else:
-                        result, overflow = self._alu_special(op, a, b)
-                    if overflow and psw & _TE:
-                        self._take_exception(PswBit.CAUSE_OVF)
-                        return
-                    alu_f.dest = op.dest
-                    alu_f.result = result
-                elif kind == BRANCH:
-                    cond = op.cond
-                    if cond == EQ:
-                        taken = a == b
-                    elif cond == NE:
-                        taken = a != b
-                    else:
-                        taken = _signed_taken(cond, a, b)
-                    alu_f.taken = taken
-                    target = (alu_f.pc + op.imm) & _MASK
-                    stats.branches += 1
-                    if taken:
-                        stats.branches_taken += 1
-                        self.pc_unit.redirect(target)
-                    elif op.squash:
-                        # wrong way: annul the two delay slots
-                        stats.branch_squashes += 1
-                        branch_wrong = True
-                        if rf_f is not None:
-                            rf_f.squashed = True
-                        if fetched is not None:
-                            fetched.squashed = True
-                    if trace is not None:
-                        trace.on_branch(alu_f.pc, op.instr, taken, target)
-                elif kind == CONTROL:
-                    if self._alu_control(alu_f, op, a):
-                        return
-                else:
-                    # memory format: address / payload computation
-                    address = (a + op.imm) & _MASK
-                    alu_f.mem_address = address
-                    if kind == LOAD:
-                        alu_f.dest = op.dest
-                    elif kind == STORE:
-                        alu_f.store_value = b
-                    elif kind == ADDI:
-                        alu_f.dest = op.dest
-                        alu_f.result = address
-                    elif kind == JSPCI:
-                        alu_f.dest = op.dest
-                        alu_f.result = (alu_f.pc + 1
-                                        + self.config.branch_delay_slots
-                                        ) & _MASK
-                        self.pc_unit.redirect(address)
-                        stats.jumps += 1
+                        # memory format: address / payload computation
+                        address = (a + op.imm) & _MASK
+                        alu_f.mem_address = address
+                        if kind == LOAD:
+                            alu_f.dest = op.dest
+                        elif kind == STORE:
+                            alu_f.store_value = b
+                        elif kind == ADDI:
+                            alu_f.dest = op.dest
+                            alu_f.result = address
+                        elif kind == JSPCI:
+                            alu_f.dest = op.dest
+                            alu_f.result = (alu_f.pc + 1
+                                            + delay_slots) & _MASK
+                            pc_unit.redirect(address)
+                            stats.jumps += 1
 
-        # Quick-compare design alternative: 1-slot machines resolve the
-        # branch in RF instead of ALU.
-        if self.config.branch_delay_slots == 1 and rf_f is not None:
-            branch_wrong = self._rf_branch_stage(rf_f, alu_f, mem_f, fetched)
+            # Quick-compare design alternative: 1-slot machines resolve
+            # the branch in RF instead of ALU.
+            if delay_slots == 1 and rf_f is not None:
+                branch_wrong = self._rf_branch_stage(rf_f, alu_f, mem_f,
+                                                     fetched)
 
-        self.pc_unit.advance()
-        # NORMAL -> NORMAL is the squash FSM's only self-loop with no
-        # effect, so it is stepped only when it can change
-        if branch_wrong or self.squash_fsm.state is not _NORMAL:
-            self.squash_fsm.step(exception=False, branch_wrong=branch_wrong)
+            pc_unit.advance()
+            # NORMAL -> NORMAL is the squash FSM's only self-loop with no
+            # effect, so it is stepped only when it can change
+            if branch_wrong or squash_fsm.state is not _NORMAL:
+                squash_fsm.step(exception=False, branch_wrong=branch_wrong)
 
-        # Drain after a halt: everything older than the halt completes.
-        if self._halting and (rf_f is None and alu_f is None
-                              and mem_f is None and retiring is None):
-            self.halted = True
-            stats.halted = True
+            # Drain after a halt: everything older than the halt completes.
+            if self._halting and (rf_f is None and alu_f is None
+                                  and mem_f is None and retiring is None):
+                self.halted = True
+                stats.halted = True
+        return last_pc
 
     # -------------------------------------------------------------- stalls
     def _consume_stall(self) -> None:
@@ -889,25 +993,23 @@ class Pipeline:
 
     # ---------------------------------------------------- special registers
     def _read_special(self, which: int) -> int:
-        special = SpecialReg(which)
-        if special == SpecialReg.PSW:
+        if which == _SR_PSW:
             return self.psw.value
-        if special == SpecialReg.PSWOLD:
+        if which == _SR_PSWOLD:
             return self.psw_old.value
-        if special == SpecialReg.MD:
+        if which == _SR_MD:
             return self.md.value
-        return self.pc_unit.chain.read(which - SpecialReg.PC1)
+        return self.pc_unit.chain.read(which - _SR_PC1)
 
     def _write_special(self, which: int, value: int) -> None:
-        special = SpecialReg(which)
-        if special == SpecialReg.PSW:
+        if which == _SR_PSW:
             self.psw = Psw(value)
-        elif special == SpecialReg.PSWOLD:
+        elif which == _SR_PSWOLD:
             self.psw_old = Psw(value)
-        elif special == SpecialReg.MD:
+        elif which == _SR_MD:
             self.md.value = value & 0xFFFFFFFF
         else:
-            self.pc_unit.chain.write(which - SpecialReg.PC1, value)
+            self.pc_unit.chain.write(which - _SR_PC1, value)
 
     # ----------------------------------------------------------- exceptions
     def _async_hold(self) -> bool:
@@ -986,55 +1088,21 @@ class Pipeline:
     def run(self, max_cycles: int = 10_000_000) -> PipelineStats:
         """Run until ``halt`` retires or the cycle budget is exhausted.
 
-        Stall fast path: while the qualified ``w1`` clock is withheld the
-        pipeline latches are frozen and every stalled cycle is identical,
-        so a multi-cycle stall is consumed in one step instead of one
-        :meth:`cycle` call per cycle.  Cycle counts, stall counters and
-        the miss FSM advance exactly as they would per-cycle;
-        single-stepping via :meth:`cycle` is unchanged.
+        Drives :meth:`_cycles` with the stall fast path and the
+        translator's dispatch on, in calls that each end once the clock
+        has moved :data:`REENTRY_CYCLES` cycles (a stall leap or a
+        translated pass may carry it further).  Cycle counts, stall
+        counters and the miss FSM advance exactly as they would under
+        :meth:`cycle`.
         """
         stats = self.stats
-        cycle = self.cycle
-        translator = self._translator
-        if translator is None:
-            while not self.halted and stats.cycles < max_cycles:
-                if self._stall_left > 1:
-                    bulk = min(self._stall_left, max_cycles - stats.cycles)
-                    self._consume_stall_bulk(bulk)
-                    continue
-                cycle()
-            return self.stats
-        # Translated fast path: a fetch discontinuity (branch target,
-        # vector, bail continuation) is the only place a translated loop
-        # can start, so hot-head counting and block dispatch live here
-        # and sequential fetches stay on the interpretive path untouched.
-        blocks = translator.blocks
-        dead = translator.dead
+        cycles = self._cycles
         last_pc = -2
         while not self.halted and stats.cycles < max_cycles:
-            if self._stall_left > 1:
-                bulk = min(self._stall_left, max_cycles - stats.cycles)
-                self._consume_stall_bulk(bulk)
-                continue
-            fetch_pc = self.pc_unit.fetch_pc
-            if fetch_pc != last_pc + 1 and self._stall_left == 0:
-                block = blocks.get(fetch_pc)
-                if block is None and fetch_pc not in dead:
-                    translator.note_target(fetch_pc)
-                    block = blocks.get(fetch_pc)
-                # Translated passes must stop short of the device alarm
-                # so the alarm cycle itself is interpreted: servicing
-                # happens at the exact cycle per-cycle stepping would
-                # service it, keeping jit runs bit-identical.  Device
-                # arming cannot move the alarm mid-closure (MMIO stores
-                # always bail to the interpreter first).
-                if block is not None and translator.try_enter(
-                        block, min(max_cycles, self._device_alarm - 1)):
-                    last_pc = -2
-                    continue
-            last_pc = fetch_pc
-            cycle()
-        return self.stats
+            last_pc = cycles(max_cycles,
+                             min(max_cycles, stats.cycles + REENTRY_CYCLES),
+                             last_pc)
+        return stats
 
     def _consume_stall_bulk(self, cycles: int) -> None:
         """Equivalent of ``cycles`` consecutive stalled :meth:`cycle` calls."""
