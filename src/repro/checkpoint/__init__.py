@@ -3,20 +3,19 @@
 A snapshot is the whole machine state at a quiescent cycle boundary, as
 JSON; restoring it into a fresh machine and running on finishes
 bit-identical to a run that was never interrupted.  The fuzz oracle,
-the devices campaign and perfbench's os-boot workload all run through
-it.  This package provides:
+the equivalence campaign (:mod:`repro.harness.equivalence`) and
+perfbench's os-boot workload all run through it.  This package
+provides:
 
 * :mod:`repro.checkpoint.state` -- bit-exact capture/restore of a
   :class:`~repro.core.processor.Machine` or
   :class:`~repro.multi.system.MultiMachine` at a drained, quiescent
-  cycle boundary, plus the named error family
-  (:class:`CheckpointError` and friends);
+  cycle boundary, the one snapshot-JSON-restore round trip every
+  equivalence check uses (:func:`~repro.checkpoint.state.round_trip`),
+  and the named error family (:class:`CheckpointError` and friends);
 * :mod:`repro.checkpoint.store` -- :class:`SnapshotStore`: atomic,
   fsync-durable, sha256-sidecar-verified generation ladders whose
-  ``load_latest`` falls back past damaged generations;
-* :mod:`repro.checkpoint.campaign` -- the standing gates: restore
-  equivalence (snapshot mid-run + restore + finish must be
-  bit-identical to a straight run) and snapshot-corruption rejection.
+  ``load_latest`` falls back past damaged generations.
 """
 
 from repro.checkpoint.state import (

@@ -7,8 +7,9 @@ cycles until the pipe settles.  At such a boundary the stage latches,
 PC unit, FSMs, caches and memory fully determine every future cycle, so
 ``capture -> JSON -> restore -> finish`` is bit-identical to an
 uninterrupted run -- registers, memory, console, and every telemetry
-counter (the standing differential gate in :mod:`repro.checkpoint.campaign`
-and the fuzz oracle's ``PAIR_CHECKPOINT`` prove exactly that).
+counter (the equivalence campaign, :mod:`repro.harness.equivalence`,
+and the fuzz oracle's ``PAIR_CHECKPOINT`` prove exactly that, each
+through :func:`round_trip`).
 
 Everything serialized is plain JSON: ints, bools, strings, lists.  FPU
 registers travel as raw IEEE-754 words, in-flight instructions as their
@@ -488,8 +489,8 @@ def machine_signature(machine) -> Dict[str, Any]:
     """One machine's whole state: :func:`machine_state`'s body, without
     the format/kind/config header or the quiescence check, so it also
     describes a machine mid-run.  Every fast-path check compares it
-    (the jit and checkpoint oracles, the checkpoint and devices
-    campaigns, the bench campaign's jit section); a fast path that ends
+    (the jit and checkpoint oracles, the equivalence campaign, the
+    bench campaign's jit section); a fast path that ends
     with the right registers but the wrong latch, LRU order, device
     schedule or cycle count differs here."""
     return {"memory": _memory_state(machine.memory), **_node_state(machine)}
@@ -631,6 +632,34 @@ def restore_multi(system, state: Dict[str, Any]) -> None:
     system._store_origin = None
 
 
+# ------------------------------------------------------------ round trip
+def round_trip(machine, cut: int):
+    """Run a built, loaded ``machine`` (a
+    :class:`~repro.core.processor.Machine` or
+    :class:`~repro.multi.system.MultiMachine`) to cycle ``cut``,
+    snapshot it, pass the snapshot through JSON (what the store
+    persists) and restore it into a fresh machine of the same shape;
+    returns that machine, ready to run on.
+
+    The fresh machine gets no coprocessors, so ``machine`` must have
+    none attached.  A snapshot or restore failure raises its
+    :class:`CheckpointError`."""
+    from repro.core.processor import Machine
+
+    machine.run(cut)
+    state = json.loads(json.dumps(machine.snapshot()))
+    if isinstance(machine, Machine):
+        fresh = Machine(machine.config)
+    else:
+        from repro.multi.system import MultiMachine
+
+        fresh = MultiMachine(len(machine.machines), machine.config,
+                             bus_latency=machine.bus_latency,
+                             invalidation=machine.invalidation)
+    fresh.restore(state)
+    return fresh
+
+
 __all__ = [
     "FORMAT",
     "DRAIN_BOUND",
@@ -648,4 +677,5 @@ __all__ = [
     "restore_machine",
     "multi_state",
     "restore_multi",
+    "round_trip",
 ]

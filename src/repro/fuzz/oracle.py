@@ -326,10 +326,10 @@ def check_checkpoint_equivalence(program: Program,
     enabled (translated blocks must be invalidated on restore, never
     resumed stale).
     """
-    import json as _json
     import random as _random
 
-    from repro.checkpoint.state import CheckpointError
+    from repro.checkpoint.state import (CheckpointError, QuiescenceTimeout,
+                                        round_trip)
 
     base = config or MachineConfig()
     if jit:
@@ -349,25 +349,21 @@ def check_checkpoint_equivalence(program: Program,
         # restored one
         text, start, interval = generated.uart_feed
         first.memory.uart.feed(text, start=start, interval=interval)
-    first.pipeline.run(cut)
     try:
-        state = first.snapshot()
-    except CheckpointError as exc:
+        restored = round_trip(first, cut)
+    except QuiescenceTimeout as exc:
         return DivergenceReport(
             pair=PAIR_CHECKPOINT, kind="quiescence",
             mismatches=[{"what": "drain",
                          "detail": f"drain to quiescence failed at cycle "
                                    f"{cut} (seed {generated.seed}): {exc}"}])
-    state = _json.loads(_json.dumps(state))
-    restored = Machine(base)
-    try:
-        restored.restore(state)
     except CheckpointError as exc:
         return DivergenceReport(
             pair=PAIR_CHECKPOINT, kind="restore-error",
             mismatches=[{"what": "restore",
-                         "detail": f"restore rejected its own snapshot "
-                                   f"(seed {generated.seed}): {exc}"}])
+                         "detail": f"the snapshot round trip at cycle "
+                                   f"{cut} failed (seed {generated.seed}): "
+                                   f"{exc}"}])
     restored.run(generated.max_cycles)
     if not restored.halted:
         return DivergenceReport(

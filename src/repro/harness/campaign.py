@@ -38,8 +38,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 CAMPAIGNS = {
     "faults": "repro.faults.campaign",
     "fuzz": "repro.fuzz.campaign",
-    "checkpoint": "repro.checkpoint.campaign",
-    "devices": "repro.harness.devices",
+    "equivalence": "repro.harness.equivalence",
     "bench": "repro.harness.bench",
 }
 

@@ -12,8 +12,7 @@ Usage::
     python -m repro.tools.cli campaign faults [--seeds N] [--quick] [--chaos R]
     python -m repro.tools.cli campaign faults --multi-nodes 4 [--seeds N]
     python -m repro.tools.cli campaign fuzz [--seeds N] [--quick] [--mutate NAME]
-    python -m repro.tools.cli campaign checkpoint [--fuzz-seeds N] [--quick]
-    python -m repro.tools.cli campaign devices [--quick]
+    python -m repro.tools.cli campaign equivalence [--fuzz-seeds N]
     python -m repro.tools.cli campaign bench [--workers N]
 
 ``run`` executes assembly on the paper-configuration machine; ``compile``
@@ -38,16 +37,17 @@ examples/boot.s --devices`` boots the kernel-lite echo demo (see
 :data:`repro.harness.campaign.CAMPAIGNS` -- ``faults`` (seeded fault
 injection, or node-level faults with ``--multi-nodes N``), ``fuzz``
 (differential fuzzing of the golden, pipeline, trace-replay, JIT and
-checkpoint models), ``checkpoint`` (restore equivalence and snapshot
-corruption), ``devices`` (every kernel-lite demo booted interpretive,
-under the JIT, and across checkpoint/restore) and ``bench`` (the full
+checkpoint models), ``equivalence`` (workloads and fuzz seeds restored
+from a mid-run snapshot, and every kernel-lite demo booted
+interpretive, under the JIT and across checkpoint/restore, each against
+the straight run's whole machine state) and ``bench`` (the full
 experiment grid in parallel and serially, its rows checked against the
 paper's shapes, the jit equivalence and
 speedup probe, the traced sweeps, the multiprocessor scaling sweep and
 the workload-cpi telemetry, in one ``BENCH_pipeline.json``; see
 :mod:`repro.harness.bench`) -- writes its report, and applies the
 campaign's own gate, the one ``check_results --campaign`` applies.
-Each campaign declares its own options.  One exit rule covers all five
+Each campaign declares its own options.  One exit rule covers all four
 (:func:`repro.harness.campaign.exit_code`):
 
 * **0** -- the campaign held, or it is incomplete (jobs were
@@ -56,8 +56,8 @@ Each campaign declares its own options.  One exit rule covers all five
   infrastructure broke, nothing is known about the models), or an
   option value no job could run with (one ``error:`` line, no report);
 * **2** -- a finding: an invariant violation (``faults``), an
-  unexplained model divergence (``fuzz``), a failed recovery gate
-  (``checkpoint``), a failed boot comparison (``devices``) or a wrong
+  unexplained model divergence (``fuzz``), a fast path that ended in
+  another state or a failed boot comparison (``equivalence``) or a wrong
   result, broken paper shape or identity, row that differs from its
   live parallel row, or missed speedup floor (``bench``).  A run
   with both a finding and a harness failure exits 2.

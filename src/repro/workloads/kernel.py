@@ -849,9 +849,10 @@ KERNEL_DEMOS: Dict[str, KernelDemo] = {
 
 
 # -------------------------------------------------------------------- runner
-def run_kernel_demo(name: str, config: Optional[MachineConfig] = None,
-                    max_cycles: int = 2_000_000) -> KernelRun:
-    """Boot a kernel demo to completion and return its UART log.
+def kernel_machine(name: str,
+                   config: Optional[MachineConfig] = None) -> Machine:
+    """A machine ready to boot kernel demo ``name``: its image loaded,
+    its disk sectors written and its UART feeds scheduled.
 
     Bypasses the workload registry on purpose: kernel images carry
     hand-scheduled delay slots and a pinned trap ABI, so they must not
@@ -865,8 +866,15 @@ def run_kernel_demo(name: str, config: Optional[MachineConfig] = None,
         machine.memory.disk.load(sector, list(words))
     for text, start, interval in demo.feeds:
         machine.memory.uart.feed(text, start=start, interval=interval)
+    return machine
+
+
+def run_kernel_demo(name: str, config: Optional[MachineConfig] = None,
+                    max_cycles: int = 2_000_000) -> KernelRun:
+    """Boot a kernel demo to completion and return its UART log."""
+    machine = kernel_machine(name, config)
     stats = machine.run(max_cycles)
-    return KernelRun(demo=demo, machine=machine,
+    return KernelRun(demo=KERNEL_DEMOS[name], machine=machine,
                      uart_log=machine.memory.uart.tx_text, stats=stats)
 
 

@@ -15,6 +15,7 @@ in its registry:
   pulls in no other campaign and no tooling.
 """
 
+import functools
 import json
 import os
 import pathlib
@@ -48,23 +49,28 @@ def _fuzz(finding=False, harness=False, incomplete=False):
             "divergences": []}
 
 
-def _checkpoint(finding=False, harness=False):
-    return {"equivalence": {"diverged": int(finding),
-                            "harness_failures": int(harness)},
-            "corruption": {"cases": [{"case": "truncated",
-                                      "status": "ok", "error": None}]}}
-
-
-def _devices(finding=False, harness=False):
-    row = {"uart_log": "ready\n", "cycles": 100,
-           "interrupts": 0 if finding else 3, "expected_ok": True,
-           "halted": True, "jit": {"ok": True, "blocks_compiled": 2},
-           "checkpoint": {"ok": True, "snapshot_cycle": 50},
-           "ok": not finding}
-    return {"demos": {"kernel-echo": row},
-            "summary": {"harness_failures":
-                        ["kernel-slice: RuntimeError: boom"] if harness
-                        else []}}
+def _equivalence(section, finding=False, harness=False):
+    """An equivalence report with its finding and its failed job in
+    *section*: ``restore`` (the checkpoint round-trip cases) or
+    ``kernel`` (the device demos)."""
+    kernel_finding = finding and section == "kernel"
+    restore_finding = finding and section == "restore"
+    kernel = {"uart_log": "ready\n", "cycles": 100,
+              "interrupts": 0 if kernel_finding else 3, "expected_ok": True,
+              "halted": True,
+              "jit": {"ok": True, "mismatches": [], "blocks_compiled": 2},
+              "checkpoint": {"ok": True, "mismatches": [],
+                             "snapshot_cycle": 50},
+              "ok": not kernel_finding}
+    restore = {"halted": True, "ok": not restore_finding,
+               "mismatches": ["pipeline.stats.cycles"] if restore_finding
+               else []}
+    failed_job = {"restore": "restore/psieve-n4",
+                  "kernel": "kernel/kernel-slice"}[section]
+    failed = {"status": "crashed", "error_kind": "worker-died"}
+    return {"restore": {"sieve-jit0": restore},
+            "kernel": {"kernel-echo": kernel},
+            "harness": {failed_job: failed} if harness else {}}
 
 
 def _bench(finding=False, harness=False):
@@ -77,11 +83,17 @@ def _bench(finding=False, harness=False):
     return payload
 
 
-#: a payload builder per campaign; ``incomplete`` only where the
-#: campaign can stop short (interrupted jobs)
-PAYLOADS = {"faults": _faults, "fuzz": _fuzz,
-            "checkpoint": _checkpoint, "devices": _devices,
-            "bench": _bench}
+#: a (campaign, payload builder) per exit-rule case.  The equivalence
+#: campaign is driven once per row kind it holds -- its checkpoint
+#: round-trip cases and its device demos -- so a failure in either maps
+#: to the same exit code.  ``incomplete`` only where the campaign can
+#: stop short (interrupted jobs)
+PAYLOADS = {"faults": ("faults", _faults), "fuzz": ("fuzz", _fuzz),
+            "checkpoint": ("equivalence",
+                           functools.partial(_equivalence, "restore")),
+            "devices": ("equivalence",
+                        functools.partial(_equivalence, "kernel")),
+            "bench": ("bench", _bench)}
 
 SCENARIOS = [
     ("clean", {}, 0),
@@ -93,23 +105,24 @@ SCENARIOS = [
 
 
 def _exit_cases():
-    for name in PAYLOADS:
+    for case, (name, build) in PAYLOADS.items():
         for scenario, kwargs, expected in SCENARIOS:
             if "incomplete" in kwargs and name not in ("faults", "fuzz"):
                 continue
-            yield pytest.param(name, kwargs, expected,
-                               id=f"{name}-{scenario}")
+            yield pytest.param(name, build, kwargs, expected,
+                               id=f"{case}-{scenario}")
 
 
 def test_every_registered_campaign_is_covered():
-    assert set(PAYLOADS) == set(campaign.CAMPAIGNS)
+    assert ({name for name, _ in PAYLOADS.values()}
+            == set(campaign.CAMPAIGNS))
 
 
-@pytest.mark.parametrize("name,kwargs,expected", list(_exit_cases()))
-def test_one_exit_rule(name, kwargs, expected, monkeypatch, capsys):
+@pytest.mark.parametrize("name,build,kwargs,expected", list(_exit_cases()))
+def test_one_exit_rule(name, build, kwargs, expected, monkeypatch, capsys):
     """``repro campaign NAME`` maps its gate's failures to 0/1/2."""
     module = campaign.load(name)
-    payload = {**PAYLOADS[name](**kwargs), "report_path": "report.json"}
+    payload = {**build(**kwargs), "report_path": "report.json"}
     monkeypatch.setattr(module, "run", lambda args: payload)
     monkeypatch.setattr(module, "format_summary", lambda payload: "")
     assert cli.main(["campaign", name]) == expected
@@ -132,8 +145,7 @@ def test_incomplete_campaign_prints_how_to_resume(monkeypatch, capsys):
 COMMITTED = [("faults", "FAULTS_campaign.json"),
              ("faults", "FAULTS_multi.json"),
              ("fuzz", "FUZZ_campaign.json"),
-             ("checkpoint", "CHECKPOINT_campaign.json"),
-             ("devices", "DEVICES_results.json"),
+             ("equivalence", "EQUIVALENCE_campaign.json"),
              ("bench", "BENCH_pipeline.json")]
 
 
@@ -184,33 +196,27 @@ class TestFaultsGate:
 
 
 class TestCheckpointGate:
-    REPORT = "CHECKPOINT_campaign.json"
+    """The equivalence report's restore rows: runs round-tripped
+    through a snapshot, checked against their straight runs."""
+
+    REPORT = "EQUIVALENCE_campaign.json"
 
     def test_diverged_equivalence_case_fails(self, tmp_path):
         def tamper(payload):
-            payload["equivalence"]["diverged"] = 1
+            row = payload["restore"]["psieve-n4"]
+            row["ok"], row["mismatches"] = False, ["cycles"]
 
-        failures = _tampered(tmp_path, "checkpoint", self.REPORT, tamper)
-        assert any("1 restore-equivalence case(s) diverged" in f
-                   for f in failures)
-
-    def test_accepted_corruption_fails(self, tmp_path):
-        def tamper(payload):
-            case = payload["corruption"]["cases"][0]
-            case["status"], case["error"] = "not-rejected", None
-
-        failures = _tampered(tmp_path, "checkpoint", self.REPORT, tamper)
-        assert any("corruption case 'truncated' ended 'not-rejected'" in f
-                   for f in failures)
+        failures = _tampered(tmp_path, "equivalence", self.REPORT, tamper)
+        assert failures == ["finding: restore case 'psieve-n4' diverged "
+                            "from the straight run at ['cycles']"]
 
     def test_missing_section_is_named(self, tmp_path):
         def tamper(payload):
-            del payload["corruption"]
+            del payload["restore"]
 
-        failures = _tampered(tmp_path, "checkpoint", self.REPORT, tamper)
-        assert failures == ["harness: section 'corruption' is missing or "
-                            "not an object (partial or interrupted "
-                            "campaign?)"]
+        failures = _tampered(tmp_path, "equivalence", self.REPORT, tamper)
+        assert failures == ["harness: section 'restore' is missing or "
+                            "empty (partial or interrupted campaign?)"]
 
 
 class TestBenchGate:
@@ -397,6 +403,6 @@ def test_fuzz_campaign_imports_no_other_campaign_or_tooling():
         text=True, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         cwd=REPO_ROOT).stdout.split()
     heavy = {"repro.harness.bench", "repro.faults.campaign",
-             "repro.checkpoint.campaign", "repro.harness.devices"}
+             "repro.harness.equivalence"}
     assert not [name for name in loaded
                 if name in heavy or name.startswith("repro.tools")]

@@ -201,14 +201,16 @@ class TestRejection:
         assert store.fallbacks >= 1
 
     def test_flipped_byte_rejected(self, tmp_path):
-        store, _older, newer = self._saved(tmp_path)
+        store, older, newer = self._saved(tmp_path)
         data = bytearray(newer.read_bytes())
         data[len(data) // 2] ^= 0x01
         newer.write_bytes(bytes(data))
         with pytest.raises(SnapshotIntegrityError):
             store.load(newer)
-        state, _path = store.load_latest("t")
-        assert state is not None
+        state, fallback = store.load_latest("t")
+        assert fallback == older
+        assert state_cycles(state) == state_cycles(
+            json.loads(older.read_text()))
 
     def test_missing_sidecar_rejected(self, tmp_path):
         store, _older, newer = self._saved(tmp_path)

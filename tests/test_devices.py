@@ -11,8 +11,8 @@ Three layers of guarantees:
   interrupt count (preemption actually happened);
 * **bit-identity** -- the boot is identical under the interpreter, the
   translated fast path, and across a mid-boot checkpoint/restore
-  (the `repro devices` gate), and the gate's report validator catches
-  tampered reports.
+  (the kernel rows of `repro campaign equivalence`), and the gate's
+  report validator catches tampered reports.
 """
 
 import json
@@ -219,30 +219,45 @@ class TestKernelDemos:
         assert "spl" in kinds
 
 
-def check_devices_file(path):
+def check_equivalence_file(path):
     from repro.tools.check_results import check_campaign_file
 
-    return check_campaign_file("devices", path)
+    return check_campaign_file("equivalence", path)
+
+
+#: the kernel jobs the gate tests run: the two short demos (kernel-slice
+#: runs ~1.4M cycles per boot, so it is left to the campaign itself)
+QUICK_DEMOS = ("kernel-echo", "kernel-pipeline")
 
 
 @pytest.fixture(scope="module")
 def gate_payload(tmp_path_factory):
-    from repro.harness.devices import run_devices_gate
+    """The committed equivalence report with its kernel section
+    replaced by fresh rows of the two short demos."""
+    from repro.harness.equivalence import kernel_case
 
-    output = tmp_path_factory.mktemp("devices") / "DEVICES_results.json"
-    return run_devices_gate(quick=True, output=output), output
+    committed = json.loads(
+        (REPO_ROOT / "EQUIVALENCE_campaign.json").read_text())
+    payload = {**committed,
+               "kernel": {name: kernel_case(name) for name in QUICK_DEMOS}}
+    output = tmp_path_factory.mktemp("equivalence") / "EQUIVALENCE.json"
+    output.write_text(json.dumps(payload))
+    return payload, output
 
 
 class TestDevicesGate:
+    """The equivalence campaign's kernel rows (`repro campaign
+    equivalence`)."""
+
     def test_quick_gate_is_clean(self, gate_payload):
-        from repro.harness.devices import gate
+        from repro.harness.equivalence import gate
 
         payload, _ = gate_payload
-        assert gate(payload) == [], payload["summary"]
+        assert gate(payload) == [], payload["kernel"]
 
     def test_jit_and_checkpoint_legs_are_bit_identical(self, gate_payload):
         payload, _ = gate_payload
-        for name, row in payload["demos"].items():
+        for name, row in payload["kernel"].items():
             assert row["jit"]["ok"], f"{name}: JIT log diverged"
             assert row["jit"]["blocks_compiled"] > 0, (
                 f"{name}: JIT never engaged -- vacuous comparison")
@@ -250,24 +265,33 @@ class TestDevicesGate:
                 f"{name}: restore diverged from the straight run at "
                 f"cycle {row['checkpoint']['snapshot_cycle']}")
 
+    def test_committed_report_reproduces(self, gate_payload):
+        payload, _ = gate_payload
+        committed = json.loads(
+            (REPO_ROOT / "EQUIVALENCE_campaign.json").read_text())
+        for name in QUICK_DEMOS:
+            assert payload["kernel"][name] == committed["kernel"][name], (
+                f"{name}: EQUIVALENCE_campaign.json is stale -- rerun "
+                "`repro campaign equivalence`")
+
     def test_report_validator_accepts_clean_report(self, gate_payload):
         _, output = gate_payload
-        assert check_devices_file(str(output)) == []
+        assert check_equivalence_file(str(output)) == []
 
     def test_report_validator_catches_tampering(self, gate_payload, tmp_path):
         payload, _ = gate_payload
         tampered = json.loads(json.dumps(payload))
-        row = tampered["demos"]["kernel-echo"]
+        row = tampered["kernel"]["kernel-echo"]
         row["jit"]["ok"] = False
         row["interrupts"] = 0
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(tampered))
-        failures = check_devices_file(str(path))
+        failures = check_equivalence_file(str(path))
         assert any("translated fast path" in failure for failure in failures)
         assert any("zero interrupts" in failure for failure in failures)
 
     def test_report_validator_catches_missing_file(self, tmp_path):
-        assert check_devices_file(str(tmp_path / "absent.json"))
+        assert check_equivalence_file(str(tmp_path / "absent.json"))
 
 
 class TestDeviceTelemetry:
