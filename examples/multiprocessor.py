@@ -141,7 +141,7 @@ for blocked in (False, True):
     print()
 
 speedup8 = baseline / run(8, blocked=True).cycles
-single_vs_vax = 14.9  # measured by benchmarks/bench_vax.py
+single_vs_vax = 14.9  # E13: the vax/* rows of BENCH_pipeline.json
 print(f"\nthe paper's arithmetic: one node is ~{single_vs_vax:.0f}x a "
       f"VAX 11/780;")
 print(f"eight nodes at {speedup8:.1f}x parallel speedup ~= "

@@ -47,7 +47,6 @@ from repro.analysis.quick_compare import (
     classify_branches,
     suite_stats,
 )
-from repro.analysis.reporting import format_table
 from repro.analysis.vax import (
     Comparison,
     VaxEstimator,
@@ -72,7 +71,6 @@ __all__ = [
     "compare_suite",
     "compare_workload",
     "evaluate_scheme",
-    "format_table",
     "fsm_area_fraction",
     "icache_fraction",
     "icache_size_tradeoff",

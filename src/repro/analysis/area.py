@@ -44,11 +44,6 @@ class AreaBudget:
     def fraction(self, name: str) -> float:
         return self.components[name] / self.total
 
-    def rows(self) -> List[tuple]:
-        return [(name, count, round(count / self.total, 3))
-                for name, count in sorted(self.components.items(),
-                                          key=lambda kv: -kv[1])]
-
 
 def transistor_budget(config: Optional[MachineConfig] = None) -> AreaBudget:
     """Component-wise transistor estimate for a machine configuration."""

@@ -123,25 +123,6 @@ class PredictionStudy:
     static_profile: PredictorResult
     caches: List[PredictorResult]
 
-    def rows(self) -> List[tuple]:
-        out = [(self.static_btfn.name,
-                round(self.static_btfn.mispredict_rate, 3))]
-        out.append((self.static_profile.name,
-                    round(self.static_profile.mispredict_rate, 3)))
-        for result in self.caches:
-            out.append((result.name, round(result.mispredict_rate, 3)))
-        return out
-
-    def smallest_cache_beating_profile(self) -> Optional[int]:
-        """Entries needed for the branch cache to match static profile."""
-        target = self.static_profile.mispredict_rate
-        for result, entries in zip(self.caches, self._entry_sizes):
-            if result.mispredict_rate <= target:
-                return entries
-        return None
-
-    _entry_sizes: List[int] = dataclasses.field(default_factory=list)
-
 
 def run_study(names: Optional[Sequence[str]] = None,
               sizes: Sequence[int] = (4, 8, 16, 32, 64, 128, 256),
@@ -149,10 +130,8 @@ def run_study(names: Optional[Sequence[str]] = None,
     names = list(names) if names is not None else (
         list(PASCAL_SUITE) + list(LISP_SUITE))
     events = collect_branch_events(names, quantum=quantum)
-    study = PredictionStudy(
+    return PredictionStudy(
         static_btfn=static_btfn(events),
         static_profile=static_profile(events),
         caches=[branch_cache(events, size) for size in sizes],
     )
-    study._entry_sizes = list(sizes)
-    return study

@@ -9,9 +9,9 @@ input to the squashing finite state machine that is used to handle
 exceptions").
 
 Both FSMs here are load-bearing: the pipeline in
-:mod:`repro.core.pipeline` drives every stall and squash through them, and
-``benchmarks/bench_fsm_figures.py`` prints their transition tables to
-reproduce the figures.
+:mod:`repro.core.pipeline` drives every stall and squash through them,
+``tests/test_experiments_doc.py`` holds their states to EXPERIMENTS.md,
+and the bench report's ``control/fsm-live`` row exercises both live.
 """
 
 from __future__ import annotations

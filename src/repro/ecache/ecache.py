@@ -111,8 +111,8 @@ class Ecache:
     System and user mode execute in separate address spaces, so the mode
     bit participates in the tag.  Writes are write-through with allocate
     (the board-level design is not specified in the paper; write policy is
-    configurable because the Ecache study in ``benchmarks/bench_ecache.py``
-    sweeps it).
+    configurable because E15's write-policy study, the bench report's
+    ``ecache-policy/*`` rows, compares both).
     """
 
     INVALID = -1

@@ -9,7 +9,7 @@ those points in parallel:
   picklable :class:`Job` specs over worker processes with per-job
   timeout, retry-once-on-crash, and deterministic result merging;
 * :mod:`repro.harness.experiments` -- the registry of experiment point
-  functions and the sweep grids built from them;
+  functions and the sweep grids and study job lists built from them;
 * :mod:`repro.harness.campaign` -- the contract, registry and exit rule
   of the standing campaigns behind ``repro campaign <name>``; two of
   them live here: :mod:`repro.harness.equivalence` checks every fast

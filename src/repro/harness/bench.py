@@ -4,10 +4,12 @@
 one report, ``BENCH_pipeline.json`` at the repo root:
 
 * ``experiments`` -- each job of the full experiment grid
-  (:func:`repro.harness.experiments.default_jobs`), its verdict and the
-  value its point function returned: the Table 1 rows, the Icache
-  organizations and fetch-back study, the Ecache sizes, the coprocessor
-  schemes and the workload CPIs behind EXPERIMENTS.md;
+  (:func:`repro.harness.experiments.default_jobs`) and of the paper
+  studies (:func:`repro.harness.experiments.paper_study_jobs`), its
+  verdict and the value its point function returned: the Table 1 rows,
+  the Icache organizations and fetch-back study, the Ecache sizes, the
+  coprocessor schemes, the workload CPIs and the other studies behind
+  EXPERIMENTS.md;
 * ``sweep`` -- the grid's wall time through the parallel
   :class:`~repro.harness.runner.Runner` and serially, held to
   :data:`SWEEP_SPEEDUP_FLOOR`, and the jobs whose serial value differed
@@ -284,9 +286,10 @@ def add_arguments(parser) -> None:
     """The bench campaign's description and options."""
     parser.description = (
         "Run the full experiment grid (in parallel, then serially), the "
-        "jit equivalence and speedup probe, the traced sweeps and the "
-        "multiprocessor scaling sweep, and write their results, with the "
-        "workload-cpi telemetry, to one report.  A finding is a wrong "
+        "jit equivalence and speedup probe, the traced sweeps, the "
+        "paper's other studies and the multiprocessor scaling sweep, and "
+        "write their results, with the workload-cpi telemetry, to one "
+        "report.  A finding is a wrong "
         "result, a broken paper shape, a traced or serial row that differs "
         "from its live parallel row, a broken CPI or counter identity, or "
         "a missed speedup floor.")
@@ -301,11 +304,14 @@ def run(args) -> Dict[str, Any]:
 
     The experiment grid runs twice, in parallel and then serially; the
     report keeps the parallel values and names, in ``sweep.mismatched``,
-    every job whose serial value differs.  The workload-cpi sweep's
-    telemetry snapshots become the ``metrics`` section
-    (:func:`build_metrics_summary`).
+    every job whose serial value differs.  The paper studies
+    (:func:`~repro.harness.experiments.paper_study_jobs`) run once, in
+    parallel beside the multi-scaling grid, and join the grid's rows.
+    The workload-cpi sweep's telemetry snapshots become the ``metrics``
+    section (:func:`build_metrics_summary`).
     """
-    from repro.harness.experiments import default_jobs, multi_scaling_jobs
+    from repro.harness.experiments import (default_jobs, multi_scaling_jobs,
+                                           paper_study_jobs)
 
     runner = Runner(max_workers=args.workers)
     jobs = default_jobs(timeout=args.timeout)
@@ -316,8 +322,11 @@ def run(args) -> Dict[str, Any]:
     serial, serial_wall = _timed_run(runner, jobs, parallel=False)
     serial_values = {r.job_id: r.value for r in serial}
     traced = _traced_section()
-    multi = build_multi_section(runner.run(
-        multi_scaling_jobs(timeout=args.timeout), parallel=True))
+    once = runner.run(paper_study_jobs(timeout=args.timeout)
+                      + multi_scaling_jobs(timeout=args.timeout),
+                      parallel=True)
+    multi = build_multi_section(once)
+    studies = [r for r in once if r.sweep != "multi-scaling"]
 
     payload: Dict[str, Any] = {
         "schema": 1,
@@ -337,7 +346,7 @@ def run(args) -> Dict[str, Any]:
             "mismatched": sorted(r.job_id for r in results
                                  if r.value != serial_values.get(r.job_id)),
         },
-        "experiments": _results_section(results),
+        "experiments": _results_section(results + studies),
         "jit": jit,
         "traced": traced,
         "multi": multi,
@@ -415,7 +424,8 @@ def gate(payload: Dict[str, Any]) -> List[Failure]:
       is not slower than the serial one (:data:`SWEEP_SPEEDUP_FLOOR`);
     * **determinism** -- every job returned the same value serially as
       in parallel (``sweep.mismatched`` is empty);
-    * **paper shapes** -- :func:`_gate_paper`, on the experiment rows;
+    * **paper shapes** -- :func:`_gate_paper`, on the experiment and
+      ``multi`` rows;
     * **trace replay** -- :func:`_gate_traced`;
     * **jit** -- :func:`_gate_jit`;
     * **metrics** -- :func:`_gate_metrics`;
@@ -465,7 +475,9 @@ def gate(payload: Dict[str, Any]) -> List[Failure]:
     values = {job_id: row["value"] for job_id, row in
               (experiments if isinstance(experiments, dict) else {}).items()
               if isinstance(row, dict) and isinstance(row.get("value"), dict)}
-    return (failures + _gate_paper(values)
+    multi = payload.get("multi")
+    multi_rows = multi.get("rows") if isinstance(multi, dict) else None
+    return (failures + _gate_paper({**values, **(multi_rows or {})})
             + _gate_traced(payload.get("traced"), values)
             + _gate_jit(payload.get("jit"))
             + _gate_metrics(payload.get("metrics"))
@@ -585,33 +597,259 @@ def _ecache_shape(rows: Dict[str, dict]) -> List[str]:
     return problems
 
 
-#: the paper's results, each checked on the experiment rows that derive it
+def _fsm_shape(rows: Dict[str, dict]) -> List[str]:
+    live = rows["control/fsm-live"]
+    problems = []
+    if not (live["branch_squashes"] >= 1 and live["squash_transitions"] >= 3):
+        problems.append(f"the squash FSM made {live['squash_transitions']} "
+                        f"transitions for {live['branch_squashes']} branch "
+                        "squashes and the trap (it no longer serves both)")
+    for fsm, pipeline in (("miss_sequences", "icache_misses"),
+                          ("miss_stall_cycles", "icache_stall_cycles")):
+        if live[fsm] != live[pipeline]:
+            problems.append(f"the miss FSM's {fsm} {live[fsm]} differ from "
+                            f"the pipeline's {pipeline} {live[pipeline]}")
+    return problems
+
+
+def _noop_shape(rows: Dict[str, dict]) -> List[str]:
+    from repro.workloads import LISP_SUITE, PASCAL_SUITE
+
+    pascal, lisp = (sum(rows[f"cpi/{name}"]["noop_fraction"]
+                        for name in suite) / len(suite)
+                    for suite in (PASCAL_SUITE, LISP_SUITE))
+    if lisp > pascal:
+        return []
+    return [f"the Lisp mean no-op fraction {lisp:.3f} is not above the "
+            f"Pascal one {pascal:.3f}"]
+
+
+def _branch_conditions_shape(rows: Dict[str, dict]) -> List[str]:
+    stats = rows["branch-conditions/suite"]
+    strict, quick = stats["quick_fraction_strict"], stats["quick_fraction"]
+    if strict < quick:
+        return []
+    return [f"the compiler change no longer widens the quick compare "
+            f"({strict:.4f} as proposed, {quick:.4f} after)"]
+
+
+def _prediction_shape(rows: Dict[str, dict]) -> List[str]:
+    study = rows["prediction/suite"]
+    static, btfn = study["static_profile"], study["static_btfn"]
+    caches = study["branch_cache"]
+    best = min(caches.values())
+    problems = []
+    if best < static - 0.005:
+        problems.append(f"a branch cache ({best:.3f}) beats profiled static "
+                        f"prediction ({static:.3f})")
+    if not caches["16"] > best + 0.005:
+        problems.append(f"16 entries ({caches['16']:.3f}) already reach the "
+                        f"largest cache's {best:.3f}")
+    if not btfn > static:
+        problems.append(f"BTFN ({btfn:.3f}) is no worse than profiled static "
+                        f"prediction ({static:.3f})")
+    return problems
+
+
+def _area_shape(rows: Dict[str, dict]) -> List[str]:
+    sizes = {size["words"]: size
+             for size in rows["area/icache-tradeoff"]["sizes"]}
+    cost = {words: sizes[words]["fetch_cost"] for words in (128, 512, 1024)}
+    problems = []
+    if not (sizes[512]["fits_paper_die"]
+            and not sizes[1024]["fits_paper_die"]):
+        problems.append("512 words no longer fit the paper's die with 1024 "
+                        "words outside it")
+    if not cost[1024] < cost[512] < cost[128]:
+        problems.append(f"the fetch cost does not fall with size: {cost}")
+    return problems
+
+
+def _vax_shape(rows: Dict[str, dict]) -> List[str]:
+    from repro.workloads import PASCAL_SUITE
+
+    comparisons = [rows[f"vax/{name}"] for name in PASCAL_SUITE]
+    problems = [f"{row['workload']} executes fewer instructions on MIPS-X "
+                f"than on the VAX (path ratio {row['path_length_ratio']:.2f})"
+                for row in comparisons if not row["path_length_ratio"] > 1.0]
+    code = sum(row["code_size_ratio"] for row in comparisons) / len(
+        comparisons)
+    if not code > 1.0:
+        problems.append(f"the mean static code ratio {code:.2f} is not above "
+                        "1 (RISC code is no longer larger)")
+    return problems
+
+
+def _write_policy_shape(rows: Dict[str, dict]) -> List[str]:
+    through = rows["ecache-policy/write-through"]
+    back = rows["ecache-policy/write-back"]
+    problems = []
+    if back["miss_rate"] > through["miss_rate"] + 0.02:
+        problems.append(f"write-back misses more ({back['miss_rate']:.3f}) "
+                        f"than write-through ({through['miss_rate']:.3f})")
+    if through["stall_per_ref"] > back["stall_per_ref"] + 0.05:
+        problems.append(f"write-through stalls more "
+                        f"({through['stall_per_ref']:.3f} cycles/ref) than "
+                        f"write-back ({back['stall_per_ref']:.3f})")
+    return problems
+
+
+def _ifetch_shape(rows: Dict[str, dict]) -> List[str]:
+    small = rows["ecache-ifetch/8192w"]["miss_rate"]
+    design = rows["ecache-ifetch/65536w"]["miss_rate"]
+    if design < small:
+        return []
+    return [f"the 64K-word fetch miss rate {design:.4f} is not below the "
+            f"8K-word {small:.4f}"]
+
+
+def _reorganizer_shape(rows: Dict[str, dict]) -> List[str]:
+    cycles = {variant: rows[f"ablation/reorganizer-{variant}"]["cycles"]
+              for variant in ("full", "no-load-scheduling", "no-profiling",
+                              "no-squashing")}
+    problems = []
+    if not (cycles["no-load-scheduling"] >= cycles["full"]
+            and cycles["no-profiling"] >= cycles["full"]
+            and cycles["no-squashing"] > cycles["full"]):
+        problems.append(f"removing a mechanism no longer costs cycles: "
+                        f"{cycles}")
+    full = rows["ablation/reorganizer-full"]
+    unscheduled = rows["ablation/reorganizer-no-load-scheduling"]
+    if not unscheduled["noop_fraction"] > full["noop_fraction"]:
+        problems.append(f"load scheduling no longer removes no-ops "
+                        f"({unscheduled['noop_fraction']:.3f} without it, "
+                        f"{full['noop_fraction']:.3f} with it)")
+    return problems
+
+
+def _replacement_shape(rows: Dict[str, dict]) -> List[str]:
+    miss = {"lru": rows["icache/4set-8way-16w"]["miss_ratio"]}
+    for policy in ("fifo", "random"):
+        miss[policy] = rows[f"ablation/replacement-{policy}"]["miss_ratio"]
+    problems = []
+    for policy in ("fifo", "random"):
+        if miss["lru"] > miss[policy] * 1.02:
+            problems.append(f"LRU ({miss['lru']:.4f}) misses more than "
+                            f"{policy} ({miss[policy]:.4f})")
+        if not miss[policy] < miss["lru"] * 1.35:
+            problems.append(f"{policy} ({miss[policy]:.4f}) is not within "
+                            f"1.35x of LRU ({miss['lru']:.4f})")
+    return problems
+
+
+def _subblock_shape(rows: Dict[str, dict]) -> List[str]:
+    paper = rows["icache/4set-8way-16w"]
+    whole = rows["ablation/whole-block-16w"]
+    problems = []
+    if not whole["miss_ratio"] < paper["miss_ratio"]:
+        problems.append(f"whole-block fills ({whole['miss_ratio']:.3f}) no "
+                        f"longer miss less than sub-block placement "
+                        f"({paper['miss_ratio']:.3f})")
+    if not whole["fetch_cost"] > paper["fetch_cost"]:
+        problems.append(f"whole-block fills ({whole['fetch_cost']:.3f}) no "
+                        f"longer fetch dearer than sub-block placement "
+                        f"({paper['fetch_cost']:.3f})")
+    return problems
+
+
+#: E17's curve in the ``multi`` rows, by node count
+E17_ROW = "multi/pintmm-n{:02d}-bus0-inv"
+
+
+def _multiprocessor_shape(rows: Dict[str, dict]) -> List[str]:
+    one, two, four, eight = (rows[E17_ROW.format(nodes)]
+                             for nodes in (1, 2, 4, 8))
+    problems = []
+    if not four["cycles"] < two["cycles"] < one["cycles"]:
+        problems.append(f"cycles do not fall from 1 to 2 to 4 nodes "
+                        f"({one['cycles']}, {two['cycles']}, "
+                        f"{four['cycles']})")
+    bus = eight["bus"]
+    if not (bus["invalidations"] >= 16 and bus["contention_cycles"] > 0):
+        problems.append(f"8 nodes made {bus['invalidations']} invalidations "
+                        f"and {bus['contention_cycles']} contention cycles "
+                        "(the coherence machinery was not exercised)")
+    return problems
+
+
+def _multiprogramming_shape(rows: Dict[str, dict]) -> List[str]:
+    study = rows["multiprogramming/suite"]
+    ratios = [point["miss_ratio"] for point in study["quanta"]]
+    warm = study["warm_miss_ratio"]
+    problems = []
+    if any(b > a for a, b in zip(ratios, ratios[1:])):
+        problems.append(f"the miss ratio does not fall with the quantum: "
+                        f"{ratios}")
+    if not ratios[0] > 5 * warm:
+        problems.append(f"the smallest quantum's miss ratio {ratios[0]:.4f} "
+                        f"is not above 5x the warm floor {warm:.4f}")
+    if not ratios[-1] < 2.5 * warm:
+        problems.append(f"the largest quantum's miss ratio {ratios[-1]:.4f} "
+                        f"is not within 2.5x of the warm floor {warm:.4f}")
+    return problems
+
+
+#: the paper's results, each checked on the experiment and ``multi`` rows
+#: that derive it
 PAPER_SHAPES = (
     ("E1 Table 1", _table1_shape),
+    ("E2/E3 control FSMs", _fsm_shape),
     ("E4 fetch-back", _fetchback_shape),
     ("E5 service time", _service_time_shape),
+    ("E6 no-op fractions", _noop_shape),
+    ("E8 branch conditions", _branch_conditions_shape),
+    ("E9 branch prediction", _prediction_shape),
+    ("E10 Icache area", _area_shape),
     ("E12 coprocessor interface", _coproc_shape),
+    ("E13 VAX comparison", _vax_shape),
     ("E15 Ecache size", _ecache_shape),
+    ("E15 write policy", _write_policy_shape),
+    ("E15 instruction side", _ifetch_shape),
+    ("E16 reorganizer", _reorganizer_shape),
+    ("E16 replacement", _replacement_shape),
+    ("E16 sub-block placement", _subblock_shape),
+    ("E17 multiprocessor", _multiprocessor_shape),
+    ("E18 multiprogramming", _multiprogramming_shape),
 )
 
 
 def _gate_paper(rows: Dict[str, dict]) -> List[Failure]:
-    """The paper's shapes on the experiment rows (``rows`` maps each job
-    id to its value):
+    """The paper's shapes on the experiment and ``multi`` rows (``rows``
+    maps each job id to its value):
 
     * **E1** -- squashing beats no squashing, optional squashing is best
       at each slot count, one slot beats two, and every cost lies in
       ``[1, 1 + slots]``;
+    * **E2/E3** -- the squash FSM serves a squashing branch and the trap,
+      and the miss FSM sequences every Icache miss and stall cycle;
     * **E4** -- the 2-word fetch-back miss ratio is under
       :data:`FETCHBACK_HALVING` of the 1-word one, and no 3- or 4-word
       fetch cost is below the 2-word cost;
     * **E5** -- no organization at :data:`SLOW_MISS_CYCLES` recovers the
       paper organization's 2-cycle fetch cost, and that cost is within
       :data:`ORGANIZATION_SLACK` of the best 2-cycle organization;
+    * **E6** -- Lisp's mean no-op fraction is above Pascal's;
+    * **E8** -- the compiler change widens the quick compare;
+    * **E9** -- no branch cache beats profiled static prediction, 16
+      entries fall short of the largest cache, and BTFN is worse;
+    * **E10** -- 512 Icache words fit the paper's die and 1024 do not,
+      and the fetch cost falls from 128 to 512 to 1024 words;
     * **E12** -- per FP workload, the final interface is the 1.0
       reference and the best, and the non-cached one the slowest;
+    * **E13** -- MIPS-X executes more instructions than the VAX on every
+      workload, in more static code;
     * **E15** -- the miss rate is monotone in size, and the 64K-word
-      point is under :data:`ECACHE_LOCALITY` of the 4K-word one.
+      point is under :data:`ECACHE_LOCALITY` of the 4K-word one;
+      write-back misses no more than write-through and write-through
+      stalls no more; the 64K-word Ecache misses fewer fetches than 8K;
+    * **E16** -- removing load scheduling, profiling or squashing costs
+      cycles, and scheduling removes no-ops; LRU misses least and FIFO
+      and random stay within 1.35x of it; whole-block fills miss less
+      than sub-block placement but fetch dearer;
+    * **E17** -- pintmm's cycles fall from 1 to 2 to 4 nodes, and 8
+      nodes invalidate and contend on the bus;
+    * **E18** -- the miss ratio falls with the task-switch quantum, from
+      over 5x the warm floor to within 2.5x of it.
 
     A broken shape is a finding; a row the shape needs that is missing
     or has no value is a harness failure.

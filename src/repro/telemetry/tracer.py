@@ -225,6 +225,14 @@ class CycleTracer:
         for key in list(self._live):
             self._retire(key)
 
+    def view(self) -> Tuple[List[FlightTrace], List[Tuple[str, int, int]]]:
+        """The records and stall spans so far, the still-open ones
+        included, without closing them: tracing can go on after a look."""
+        spans = list(self.stall_spans)
+        if self._open_stall is not None:
+            spans.append(tuple(self._open_stall))
+        return list(self.records) + list(self._live.values()), spans
+
     # ----------------------------------------------------------- recording
     def _observe_stages(self, pipeline, cycle: int) -> None:
         current = pipeline.s

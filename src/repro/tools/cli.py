@@ -41,8 +41,8 @@ checkpoint models), ``equivalence`` (workloads and fuzz seeds restored
 from a mid-run snapshot, and every kernel-lite demo booted
 interpretive, under the JIT and across checkpoint/restore, each against
 the straight run's whole machine state) and ``bench`` (the full
-experiment grid in parallel and serially, its rows checked against the
-paper's shapes, the jit equivalence and
+experiment grid in parallel and serially, the paper's other studies,
+their rows checked against the paper's shapes, the jit equivalence and
 speedup probe, the traced sweeps, the multiprocessor scaling sweep and
 the workload-cpi telemetry, in one ``BENCH_pipeline.json``; see
 :mod:`repro.harness.bench`) -- writes its report, and applies the

@@ -1,5 +1,6 @@
-"""Tests for the analysis/experiment machinery (on small subsets, so the
-full-suite benchmarks stay in benchmarks/)."""
+"""Tests for the analysis/experiment machinery, on small subsets: the
+full-suite studies are rows of the bench report (``repro campaign
+bench``)."""
 
 import pytest
 
@@ -23,22 +24,12 @@ from repro.analysis.prediction import (
     static_profile,
 )
 from repro.analysis.quick_compare import classify_branches
-from repro.analysis.reporting import format_table
 from repro.analysis.vax import VaxEstimator, compare_workload
 from repro.coproc.schemes import evaluate_schemes, mix_from_machine, schemes
 from repro.lang.parser import parse_program
 from repro.reorg.delay_slots import MIPSX_SCHEME
 from repro.traces.capture import BranchEvent
 from repro.workloads import get
-
-
-class TestReporting:
-    def test_format_table_aligns(self):
-        text = format_table(["a", "bb"], [(1, 2.5), ("xy", 3)], "T")
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert "2.500" in text
-        assert all(len(line) == len(lines[2]) for line in lines[2:4])
 
 
 class TestCommon:

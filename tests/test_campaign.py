@@ -306,6 +306,73 @@ def _noncached_coproc_catches_up(payload):
         "relative_performance"] = 0.95
 
 
+def _value(payload, job_id):
+    return payload["experiments"][job_id]["value"]
+
+
+def _desync_miss_fsm(payload):
+    _value(payload, "control/fsm-live")["miss_sequences"] += 1
+
+
+def _flatten_lisp_noops(payload):
+    _set_row(payload, "cpi/assoc", "noop_fraction", 0.0)
+
+
+def _narrow_quick_compare(payload):
+    stats = _value(payload, "branch-conditions/suite")
+    stats["quick_fraction_strict"] = stats["quick_fraction"]
+
+
+def _small_branch_cache_suffices(payload):
+    caches = _value(payload, "prediction/suite")["branch_cache"]
+    caches["16"] = caches["256"]
+
+
+def _fit_1024_words(payload):
+    for size in _value(payload, "area/icache-tradeoff")["sizes"]:
+        if size["words"] == 1024:
+            size["fits_paper_die"] = True
+
+
+def _shorten_vax_path(payload):
+    _set_row(payload, "vax/bubble", "path_length_ratio", 0.95)
+
+
+def _write_back_misses_more(payload):
+    through = _value(payload, "ecache-policy/write-through")["miss_rate"]
+    _set_row(payload, "ecache-policy/write-back", "miss_rate", through + 0.05)
+
+
+def _ecache_fetch_misses_grow(payload):
+    small = _value(payload, "ecache-ifetch/8192w")["miss_rate"]
+    _set_row(payload, "ecache-ifetch/65536w", "miss_rate", small + 0.01)
+
+
+def _profiling_saves_nothing(payload):
+    full = _value(payload, "ablation/reorganizer-full")["cycles"]
+    _set_row(payload, "ablation/reorganizer-no-profiling", "cycles", full - 1)
+
+
+def _fifo_beats_lru(payload):
+    lru = _value(payload, "icache/4set-8way-16w")["miss_ratio"]
+    _set_row(payload, "ablation/replacement-fifo", "miss_ratio", lru / 1.05)
+
+
+def _whole_blocks_fetch_cheaply(payload):
+    _set_row(payload, "ablation/whole-block-16w", "fetch_cost", 1.2)
+
+
+def _four_nodes_stall(payload):
+    rows = payload["multi"]["rows"]
+    two = rows["multi/pintmm-n02-bus0-inv"]["cycles"]
+    rows["multi/pintmm-n04-bus0-inv"]["cycles"] = two + 1
+
+
+def _quantum_sweep_bends(payload):
+    quanta = _value(payload, "multiprogramming/suite")["quanta"]
+    quanta[1]["miss_ratio"] = quanta[0]["miss_ratio"] + 0.01
+
+
 def _change_traced_row(payload):
     rows = payload["traced"]["per_sweep"]["ecache-sweep"]["rows"]
     rows[0]["miss_rate"] += 0.001
@@ -332,6 +399,28 @@ class TestBenchPaperShapes:
         (_noncached_coproc_catches_up,
          "E12 coprocessor interface: coproc/fp_dot: the non-cached scheme "
          "(0.950) is no longer the slowest"),
+        (_desync_miss_fsm, "E2/E3 control FSMs: the miss FSM's "
+                           "miss_sequences"),
+        (_flatten_lisp_noops, "E6 no-op fractions: the Lisp mean no-op "
+                              "fraction"),
+        (_narrow_quick_compare, "E8 branch conditions: the compiler change "
+                                "no longer widens the quick compare"),
+        (_small_branch_cache_suffices, "E9 branch prediction: 16 entries"),
+        (_fit_1024_words, "E10 Icache area: 512 words no longer fit"),
+        (_shorten_vax_path, "E13 VAX comparison: bubble executes fewer "
+                            "instructions"),
+        (_write_back_misses_more, "E15 write policy: write-back misses "
+                                  "more"),
+        (_ecache_fetch_misses_grow, "E15 instruction side: the 64K-word "
+                                    "fetch miss rate"),
+        (_profiling_saves_nothing, "E16 reorganizer: removing a mechanism "
+                                   "no longer costs cycles"),
+        (_fifo_beats_lru, "E16 replacement: LRU"),
+        (_whole_blocks_fetch_cheaply, "E16 sub-block placement: whole-block "
+                                      "fills (1.200) no longer fetch dearer"),
+        (_four_nodes_stall, "E17 multiprocessor: cycles do not fall"),
+        (_quantum_sweep_bends, "E18 multiprogramming: the miss ratio does "
+                               "not fall with the quantum"),
         (_change_traced_row, "traced: row 'ecache/4096w' differs from its "
                              "live row in ['miss_rate'] (trace replay is "
                              "not exact)"),
@@ -339,7 +428,14 @@ class TestBenchPaperShapes:
                           "different value serially than in parallel"),
     ], ids=["e1-swapped-rows", "e4-not-halved", "e5-organization-wins",
             "e15-not-monotone", "e12-noncached-not-slowest",
-            "traced-row-changed", "serial-parallel-mismatch"])
+            "e2-e3-miss-fsm-desynced", "e6-lisp-noops-flat",
+            "e8-quick-compare-narrow", "e9-small-cache-suffices",
+            "e10-1024-words-fit", "e13-vax-path-shorter",
+            "e15-write-back-misses-more", "e15-ifetch-not-smaller",
+            "e16-profiling-free", "e16-fifo-beats-lru",
+            "e16-whole-blocks-cheap", "e17-four-nodes-stall",
+            "e18-quantum-sweep-bends", "traced-row-changed",
+            "serial-parallel-mismatch"])
     def test_tamper_is_one_named_finding(self, tmp_path, tamper, expected):
         failures = _tampered(tmp_path, "bench", "BENCH_pipeline.json",
                              tamper)

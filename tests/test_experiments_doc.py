@@ -1,22 +1,27 @@
 """EXPERIMENTS.md's measured column, held to the committed bench report.
 
 ``repro campaign bench`` derives each paper number once, in the
-``experiments`` rows and the ``metrics`` section of
+``experiments`` rows and the ``metrics`` and ``multi`` sections of
 ``BENCH_pipeline.json``; its gate checks the paper's *shapes* on those
 rows.  This module checks the other half: every measured cell of
-EXPERIMENTS.md that the grid derives reads exactly what the committed
-report gives at the cell's printed precision, and the report's values
-sit in the paper's magnitude bands.  Editing a cell, or regenerating the
-report to different numbers without editing the cells, fails here.
+EXPERIMENTS.md reads exactly what the committed report -- or, for the
+FSM tables and the transistor budget, the model itself -- gives at the
+cell's printed precision, and the report's values sit in the paper's
+magnitude bands.  Editing a cell, or regenerating the report to
+different numbers without editing the cells, fails here.
 """
 
 import json
 import pathlib
 import re
 
+from repro.analysis.area import (PAPER_TOTAL_TRANSISTORS, fsm_area_fraction,
+                                 icache_fraction, transistor_budget)
 from repro.analysis.branch_schemes import PAPER_TABLE1
 from repro.coproc.schemes import schemes
 from repro.core.config import MachineConfig
+from repro.core.control import CacheMissFsm, SquashFsm
+from repro.workloads import LISP_SUITE, PASCAL_SUITE
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 REPORT = json.loads((REPO_ROOT / "BENCH_pipeline.json").read_text())
@@ -38,19 +43,25 @@ def _section(experiment):
     return match.group(0)
 
 
-def _table(experiment):
-    """The body rows of the section's table: first cell -> other cells,
-    each stripped of bold markers and of a trailing ``*(C)*``/``*(S)*``
-    annotation."""
-    rows = {}
+def _table(experiment, index=0):
+    """The rows of the section's ``index``-th table, its header row
+    included: first cell -> other cells, each stripped of bold markers
+    and of a trailing ``*(C)*``/``*(S)*`` annotation."""
+    tables, rows = [], None
     for line in _section(experiment).splitlines():
-        if not line.startswith("|") or set(line) <= set("|- "):
+        if not line.startswith("|"):
+            rows = None
             continue
+        if set(line) <= set("|- "):
+            continue
+        if rows is None:
+            rows = {}
+            tables.append(rows)
         cells = [re.sub(r"\s*\*\([CS]\)\*$", "", cell.strip().replace("**",
                                                                       ""))
                  for cell in line.strip().strip("|").split("|")]
         rows[cells[0]] = cells[1:]
-    return rows
+    return tables[index]
 
 
 def _percent(fraction, digits=1):
@@ -154,6 +165,216 @@ def test_e15_ecache_rows():
                        for size, row in rows.items()}
 
 
+def test_e2_e3_fsm_states_and_live_rows():
+    text = " ".join(_section("E2/E3").split())
+    for figure, fsm in (("Figure 3", SquashFsm), ("Figure 4", CacheMissFsm)):
+        states = list(dict.fromkeys(row[0] for row in fsm.transition_table()))
+        printed = re.search(rf"{figure}'s .*? the states (.*?)(?:, and |\.)",
+                            text).group(1)
+        assert re.split(r",\s+(?:and\s+)?|\s+and\s+", printed) == states
+    live = _value("control/fsm-live")
+    assert _table("E2/E3") == {
+        "measurement": ["measured"],
+        "squash FSM transitions": [str(live["squash_transitions"])],
+        "branch squashes / exceptions": [
+            f"{live['branch_squashes']} / {live['exceptions']}"],
+        "miss FSM sequences / Icache misses": [
+            f"{live['miss_sequences']} / {live['icache_misses']}"],
+        "miss FSM stall cycles / Icache stall cycles": [
+            f"{live['miss_stall_cycles']} / {live['icache_stall_cycles']}"],
+    }
+
+
+def _mean_noop_fraction(suite):
+    return sum(_value(f"cpi/{name}")["noop_fraction"]
+               for name in suite) / len(suite)
+
+
+def test_e6_noop_rows():
+    table = _table("E6")
+    assert table["Pascal"][1] == _percent(_mean_noop_fraction(PASCAL_SUITE))
+    assert table["Lisp"][1] == _percent(_mean_noop_fraction(LISP_SUITE))
+
+
+def test_e8_branch_rows():
+    table = _table("E8")
+    stats = _value("branch-conditions/suite")
+    cost = _value("branch/2-slot-optional-all")
+    assert table["branches needing an explicit compare (CC machine)"][1] == (
+        _percent(stats["explicit_compare_fraction"], 0))
+    assert table["branches quick-comparable"][1] == _percent(
+        stats["quick_fraction"], 0)
+    assert table["reorganized cycles/branch"][1] == (
+        f"{cost['cycles_per_branch']:.2f} (profiled)")
+
+
+def test_e9_prediction_rows():
+    study = _value("prediction/suite")
+    caches = study["branch_cache"]
+    assert _table("E9") == {
+        "predictor": ["mispredict rate"],
+        "static BTFN": [f"{study['static_btfn']:.3f}"],
+        "static profile": [f"{study['static_profile']:.3f}"],
+        "branch cache, 16 entries": [f"{caches['16']:.3f}"],
+        "branch cache, 256 entries": [f"{caches['256']:.3f}"],
+    }
+
+
+def test_e10_budget_rows():
+    table = _table("E10")
+    budget = transistor_budget()
+    assert table["total transistors"][1] == f"{budget.total / 1000:.0f}K"
+    assert table["fraction in the Icache"][1] == _percent(
+        icache_fraction(budget))
+    assert table["area of the two FSMs"][1] == _percent(
+        fsm_area_fraction(budget), 2)
+    fits = {size["words"]: size["fits_paper_die"]
+            for size in _value("area/icache-tradeoff")["sizes"]}
+    assert table["512-word cache fits the die; 1024 does not"][1] == (
+        "reproduced" if fits[512] and not fits[1024] else "not reproduced")
+
+
+def test_e11_bandwidth_rows():
+    table = _table("E11")
+    row = _value("bandwidth/pascal")
+    assert table["average bandwidth"][1] == (
+        f"{row['average_bandwidth_mwords']:.1f} MWords/s")
+    assert table["peak bandwidth"][1] == (
+        f"{row['peak_bandwidth_mwords']:.0f} MWords/s")
+    assert table["data references per instruction"][1] == (
+        f"{row['data_reference_density']:.2f}")
+
+
+def _vax_means():
+    rows = [_value(f"vax/{name}") for name in PASCAL_SUITE]
+    return {key: sum(row[key] for row in rows) / len(rows)
+            for key in ("path_length_ratio", "speedup", "code_size_ratio")}
+
+
+def test_e13_vax_rows():
+    table = _table("E13")
+    means = _vax_means()
+    assert table["MIPS-X / VAX path length"][1] == (
+        f"{means['path_length_ratio']:.2f}×")
+    assert table["speedup"][1] == f"{means['speedup']:.1f}×"
+    assert table["static code size ratio"][1] == (
+        f"{means['code_size_ratio']:.1f}×")
+
+
+def test_e14_exception_rows():
+    row = _value("exceptions/overflow-trap")
+    assert _table("E14") == {
+        "quantity": ["measured"],
+        "traps taken": [str(row["traps"])],
+        "handler executions recorded": [str(row["handler_runs"])],
+        "round-trip overhead vs the no-trap loop": [
+            f"{row['overhead_per_exception']:.1f} cycles/exception"],
+    }
+
+
+def test_e15_fetch_and_write_policy_rows():
+    fetch = {f"{row['size_words'] // 1024}K": [_percent(row["miss_rate"]),
+                                               f"{row['stall_per_fetch']:.2f}"]
+             for row in (_value(f"ecache-ifetch/{size}w")
+                         for size in (8192, 65536))}
+    assert _table("E15", 1) == dict(
+        fetch, **{"Ecache words": ["fetch miss rate", "stall cycles/fetch"]})
+    policies = {policy: [f"{row['miss_rate']:.3f}",
+                         f"{row['stall_per_ref']:.2f}"]
+                for policy, row in ((policy,
+                                     _value(f"ecache-policy/{policy}"))
+                                    for policy in ("write-through",
+                                                   "write-back"))}
+    assert _table("E15", 2) == dict(
+        policies, **{"policy": ["data miss rate", "stall cycles/ref"]})
+
+
+def test_e16_ablation_rows():
+    table = _table("E16")
+    variants = {variant: _value(f"ablation/reorganizer-{variant}")
+                for variant in ("full", "no-load-scheduling", "no-squashing")}
+
+    def extra_cycles(variant):
+        ratio = variants[variant]["cycles"] / variants["full"]["cycles"]
+        return f"+{100 * (ratio - 1):.0f}% cycles"
+
+    assert table["remove load-delay *scheduling* (no-op padding only)"] == [
+        f"{extra_cycles('no-load-scheduling')}, no-op fraction "
+        f"{_percent(variants['full']['noop_fraction'])} → "
+        f"{_percent(variants['no-load-scheduling']['noop_fraction'])}"]
+    assert table["remove squashing entirely (no-squash machine)"] == [
+        extra_cycles("no-squashing")]
+    paper = _value("icache/4set-8way-16w")
+    miss = [paper["miss_ratio"]] + [
+        _value(f"ablation/replacement-{policy}")["miss_ratio"]
+        for policy in ("fifo", "random")]
+    assert table["Icache replacement LRU vs FIFO vs random"] == [
+        "miss ratio " + " / ".join(f"{ratio:.4f}" for ratio in miss)]
+    whole = _value("ablation/whole-block-16w")
+    assert table["whole-block fills instead of sub-block placement"] == [
+        f"miss ratio {paper['miss_ratio']:.3f} → {whole['miss_ratio']:.3f}, "
+        f"fetch cost {paper['fetch_cost']:.2f} → {whole['fetch_cost']:.2f}"]
+
+
+def _multi_row(workload, nodes):
+    return REPORT["multi"]["rows"][f"multi/{workload}-n{nodes:02d}-bus0-inv"]
+
+
+def _e17_speedup():
+    return _multi_row("pintmm", 1)["cycles"] / _multi_row("pintmm", 8)[
+        "cycles"]
+
+
+def test_e17_multiprocessor_rows():
+    one, eight = _multi_row("pintmm", 1), _multi_row("pintmm", 8)
+    vax = _vax_means()["speedup"]
+    assert _table("E17") == {
+        "quantity": ["measured"],
+        "cycles on 1 node": [f"{one['cycles']:,}"],
+        "cycles on 8 nodes": [f"{eight['cycles']:,}"],
+        "8-node speedup": [f"{_e17_speedup():.2f}×"],
+        "bus invalidations on 8 nodes": [
+            f"{eight['bus']['invalidations']:,}"],
+        "bus contention cycles on 8 nodes": [
+            f"{eight['bus']['contention_cycles']:,}"],
+        f"8 nodes vs a VAX 11/780 (× E13's {vax:.1f}× single-node speedup)": [
+            f"{vax * _e17_speedup():.0f}×"],
+    }
+
+
+def test_e17_scaling_table_and_prose():
+    curves = REPORT["multi"]["curves"]
+    columns = ["psieve/bus0/inv", "pintmm/bus0/inv", "pring/bus0/inv",
+               "psieve/bus4/inv", "psieve/bus0/noinv"]
+    table = _table("E17", 1)
+    printed = {nodes: cells for nodes, cells in table.items()
+               if nodes.isdigit()}
+    assert printed == {
+        str(nodes): [f"{curves[column]['speedup'][nodes - 1]:.2f}×"
+                     for column in columns]
+        for nodes in (1, 2, 4, 6, 8, 10)}
+    text = " ".join(_section("E17").split())
+    contention = curves["psieve/bus0/inv"]["contention_cycles"]
+    assert (f"0 → {contention[4] / 1000:.1f}k → {contention[9] / 1000:.1f}k "
+            "for N=1 → 5 → 10") in text
+    inv, noinv = curves["psieve/bus0/inv"], curves["psieve/bus0/noinv"]
+    gain = max(b / a for a, b in zip(inv["speedup"], noinv["speedup"]))
+    counts = inv["invalidations"]
+    assert (f"buys at most {100 * (gain - 1):.0f}% on `psieve` while its "
+            f"invalidation counter drops from {min(counts) / 1000:.1f}k–"
+            f"{max(counts) / 1000:.1f}k to zero") in text
+    assert set(noinv["invalidations"]) == {0}
+
+
+def test_e18_multiprogramming_rows():
+    study = _value("multiprogramming/suite")
+    expected = {str(point["quantum"]): [f"{point['miss_ratio']:.4f}"]
+                for point in study["quanta"]}
+    expected["no switching (warm)"] = [f"{study['warm_miss_ratio']:.4f}"]
+    expected["switch quantum Q"] = ["Icache miss ratio"]
+    assert _table("E18") == expected
+
+
 # ---------------------------------------------------------- paper bands
 def test_table1_rows_near_the_paper():
     """Squashing rows land within 0.45 cycles of the paper; the no-squash
@@ -204,3 +425,63 @@ def test_coproc_near_the_paper():
 def test_ecache_design_point_near_the_paper():
     assert _value("ecache/65536w")["miss_rate"] < 0.12
 
+
+def test_noop_fractions_near_the_paper():
+    """Near the paper's 15.6% (Pascal) and 18.3% (Lisp)."""
+    assert 0.10 < _mean_noop_fraction(PASCAL_SUITE) < 0.20
+    assert 0.13 < _mean_noop_fraction(LISP_SUITE) < 0.27
+
+
+def test_branch_statistics_near_the_paper():
+    """Most branches need an explicit compare on a condition-code
+    machine; a majority -- far from all -- are quick-comparable; the
+    improved-optimizer branch cost sits near the paper's 1.27-1.5."""
+    stats = _value("branch-conditions/suite")
+    assert stats["explicit_compare_fraction"] > 0.6
+    assert 0.5 < stats["quick_fraction"] < 0.9
+    assert stats["total"] > 10_000
+    assert 1.1 < _value("branch/2-slot-optional-all")[
+        "cycles_per_branch"] < 1.75
+
+
+def test_transistor_budget_near_the_paper():
+    """About 150K transistors, two thirds in the Icache, the FSMs under
+    0.2% of the chip."""
+    budget = transistor_budget()
+    assert (0.8 * PAPER_TOTAL_TRANSISTORS < budget.total
+            < 1.25 * PAPER_TOTAL_TRANSISTORS)
+    assert 0.60 < icache_fraction(budget) < 0.72
+    assert fsm_area_fraction(budget) < 0.002
+
+
+def test_bandwidth_near_the_paper():
+    """Data roughly every third cycle gives ~26 MWords/s; the naive
+    compiler's memory-resident values push the density above 1/3."""
+    row = _value("bandwidth/pascal")
+    assert 0.20 < row["data_reference_density"] < 0.55
+    assert 22.0 < row["average_bandwidth_mwords"] < 32.0
+
+
+def test_vax_comparison_near_the_paper():
+    """A path-length gap near the Berkeley compiler's, an order of
+    magnitude on wall clock, and more than 5x on every workload."""
+    means = _vax_means()
+    assert 1.2 < means["path_length_ratio"] < 2.3
+    assert 8.0 < means["speedup"] < 22.0
+    for name in PASCAL_SUITE:
+        assert _value(f"vax/{name}")["speedup"] > 5.0, name
+
+
+def test_exception_round_trip_near_the_paper():
+    """The hardware part is a handful of cycles; with the handler each
+    round trip stays well under 100 cycles."""
+    assert _value("exceptions/overflow-trap")["overhead_per_exception"] < 100
+
+
+def test_instruction_side_fits_the_ecache():
+    """At 64K words only the cold fetch misses remain."""
+    assert _value("ecache-ifetch/65536w")["miss_rate"] < 0.05
+
+
+def test_multiprocessor_speedup_near_the_goal():
+    assert _e17_speedup() > 2.0

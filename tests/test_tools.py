@@ -409,6 +409,13 @@ def _ci_commands(lines=None):
     return commands
 
 
+def _ci_pytest_targets():
+    """The test files, test ids and test directories CI's pytest steps
+    name."""
+    return [arg for argv in _ci_commands() if "pytest" in argv
+            for arg in argv if arg.startswith(("tests/", "perfbench/tests"))]
+
+
 def _ci_calls(module):
     """The argv after ``python -m <module>`` of each CI call into it."""
     return [argv[argv.index(module) + 1:] for argv in _ci_commands()
@@ -486,11 +493,12 @@ class TestCiWorkflow:
             f"wrote only on {sorted(gated)}, not on {sorted(ci_pythons)}")
 
     def test_pytest_targets_exist(self):
-        targets = [arg for argv in _ci_commands() if "pytest" in argv
-                   for arg in argv if arg.startswith("tests/")]
+        targets = _ci_pytest_targets()
         assert targets
         for target in targets:
             path, *names = target.split("::")
+            if (REPO_ROOT / path).is_dir() and not names:
+                continue
             assert (REPO_ROOT / path).is_file(), f"ci.yml runs {path}"
             scope = ast.parse((REPO_ROOT / path).read_text()).body
             for name in names:
@@ -498,6 +506,27 @@ class TestCiWorkflow:
                          if getattr(node, "name", None) == name]
                 assert found, f"ci.yml runs {target}: no {name}"
                 scope = getattr(found[0], "body", [])
+
+    def test_no_test_directory_goes_unrun(self):
+        """Every directory holding files that match pyproject's
+        ``python_files`` lies under its ``testpaths`` or is named by a CI
+        pytest step, so no test file sits where nothing runs it."""
+        tomllib = pytest.importorskip("tomllib")
+        options = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())[
+            "tool"]["pytest"]["ini_options"]
+        run = [REPO_ROOT / path for path in options["testpaths"]]
+        run += [REPO_ROOT / target.split("::")[0]
+                for target in _ci_pytest_targets()]
+        directories = {path.parent for pattern in options["python_files"]
+                       for path in REPO_ROOT.rglob(pattern)
+                       if not any(part.startswith(".") for part in
+                                  path.relative_to(REPO_ROOT).parts)}
+        assert directories
+        dark = sorted(str(directory.relative_to(REPO_ROOT))
+                      for directory in directories
+                      if not any(directory == root or root in directory.parents
+                                 for root in run))
+        assert not dark, f"no pytest run collects {dark}"
 
     def test_workflow_is_valid_yaml(self):
         yaml = pytest.importorskip("yaml")
